@@ -24,7 +24,7 @@ from .errors import (
     SubcriticalityViolated,
 )
 from .measures import levy_integral, levy_restrict_tail
-from .mechanisms import check_C
+from .mechanisms import _jsonable, check_C
 from .model import ModelParams
 from .riccati import Vbar, delta1
 from .simulator import SimConfig, simulate_coupled, simulate_paths
@@ -121,30 +121,16 @@ class BoundReport:
             yield (f"{t:.12g}", f"{e:.12g}", f"{s:.12g}", f"{b:.12g}", int(v))
 
     def to_json(self) -> dict:
-        return {
+        return _jsonable({
             "label": self.label,
-            "t_grid": [float(t) for t in self.t_grid],
-            "empirical": [float(v) for v in self.empirical],
-            "se": [float(v) for v in self.se],
-            "bound": [None if not math.isfinite(b) else float(b) for b in self.bound],
-            "violations": [bool(v) for v in self.violations],
-            "constants": {k: _jsonable(v) for k, v in self.constants.items()},
-            "extras": {k: _jsonable(v) for k, v in self.extras.items()},
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, float) and not math.isfinite(v):
-        return None
-    return v
+            "t_grid": self.t_grid,
+            "empirical": self.empirical,
+            "se": self.se,
+            "bound": self.bound,
+            "violations": self.violations,
+            "constants": self.constants,
+            "extras": self.extras,
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +233,6 @@ def prop33_bound(
     return C_hat * (1.0 + (vb + 1.0) * d1 + math.sqrt(d1) + d2) / math.sqrt(t)
 
 
-def fit_C_hat(
-    params: ModelParams,
-    x: tuple[float, float],
-    y: tuple[float, float],
-    t_grid,
-    cfg: SimConfig,
-    vbar: Vbar | None = None,
-    bins=(50, 50),
-) -> float:
-    """Fitted C_hat = max over the calibration grid of (2 TV_hat) sqrt(t) /
-    bracket.  Shape verification only, not constant verification."""
-    if vbar is None:
-        vbar = Vbar(params)
-    t_grid = np.asarray(sorted(t_grid), dtype=float)
-    cfg = replace(cfg, T=float(t_grid[-1]), record_times=tuple(t_grid))
-    ex = simulate_paths(params, x, cfg)
-    ey = simulate_paths(params, y, replace(cfg, seed=rngmod.derive_seed(cfg.seed, 101)))
-    k = kappa_coeff(params)
-    d1, d2 = abs(x[0] - y[0]), abs(x[1] - y[1])
-    best = 0.0
-    for t in t_grid:
-        i = ex.index_of(t)
-        P = EmpiricalDistribution.from_samples(ex.Y[i], ex.Z[i])
-        Q = EmpiricalDistribution.from_samples(ey.Y[i], ey.Z[i])
-        vb = vbar(t / (k * k + 1.0)) if d1 > 0 else 0.0
-        bracket = 1.0 + (vb + 1.0) * d1 + math.sqrt(d1) + d2
-        best = max(best, 2.0 * tv_hat(P, Q, bins) * math.sqrt(t) / bracket)
-    return best
-
-
 def prop42_constants(params: ModelParams, eps: float, Lambda: float | None = None) -> dict:
     """(C_eps, Lambda, kappa_tilde, C_tilde) of the exponential TV bound.
     Lambda defaults to the shift-TV probe estimate (probe-based)."""
@@ -369,7 +325,8 @@ def ergodicity_curve(
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     horizon = 4.0 * float(t_grid[-1])
     pi_hat = stationary_proxy(params, cfg, horizon, seed_tag=1)
-    floor = noise_floor(params, cfg, horizon, bins)
+    # noise_floor(params, cfg, horizon, bins), reusing the seed_tag=1 proxy
+    floor = 2.0 * tv_hat(pi_hat, stationary_proxy(params, cfg, horizon, seed_tag=2), bins)
     run = replace(cfg, T=float(t_grid[-1]), record_times=tuple(t_grid))
     ens = simulate_paths(params, x, run)
     emp = np.empty(len(t_grid))

@@ -67,7 +67,3 @@ class TimeNotRecorded(AffineError):
 
 class EmptyDistribution(AffineError):
     """An empirical distribution with no samples was supplied."""
-
-
-class ValidationFailure(AffineError):
-    """Strict mode: a validation or condition check did not pass."""

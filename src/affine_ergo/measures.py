@@ -706,8 +706,6 @@ class LevySampler:
         self.rate = float(np.sum(self.w))
         self.mean_z1 = float(np.sum(self.w * self.z1))
         self.mean_z2 = float(np.sum(self.w * self.z2))
-        self.mom2_z1 = float(np.sum(self.w * self.z1**2))
-        self.mom2_z2 = float(np.sum(self.w * self.z2**2))
         self._cum = np.cumsum(self.w) / self.rate
 
     def draw(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -721,10 +719,6 @@ class LevySampler:
         z1 = self.z1[idx] + (j1 - 0.5) * self.d1[idx]
         z2 = self.z2[idx] + (j2 - 0.5) * self.d2[idx]
         return z1, z2
-
-
-def levy_sampler(mu: LevyMeasure) -> LevySampler:
-    return LevySampler(mu)
 
 
 # ---------------------------------------------------------------------------

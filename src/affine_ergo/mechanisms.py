@@ -133,24 +133,31 @@ class ConditionReport:
             "condition": self.condition,
             "verdict": self.verdict,
             "evidence": [[float(a), float(b)] for a, b in self.evidence],
-            "inputs": {k: _jsonable(v) for k, v in self.inputs.items()},
+            "inputs": self.inputs,
+            **self.extras,
         }
-        out.update({k: _jsonable(v) for k, v in self.extras.items()})
         if self.note:
             out["note"] = self.note
-        return out
+        return _jsonable(out)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
 
 
 def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, (list, tuple, np.ndarray)):
+    """JSON-ready copy of v: numpy scalars and arrays become Python values,
+    containers are converted recursively, and non-finite floats become None
+    (null), so the result serializes under json.dumps(..., allow_nan=False)."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
     return v
 
 

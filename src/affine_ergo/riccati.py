@@ -112,10 +112,6 @@ class RiccatiSolution:
     nfev: int
     nsteps: int
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self._sol.ts if hasattr(self._sol, "ts") else self._sol.t
-
     def V1(self, t: float) -> complex:
         v = complex(self._sol(t)[0])
         if v.real > 0.0:

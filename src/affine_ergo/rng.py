@@ -17,17 +17,14 @@ W0, W1, W2 = 0, 1, 2
 N_COUNT, N_JUMP = 3, 4
 M_COUNT, M_JUMP = 5, 6
 D_W, DM_COUNT, DM_JUMP = 7, 8, 9
-GAUSS_APPROX = 10
-_N_STREAMS = 16
+GAUSS_APPROX, D_GAUSS = 10, 11
+N_USED = 12  # ids 0..11 above
+_N_STREAMS = 16  # key slots per chunk
 
 
 def stream(seed: int, chunk: int, stream_id: int) -> np.random.Generator:
     key = (int(seed) << 64) | (int(chunk) * _N_STREAMS + int(stream_id))
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def substream_set(seed: int, chunk: int) -> dict[int, np.random.Generator]:
-    return {sid: stream(seed, chunk, sid) for sid in range(_N_STREAMS)}
 
 
 def derive_seed(seed: int, tag: int) -> int:

@@ -5,19 +5,29 @@ evaluated at max(Y,0), state clamped to 0 after the step), homogeneous
 compound-Poisson immigration jumps, and state-dependent branching jumps by
 per-step thinning with the intensity frozen at the left endpoint.
 
-Coupling: both copies share W0, W1, W2 and the immigration noise; the
-difference process D = Y(x) - Y(y) is a continuous-state branching process
-without immigration and receives its own independent increments scaled by D
-(the strip structure of the shared time-space noises).  D is absorbed at 0
-once it drops below coal_tol; after that the Z-difference decays
-deterministically at rate b2.
+Coupling (the time-space noise split of Dawson-Li 2012): the copy with the
+smaller start is the base copy and is advanced by the same `_step` as
+`simulate_paths`, so it consumes W0, W1, W2, the immigration jumps, its
+branching jumps and, in gaussian_approx mode, the small-jump Gaussian noise
+exactly as a single path from its start does; its paths are bit-identical to
+`simulate_paths` from that start.  The difference process D = Y(x) - Y(y) is a
+continuous-state branching process without immigration and adds only its own
+independent increments, scaled by D:
+
+- D_W: one normal each for the diffusion of D and of the Z-difference;
+- DM_COUNT, DM_JUMP: branching jumps at D times the branching-jump rate;
+- D_GAUSS (gaussian_approx mode): one normal each for the dropped small
+  branching jumps of D and of the Z-difference, variance D * drop_var * dt.
+
+D is absorbed at 0 once it drops below coal_tol; after that the Z-difference
+decays deterministically at rate b2.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +48,6 @@ class SimConfig:
     small_jump_mode: str = "drop_compensate"  # or "gaussian_approx"
     coal_tol: float | None = None
     threads: int = 1
-    chunk_size: int = rng.CHUNK_SIZE
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -105,7 +114,7 @@ class _JumpSpec:
 
 
 class _Compiled:
-    """Model constants hoisted out of the step loop."""
+    """Model constants and the record grid, hoisted out of the step loop."""
 
     def __init__(self, params: ModelParams, cfg: SimConfig):
         p = params
@@ -118,20 +127,14 @@ class _Compiled:
         self.njump = _JumpSpec(p.n, cfg.eps_trunc, cfg.small_jump_mode, "n")
         self.mjump = _JumpSpec(p.m, cfg.eps_trunc, cfg.small_jump_mode, "m")
         self.gauss = cfg.small_jump_mode == "gaussian_approx"
+        rec = cfg.record_steps()
+        steps = sorted(rec)
+        self.times = tuple(rec[s] for s in steps)
+        self.rows = {s: i for i, s in enumerate(steps)}  # step -> record row
 
 
-@dataclass
-class Ensemble:
-    record_times: tuple[float, ...]
-    Y: np.ndarray  # (n_times, n_paths)
-    Z: np.ndarray
-    cfg: SimConfig
-    sum_Y: np.ndarray = field(default=None)  # chunk-ordered accumulators
-    sum_Z: np.ndarray = field(default=None)
-
-    @property
-    def n_paths(self) -> int:
-        return self.Y.shape[1]
+class _RecordGrid:
+    """Lookup of a time in an ensemble's record_times."""
 
     def index_of(self, t: float) -> int:
         for i, rt in enumerate(self.record_times):
@@ -141,7 +144,19 @@ class Ensemble:
 
 
 @dataclass
-class CoupledEnsemble:
+class Ensemble(_RecordGrid):
+    record_times: tuple[float, ...]
+    Y: np.ndarray  # (n_times, n_paths)
+    Z: np.ndarray
+    cfg: SimConfig
+
+    @property
+    def n_paths(self) -> int:
+        return self.Y.shape[1]
+
+
+@dataclass
+class CoupledEnsemble(_RecordGrid):
     record_times: tuple[float, ...]
     Yx: np.ndarray
     Zx: np.ndarray
@@ -156,95 +171,79 @@ class CoupledEnsemble:
     def n_paths(self) -> int:
         return self.Yx.shape[1]
 
-    def index_of(self, t: float) -> int:
-        for i, rt in enumerate(self.record_times):
-            if abs(rt - t) <= 1e-9 * max(1.0, abs(t)):
-                return i
-        raise TimeNotRecorded(f"time {t} not in record grid {self.record_times}")
-
     def coalesced_by(self, t: float) -> np.ndarray:
         return self.varsigma <= t + 1e-12
 
 
-def _segment_sums(counts: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    if values.size == 0:
-        return np.zeros(n)
-    idx = np.repeat(np.arange(n), counts)
-    return np.bincount(idx, weights=values, minlength=n)
+def _jump_sums(spec: _JumpSpec, g_count, g_jump, intensity, h: float, n: int):
+    """Per-path sums of z1 and z2 over one step's jumps, with
+    Poisson(intensity * rate * h) jumps on each path."""
+    if spec.sampler is None:
+        return 0.0, 0.0
+    cnt = g_count.poisson(intensity * (spec.rate * h), n)
+    z1j, z2j = spec.sampler.draw(g_jump, int(cnt.sum()))
+    idx = np.repeat(np.arange(n), cnt)
+    return np.bincount(idx, weights=z1j, minlength=n), np.bincount(idx, weights=z2j, minlength=n)
 
 
-def _simulate_chunk(params: ModelParams, comp: _Compiled, cfg: SimConfig, chunk: int,
-                    n: int, x: tuple[float, float]):
-    p = params
-    h, sqh = comp.h, comp.sqh
-    g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(11)}
+def _step(comp: _Compiled, g: dict, Y: np.ndarray, Z: np.ndarray, n: int):
+    """One Euler step of n independent paths; returns the new (Y, Z)."""
+    p, h, sqh = comp.p, comp.h, comp.sqh
+    Yc = np.maximum(Y, 0.0)
+    xi0 = g[rng.W0].standard_normal(n) if comp.use_w0 else 0.0
+    xi1 = g[rng.W1].standard_normal(n) if comp.use_w1 else 0.0
+    xi2 = g[rng.W2].standard_normal(n) if comp.use_w2 else 0.0
+    jn1, jn2 = _jump_sums(comp.njump, g[rng.N_COUNT], g[rng.N_JUMP], 1.0, h, n)
+    jm1, jm2 = _jump_sums(comp.mjump, g[rng.M_COUNT], g[rng.M_JUMP], Yc, h, n)
+    gy = gz = 0.0
+    if comp.gauss:
+        vy = comp.njump.drop_var_z1 + Yc * comp.mjump.drop_var_z1
+        vz = comp.njump.drop_var_z2 + Yc * comp.mjump.drop_var_z2
+        gy = np.sqrt(vy * h) * g[rng.GAUSS_APPROX].standard_normal(n)
+        gz = np.sqrt(vz * h) * g[rng.GAUSS_APPROX].standard_normal(n)
+    root = np.sqrt(Yc * h)
+    Ynew = (
+        Y
+        + (p.a2 - p.a1 * Yc) * h
+        + math.sqrt(2 * p.a11) * root * xi1
+        + math.sqrt(2 * p.a12) * root * xi2
+        + jn1
+        + comp.njump.drop_mean_z1 * h  # mean of dropped uncompensated small N-jumps
+        + jm1
+        - Yc * comp.mjump.mean_z1 * h
+        + gy
+    )
+    Znew = (
+        Z
+        - (p.b0 + p.b1 * Yc + p.b2 * Z) * h
+        + p.sigma * sqh * xi0
+        + math.sqrt(2 * p.a21) * root * xi1
+        + math.sqrt(2 * p.a22) * root * xi2
+        + jn2
+        - comp.njump.mean_z2 * h
+        + jm2
+        - Yc * comp.mjump.mean_z2 * h
+        + gz
+    )
+    return np.maximum(Ynew, 0.0), Znew
+
+
+def _simulate_chunk(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, x: tuple[float, float]):
+    g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(rng.N_USED)}
     Y = np.full(n, float(x[0]))
     Z = np.full(n, float(x[1]))
-    rec = cfg.record_steps()
-    out_Y = {}
-    out_Z = {}
-    zero = np.zeros(n)
+    out = np.empty((2, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):
-        Yc = np.maximum(Y, 0.0)
-        xi0 = g[rng.W0].standard_normal(n) if comp.use_w0 else zero
-        xi1 = g[rng.W1].standard_normal(n) if comp.use_w1 else zero
-        xi2 = g[rng.W2].standard_normal(n) if comp.use_w2 else zero
-        jn1 = jn2 = zero
-        if comp.njump.sampler is not None:
-            cnt = g[rng.N_COUNT].poisson(comp.njump.rate * h, n)
-            z1j, z2j = comp.njump.sampler.draw(g[rng.N_JUMP], int(cnt.sum()))
-            jn1 = _segment_sums(cnt, z1j, n)
-            jn2 = _segment_sums(cnt, z2j, n)
-        jm1 = jm2 = zero
-        if comp.mjump.sampler is not None:
-            cnt = g[rng.M_COUNT].poisson(Yc * (comp.mjump.rate * h))
-            z1j, z2j = comp.mjump.sampler.draw(g[rng.M_JUMP], int(cnt.sum()))
-            jm1 = _segment_sums(cnt, z1j, n)
-            jm2 = _segment_sums(cnt, z2j, n)
-        gy = gz = zero
-        if comp.gauss:
-            vy = comp.njump.drop_var_z1 + Yc * comp.mjump.drop_var_z1
-            vz = comp.njump.drop_var_z2 + Yc * comp.mjump.drop_var_z2
-            gy = np.sqrt(vy * h) * g[rng.GAUSS_APPROX].standard_normal(n)
-            gz = np.sqrt(vz * h) * g[rng.GAUSS_APPROX].standard_normal(n)
-        root = np.sqrt(Yc * h)
-        Ynew = (
-            Y
-            + (p.a2 - p.a1 * Yc) * h
-            + math.sqrt(2 * p.a11) * root * xi1
-            + math.sqrt(2 * p.a12) * root * xi2
-            + jn1
-            + comp.njump.drop_mean_z1 * h  # mean of dropped uncompensated small N-jumps
-            + jm1
-            - Yc * comp.mjump.mean_z1 * h
-            + gy
-        )
-        Znew = (
-            Z
-            - (p.b0 + p.b1 * Yc + p.b2 * Z) * h
-            + p.sigma * sqh * xi0
-            + math.sqrt(2 * p.a21) * root * xi1
-            + math.sqrt(2 * p.a22) * root * xi2
-            + jn2
-            - comp.njump.mean_z2 * h
-            + jm2
-            - Yc * comp.mjump.mean_z2 * h
-            + gz
-        )
-        Y = np.maximum(Ynew, 0.0)
-        Z = Znew
-        if step in rec:
-            out_Y[rec[step]] = Y.copy()
-            out_Z[rec[step]] = Z.copy()
-    return out_Y, out_Z
+        Y, Z = _step(comp, g, Y, Z, n)
+        if step in comp.rows:
+            out[:, comp.rows[step]] = Y, Z
+    return out[0], out[1]
 
 
-def _simulate_chunk_coupled(params: ModelParams, comp: _Compiled, cfg: SimConfig, chunk: int,
-                            n: int, x: tuple[float, float], y: tuple[float, float],
-                            coal_tol: float):
-    p = params
-    h, sqh = comp.h, comp.sqh
-    g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(11)}
+def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
+                            x: tuple[float, float], y: tuple[float, float], coal_tol: float):
+    p, h = comp.p, comp.h
+    g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(rng.N_USED)}
     Yb = np.full(n, float(y[0]))  # base copy (smaller start)
     Zb = np.full(n, float(y[1]))
     D = np.full(n, float(x[0]) - float(y[0]))
@@ -256,61 +255,21 @@ def _simulate_chunk_coupled(params: ModelParams, comp: _Compiled, cfg: SimConfig
         thresh_abs[:] = float(x[0]) != float(y[0])
         D[:] = 0.0
     decay = math.exp(-p.b2 * h)
-    rec = cfg.record_steps()
-    out = {}
-    zero = np.zeros(n)
+    out = np.empty((4, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):
         t = step * h
-        Yc = np.maximum(Yb, 0.0)
         Dc = np.maximum(D, 0.0)
         alive = D > 0.0
-        xi0 = g[rng.W0].standard_normal(n) if comp.use_w0 else zero
-        xi1 = g[rng.W1].standard_normal(n) if comp.use_w1 else zero
-        xi2 = g[rng.W2].standard_normal(n) if comp.use_w2 else zero
-        jn1 = jn2 = zero
-        if comp.njump.sampler is not None:
-            cnt = g[rng.N_COUNT].poisson(comp.njump.rate * h, n)
-            z1j, z2j = comp.njump.sampler.draw(g[rng.N_JUMP], int(cnt.sum()))
-            jn1 = _segment_sums(cnt, z1j, n)
-            jn2 = _segment_sums(cnt, z2j, n)
-        jm1 = jm2 = zero
-        if comp.mjump.sampler is not None:
-            cnt = g[rng.M_COUNT].poisson(Yc * (comp.mjump.rate * h))
-            z1j, z2j = comp.mjump.sampler.draw(g[rng.M_JUMP], int(cnt.sum()))
-            jm1 = _segment_sums(cnt, z1j, n)
-            jm2 = _segment_sums(cnt, z2j, n)
+        Yb, Zb = _step(comp, g, Yb, Zb, n)
         # difference-process noise: independent, scaled by D (branching property)
         xd1 = g[rng.D_W].standard_normal(n)
         xd2 = g[rng.D_W].standard_normal(n)
-        jd1 = jd2 = zero
-        if comp.mjump.sampler is not None:
-            cntd = g[rng.DM_COUNT].poisson(Dc * (comp.mjump.rate * h))
-            z1j, z2j = comp.mjump.sampler.draw(g[rng.DM_JUMP], int(cntd.sum()))
-            jd1 = _segment_sums(cntd, z1j, n)
-            jd2 = _segment_sums(cntd, z2j, n)
-        root = np.sqrt(Yc * h)
+        jd1, jd2 = _jump_sums(comp.mjump, g[rng.DM_COUNT], g[rng.DM_JUMP], Dc, h, n)
+        gd1 = gd2 = 0.0
+        if comp.gauss:
+            gd1 = np.sqrt(Dc * comp.mjump.drop_var_z1 * h) * g[rng.D_GAUSS].standard_normal(n)
+            gd2 = np.sqrt(Dc * comp.mjump.drop_var_z2 * h) * g[rng.D_GAUSS].standard_normal(n)
         rootd = np.sqrt(Dc * h)
-        Ybn = (
-            Yb
-            + (p.a2 - p.a1 * Yc) * h
-            + math.sqrt(2 * p.a11) * root * xi1
-            + math.sqrt(2 * p.a12) * root * xi2
-            + jn1
-            + comp.njump.drop_mean_z1 * h
-            + jm1
-            - Yc * comp.mjump.mean_z1 * h
-        )
-        Zbn = (
-            Zb
-            - (p.b0 + p.b1 * Yc + p.b2 * Zb) * h
-            + p.sigma * sqh * xi0
-            + math.sqrt(2 * p.a21) * root * xi1
-            + math.sqrt(2 * p.a22) * root * xi2
-            + jn2
-            - comp.njump.mean_z2 * h
-            + jm2
-            - Yc * comp.mjump.mean_z2 * h
-        )
         Dn = (
             D
             - p.a1 * Dc * h
@@ -318,6 +277,7 @@ def _simulate_chunk_coupled(params: ModelParams, comp: _Compiled, cfg: SimConfig
             + math.sqrt(2 * p.a12) * rootd * xd2
             + jd1
             - Dc * comp.mjump.mean_z1 * h
+            + gd1
         )
         Dn = np.maximum(Dn, 0.0)
         dZn = (
@@ -327,6 +287,7 @@ def _simulate_chunk_coupled(params: ModelParams, comp: _Compiled, cfg: SimConfig
             + math.sqrt(2 * p.a22) * rootd * xd2
             + jd2
             - Dc * comp.mjump.mean_z2 * h
+            + gd2
         )
         # absorbed paths: deterministic decay of the accumulated Z-difference
         dZ = np.where(alive, dZn, dZ * decay)
@@ -334,20 +295,25 @@ def _simulate_chunk_coupled(params: ModelParams, comp: _Compiled, cfg: SimConfig
         varsigma = np.where(newly, t, varsigma)
         thresh_abs |= newly & (Dn > 0.0)
         D = np.where(alive & ~newly, Dn, 0.0)
-        Yb = np.maximum(Ybn, 0.0)
-        Zb = Zbn
-        if step in rec:
-            out[rec[step]] = (Yb + D, Zb + dZ, Yb.copy(), Zb.copy())
-    return out, varsigma, thresh_abs
+        if step in comp.rows:
+            out[:, comp.rows[step]] = Yb + D, Zb + dZ, Yb, Zb
+    return out[0], out[1], out[2], out[3], varsigma, thresh_abs
 
 
-def _chunks(cfg: SimConfig):
-    sizes = []
-    left = cfg.n_paths
-    while left > 0:
-        sizes.append(min(cfg.chunk_size, left))
-        left -= sizes[-1]
-    return sizes
+def _run_chunks(cfg: SimConfig, run_chunk) -> list[np.ndarray]:
+    """Call run_chunk(chunk, n) on each fixed-size path chunk, on cfg.threads
+    worker threads, and join each returned array along its last (path) axis
+    in chunk order."""
+    jobs = [
+        (i, min(rng.CHUNK_SIZE, cfg.n_paths - start))
+        for i, start in enumerate(range(0, cfg.n_paths, rng.CHUNK_SIZE))
+    ]
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            results = list(pool.map(lambda job: run_chunk(*job), jobs))
+    else:
+        results = [run_chunk(*job) for job in jobs]
+    return [np.concatenate(parts, axis=-1) for parts in zip(*results)]
 
 
 def simulate_paths(params: ModelParams, x: tuple[float, float], cfg: SimConfig) -> Ensemble:
@@ -355,32 +321,8 @@ def simulate_paths(params: ModelParams, x: tuple[float, float], cfg: SimConfig) 
     if x[0] < 0:
         raise ConfigError("x1 must be >= 0")
     comp = _Compiled(params, cfg)
-    rec = cfg.record_steps()
-    times = tuple(sorted(rec.values()))
-    sizes = _chunks(cfg)
-
-    def run(args):
-        i, sz = args
-        return _simulate_chunk(params, comp, cfg, i, sz, x)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, enumerate(sizes)))
-    else:
-        results = [run(a) for a in enumerate(sizes)]
-    Y = np.empty((len(times), cfg.n_paths))
-    Z = np.empty((len(times), cfg.n_paths))
-    sum_Y = np.zeros(len(times))
-    sum_Z = np.zeros(len(times))
-    off = 0
-    for (oy, oz), sz in zip(results, sizes):
-        for k, t in enumerate(times):
-            Y[k, off : off + sz] = oy[t]
-            Z[k, off : off + sz] = oz[t]
-            sum_Y[k] += float(np.sum(oy[t]))
-            sum_Z[k] += float(np.sum(oz[t]))
-        off += sz
-    return Ensemble(record_times=times, Y=Y, Z=Z, cfg=cfg, sum_Y=sum_Y, sum_Z=sum_Z)
+    Y, Z = _run_chunks(cfg, lambda i, n: _simulate_chunk(comp, cfg, i, n, x))
+    return Ensemble(record_times=comp.times, Y=Y, Z=Z, cfg=cfg)
 
 
 def simulate_coupled(
@@ -399,36 +341,11 @@ def simulate_coupled(
         raise ConfigError("starting Y-coordinates must be >= 0")
     coal_tol = cfg.coal_tol if cfg.coal_tol is not None else 1e-12 * max(1.0, x[0])
     comp = _Compiled(params, cfg)
-    rec = cfg.record_steps()
-    times = tuple(sorted(rec.values()))
-    sizes = _chunks(cfg)
-
-    def run(args):
-        i, sz = args
-        return _simulate_chunk_coupled(params, comp, cfg, i, sz, x, y, coal_tol)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run, enumerate(sizes)))
-    else:
-        results = [run(a) for a in enumerate(sizes)]
-    shape = (len(times), cfg.n_paths)
-    Yx, Zx, Yy, Zy = (np.empty(shape) for _ in range(4))
-    varsigma = np.empty(cfg.n_paths)
-    thr = np.empty(cfg.n_paths, dtype=bool)
-    off = 0
-    for (out, vs, ta), sz in zip(results, sizes):
-        for k, t in enumerate(times):
-            yx, zx, yy, zy = out[t]
-            Yx[k, off : off + sz] = yx
-            Zx[k, off : off + sz] = zx
-            Yy[k, off : off + sz] = yy
-            Zy[k, off : off + sz] = zy
-        varsigma[off : off + sz] = vs
-        thr[off : off + sz] = ta
-        off += sz
+    Yx, Zx, Yy, Zy, varsigma, thr = _run_chunks(
+        cfg, lambda i, n: _simulate_chunk_coupled(comp, cfg, i, n, x, y, coal_tol)
+    )
     return CoupledEnsemble(
-        record_times=times,
+        record_times=comp.times,
         Yx=Yx,
         Zx=Zx,
         Yy=Yy,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from affine_ergo.measures import (
     compile_density_expr,
 )
 from affine_ergo.mechanisms import (
+    ConditionReport,
     P_mech,
     UPoint,
     check_A,
@@ -251,3 +253,22 @@ class TestReportSerialization:
         assert d["condition"] == "C"
         assert d["verdict"] in ("holds", "fails", "inconclusive")
         assert isinstance(d["evidence"], list)
+
+    def test_non_finite_values_serialize_as_null(self):
+        rep = ConditionReport(
+            condition="D",
+            verdict="inconclusive",
+            evidence=((1.0, math.inf),),
+            inputs={"k_list": np.array([0, 1])},
+            extras={
+                "Lambda": math.inf,
+                "rate": np.float64("nan"),
+                "rows": [{"mass": math.inf, "tail": {"moment": math.nan, "ok": np.bool_(True)}}],
+            },
+        )
+        d = json.loads(json.dumps(rep.to_json(), allow_nan=False))
+        assert d["evidence"] == [[1.0, None]]
+        assert d["inputs"] == {"k_list": [0, 1]}
+        assert d["Lambda"] is None and d["rate"] is None
+        assert d["rows"] == [{"mass": None, "tail": {"moment": None, "ok": True}}]
+        assert json.loads(rep.dumps()) == d

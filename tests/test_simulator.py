@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,22 @@ def make_params(**kw):
     return ModelParams(**base)
 
 
-def jump_model():
+def bundled(name):
     import importlib.resources
 
-    path = importlib.resources.files("affine_ergo") / "models" / "jump_cbi_ou.json"
-    return load_model(str(path))
+    return load_model(str(importlib.resources.files("affine_ergo") / "models" / f"{name}.json"))
+
+
+def jump_model():
+    return bundled("jump_cbi_ou")
+
+
+def small_jump_model():
+    """make_params with branching jumps, one atom inside the eps_trunc=0.5 box."""
+    return make_params(m=LevyMeasure.atomic([(0.4, 0.1, 2.0), (1.0, -0.3, 0.4)]))
+
+
+MODES = ("drop_compensate", "gaussian_approx")
 
 
 class TestConfig:
@@ -42,10 +54,7 @@ class TestConfig:
             cfg.record_steps()
 
     def test_infinite_activity_needs_truncation(self):
-        import importlib.resources
-
-        path = importlib.resources.files("affine_ergo") / "models" / "gamma_imm.json"
-        p = load_model(str(path))
+        p = bundled("gamma_imm")
         cfg = SimConfig(dt=0.01, T=0.1, n_paths=10, seed=0, eps_trunc=0.0)
         with pytest.raises(ConfigError):
             simulate_paths(p, (1.0, 0.0), cfg)
@@ -111,12 +120,14 @@ class TestDeterminism:
         assert not np.array_equal(e1.Y, e2.Y)
 
     def test_coupled_thread_invariance(self):
-        p = make_params()
-        base = dict(dt=0.01, T=0.5, n_paths=20_000, seed=9, record_times=(0.5,))
-        c1 = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=1))
-        c8 = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=8))
-        assert np.array_equal(c1.Yx, c8.Yx)
-        assert np.array_equal(c1.varsigma, c8.varsigma)
+        p = small_jump_model()
+        for mode in MODES:
+            base = dict(dt=0.01, T=0.5, n_paths=20_000, seed=9, record_times=(0.5,),
+                        eps_trunc=0.5, small_jump_mode=mode)
+            c1 = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=1))
+            c8 = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=8))
+            for f in ("Yx", "Zx", "Yy", "Zy", "varsigma", "threshold_absorbed"):
+                assert np.array_equal(getattr(c1, f), getattr(c8, f)), (mode, f)
 
 
 class TestCoupled:
@@ -164,6 +175,32 @@ class TestCoupled:
         assert ce.swapped
         assert np.all(ce.Yx >= ce.Yy)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name,eps", [("cir_ou", 0.0), ("jump_cbi_ou", 0.05), ("gamma_imm", 1e-2)])
+    def test_base_copy_matches_simulate_paths(self, name, eps, mode):
+        # the lower-start copy consumes exactly the noise of a single run from its start
+        p = bundled(name)
+        cfg = SimConfig(dt=0.01, T=0.5, n_paths=9_000, seed=22, record_times=(0.25, 0.5),
+                        eps_trunc=eps, small_jump_mode=mode)
+        ce = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), cfg)
+        ens = simulate_paths(p, (1.0, 0.0), cfg)
+        assert np.array_equal(ce.Yy, ens.Y)
+        assert np.array_equal(ce.Zy, ens.Z)
+
+    def test_gaussian_approx_upper_copy_law(self):
+        # D carries its own Gaussian small-jump noise, so Yx = Yy + D has the
+        # mean and variance of a single run from x (independent seeds, 3 SE)
+        p = small_jump_model()
+        cfg = SimConfig(dt=0.01, T=0.5, n_paths=20_000, seed=31, eps_trunc=0.5,
+                        small_jump_mode="gaussian_approx")
+        a = simulate_coupled(p, (3.0, 1.0), (0.5, 0.0), cfg).Yx[0]
+        b = simulate_paths(p, (3.0, 1.0), replace(cfg, seed=32)).Y[0]
+        n = a.size
+        se_mean = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
+        se_var = math.sqrt((((a - a.mean()) ** 2).var(ddof=1) + ((b - b.mean()) ** 2).var(ddof=1)) / n)
+        assert abs(a.mean() - b.mean()) < 3 * se_mean
+        assert abs(a.var(ddof=1) - b.var(ddof=1)) < 3 * se_var
+
     def test_post_coalescence_z_gap_decays(self):
         p = make_params()
         cfg = SimConfig(dt=0.01, T=2.0, n_paths=5_000, seed=15, record_times=(1.0, 2.0))
@@ -198,13 +235,6 @@ class TestEmpirical:
         with pytest.raises(TimeNotRecorded):
             empirical_at(ens, 0.25)
 
-    def test_accumulator_consistency(self):
-        p = make_params()
-        cfg = SimConfig(dt=0.01, T=0.5, n_paths=12_345, seed=19, record_times=(0.5,))
-        ens = simulate_paths(p, (1.0, 0.0), cfg)
-        assert ens.sum_Y[0] == pytest.approx(float(ens.Y[0].sum()), rel=1e-12)
-        assert ens.sum_Z[0] == pytest.approx(float(ens.Z[0].sum()), rel=1e-12)
-
 
 class TestWeakOrder:
     def test_dt_halving_within_mc_error(self):
@@ -218,10 +248,7 @@ class TestWeakOrder:
         assert abs(means[0] - means[1]) < 3 * se
 
     def test_gaussian_approx_mode_runs(self):
-        import importlib.resources
-
-        path = importlib.resources.files("affine_ergo") / "models" / "gamma_imm.json"
-        p = load_model(str(path))
+        p = bundled("gamma_imm")
         cfg = SimConfig(dt=0.01, T=0.5, n_paths=2_000, seed=21, eps_trunc=1e-2,
                         small_jump_mode="gaussian_approx")
         ens = simulate_paths(p, (1.0, 0.0), cfg)
