@@ -10,12 +10,18 @@ A measure is represented in one of four forms:
 * ``union``   -- an internal form used to represent exact set differences
   (e.g. a rectangle minus the small-jump box).
 
-Density quadrature is a midpoint tensor rule refined by node doubling.
-Tails beyond the declared rectangle are the caller's responsibility.
+Density quadrature is a tensor rule of GAUSS_ORDER-point Gauss-Legendre
+nodes on each of ``nodes << level`` equal panels per axis.  One
+node-doubling loop (`_converge`) serves every integral: it doubles the
+panel count until two successive levels agree and raises QuadratureError
+at NODE_CAP, never returning an unconverged grid.  With one node per panel
+the cells are the midpoint cells that LevySampler jitters within.  Tails
+beyond the declared rectangle are the caller's responsibility.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
@@ -33,6 +39,8 @@ from .errors import (
 
 NODE_CAP = 1 << 20
 _MAX_LEVELS = 24
+GAUSS_ORDER = 8
+_GRID = 1 << 16  # cells of the fixed overlap/TV grid
 
 _SAFE_FUNCS = {
     "exp": np.exp,
@@ -102,8 +110,10 @@ class Marginal1D:
     def is_purely_atomic(self) -> bool:
         return not self.pieces
 
-    def cells(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Midpoints, cell widths and weights at the given refinement level.
+    def cells(
+        self, level: int, k: int = GAUSS_ORDER
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, panel widths and weights at the given refinement level.
 
         Atoms appear as zero-width cells carrying their exact weight.
         """
@@ -111,17 +121,15 @@ class Marginal1D:
         for p in self.pieces:
             if p.hi == p.lo:
                 continue
-            n = p.nodes << level
-            h = (p.hi - p.lo) / n
-            mid = p.lo + h * (np.arange(n) + 0.5)
-            val = np.broadcast_to(np.asarray(p.fn(mid), dtype=float), mid.shape)
+            x, wq, h = _axis_cells(p.lo, p.hi, p.nodes, level, k)
+            val = np.broadcast_to(np.asarray(p.fn(x), dtype=float), x.shape)
             if not np.all(np.isfinite(val)):
                 raise NonFiniteIntegrand("density evaluated to NaN/inf")
             if np.any(val < -1e-12):
                 raise DomainError("density must be nonnegative")
-            xs.append(mid)
-            dxs.append(np.full(n, h))
-            ws.append(np.clip(val, 0.0, None) * h)
+            xs.append(x)
+            dxs.append(np.full(x.size, h))
+            ws.append(np.clip(val, 0.0, None) * wq)
         if self.atoms:
             pos = np.array([a for a, _ in self.atoms])
             w = np.array([w for _, w in self.atoms])
@@ -133,8 +141,8 @@ class Marginal1D:
             return z, z.copy(), z.copy()
         return np.concatenate(xs), np.concatenate(dxs), np.concatenate(ws)
 
-    def n_cells(self, level: int) -> int:
-        return sum((p.nodes << level) for p in self.pieces if p.hi > p.lo) + len(self.atoms)
+    def n_cells(self, level: int, k: int = GAUSS_ORDER) -> int:
+        return sum((p.nodes << level) * k for p in self.pieces if p.hi > p.lo) + len(self.atoms)
 
     def density_at(self, x: np.ndarray) -> np.ndarray:
         """Pointwise value of the absolutely continuous part."""
@@ -160,12 +168,6 @@ class Marginal1D:
                 pieces.append(replace(p, lo=nlo, hi=nhi))
         return Marginal1D(atoms=atoms, pieces=tuple(pieces))
 
-    def restrict_outside(self, eps: float) -> "Marginal1D":
-        """Restriction to {|x| >= eps}."""
-        left = self.restrict(-np.inf, -eps)
-        right = self.restrict(eps, np.inf)
-        return Marginal1D(atoms=left.atoms + right.atoms, pieces=left.pieces + right.pieces)
-
     def split_at(self, points: Iterable[float]) -> "Marginal1D":
         """Refine piece boundaries so each piece lies on one side of each point."""
         pieces = list(self.pieces)
@@ -188,23 +190,12 @@ class Marginal1D:
         return Marginal1D(atoms=atoms, pieces=pieces)
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8) -> float:
-        prev = None
-        for level in range(_MAX_LEVELS):
-            if self.n_cells(level) > NODE_CAP:
-                raise QuadratureError("node cap reached in 1-D quadrature")
-            x, _, w = self.cells(level)
-            val = float(np.sum(w * f(x))) if x.size else 0.0
-            if not math.isfinite(val):
-                raise NonFiniteIntegrand("1-D integrand evaluated to NaN/inf")
-            if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-                return val
-            if self.is_purely_atomic:
-                return val
-            prev = val
-        raise QuadratureError("1-D quadrature did not converge")
+        """Integral of f, as the z2 side of the product with a unit atom at z1 = 0."""
+        on_axis = LevyMeasure.product(_const_marginal(0.0), self)
+        return float(levy_integral(on_axis, lambda z1, z2: f(z2), tol=tol))
 
     def mass(self, tol: float = 1e-8) -> float:
-        return self.integrate(lambda x: np.ones_like(x), tol=tol)
+        return self.integrate(np.ones_like, tol=tol)
 
     def support_bounds(self) -> tuple[float, float]:
         los = [p.lo for p in self.pieces] + [a for a, _ in self.atoms]
@@ -326,20 +317,21 @@ class LevyMeasure:
 
     # -- cells --------------------------------------------------------------
 
-    def n_cells(self, level: int) -> int:
+    def n_cells(self, level: int, k: int = GAUSS_ORDER) -> int:
         if self.kind == "atomic":
             return len(self.atoms)
         if self.kind == "density":
             (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            n1 = 1 if z1hi == z1lo else self.nodes[0] << level
-            n2 = 1 if z2hi == z2lo else self.nodes[1] << level
+            n1 = 1 if z1hi == z1lo else (self.nodes[0] << level) * k
+            n2 = 1 if z2hi == z2lo else (self.nodes[1] << level) * k
             return n1 * n2
         if self.kind == "product":
-            return self.m1.n_cells(level) * self.m2.n_cells(level)
-        return sum(m.n_cells(level) for m in self.members)
+            return self.m1.n_cells(level, k) * self.m2.n_cells(level, k)
+        return sum(m.n_cells(level, k) for m in self.members)
 
-    def cells(self, level: int):
-        """Arrays (z1, z2, dz1, dz2, w) of midpoint cells at this level."""
+    def cells(self, level: int, k: int = GAUSS_ORDER):
+        """Arrays (z1, z2, dz1, dz2, w) at this level: nodes, the widths of
+        their panels and weights, with k Gauss-Legendre nodes per panel."""
         if self.kind == "atomic":
             if not self.atoms:
                 z = np.zeros(0)
@@ -349,11 +341,10 @@ class LevyMeasure:
             return a[:, 0], a[:, 1], zero, zero.copy(), a[:, 2]
         if self.kind == "density":
             (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            x1, h1 = _axis_cells(z1lo, z1hi, self.nodes[0], level)
-            x2, h2 = _axis_cells(z2lo, z2hi, self.nodes[1], level)
+            x1, w1, h1 = _axis_cells(z1lo, z1hi, self.nodes[0], level, k)
+            x2, w2, h2 = _axis_cells(z2lo, z2hi, self.nodes[1], level, k)
             Z1, Z2 = np.meshgrid(x1, x2, indexing="ij")
             z1, z2 = Z1.ravel(), Z2.ravel()
-            area = (h1 if h1 > 0 else 1.0) * (h2 if h2 > 0 else 1.0)
             val = np.broadcast_to(
                 np.asarray(self.density(z1, z2), dtype=float), z1.shape
             )
@@ -361,18 +352,18 @@ class LevyMeasure:
                 raise NonFiniteIntegrand("density evaluated to NaN/inf")
             if np.any(val < -1e-12):
                 raise DomainError("density must be nonnegative")
-            w = np.clip(val, 0.0, None) * area
+            w = np.clip(val, 0.0, None) * np.outer(w1, w2).ravel()
             d1 = np.full_like(z1, h1)
             d2 = np.full_like(z2, h2)
             return z1, z2, d1, d2, w
         if self.kind == "product":
-            x1, d1, w1 = self.m1.cells(level)
-            x2, d2, w2 = self.m2.cells(level)
+            x1, d1, w1 = self.m1.cells(level, k)
+            x2, d2, w2 = self.m2.cells(level, k)
             Z1, Z2 = np.meshgrid(x1, x2, indexing="ij")
             D1, D2 = np.meshgrid(d1, d2, indexing="ij")
             W = np.outer(w1, w2)
             return Z1.ravel(), Z2.ravel(), D1.ravel(), D2.ravel(), W.ravel()
-        parts = [m.cells(level) for m in self.members]
+        parts = [m.cells(level, k) for m in self.members]
         return tuple(np.concatenate([p[i] for p in parts]) for i in range(5))
 
     # -- restriction / truncation ------------------------------------------
@@ -414,7 +405,7 @@ class LevyMeasure:
             subs = []
             for a1lo, a1hi in _split_interval(z1lo, z1hi, (eps,)):
                 for a2lo, a2hi in _split_interval(z2lo, z2hi, (-eps, eps)):
-                    if _inside_box(a1lo, a1hi, eps) and _inside_box2(a2lo, a2hi, eps):
+                    if a1hi <= eps and a2lo >= -eps and a2hi <= eps:  # inside the box
                         continue
                     subs.append(
                         LevyMeasure.from_density(
@@ -458,17 +449,18 @@ class LevyMeasure:
             return Marginal1D(atoms=tuple(sorted(agg.items())))
         if self.kind == "density":
             (z1lo, z1hi), (z2lo, z2hi) = self.domain
+            # (nodes << z1_level) Gauss nodes in all
+            panels = max(1, (self.nodes[0] << z1_level) // GAUSS_ORDER)
+            x1, w1, _ = _axis_cells(z1lo, z1hi, panels, 0)
             if z2hi == z2lo:
-                x1, h1 = _axis_cells(z1lo, z1hi, self.nodes[0] << z1_level, 0)
-                w = float(np.sum(self.density(x1, np.full_like(x1, z2lo)) * (h1 or 1.0)))
+                w = float(np.sum(self.density(x1, np.full_like(x1, z2lo)) * w1))
                 return Marginal1D(atoms=((z2lo, w),))
-            x1, h1 = _axis_cells(z1lo, z1hi, self.nodes[0] << z1_level, 0)
 
-            def marg(z2, _x1=x1, _h1=(h1 if h1 > 0 else 1.0), _rho=self.density):
+            def marg(z2, _x1=x1, _w1=w1, _rho=self.density):
                 z2 = np.asarray(z2, dtype=float)
                 out = np.empty_like(z2)
                 for i, v in enumerate(z2.ravel()):
-                    out.ravel()[i] = float(np.sum(_rho(_x1, np.full_like(_x1, v))) * _h1)
+                    out.ravel()[i] = float(np.sum(_rho(_x1, np.full_like(_x1, v)) * _w1))
                 return out
 
             return Marginal1D(pieces=(DensityPiece(z2lo, z2hi, marg, self.nodes[1]),))
@@ -529,12 +521,24 @@ class LevyMeasure:
         raise UnsupportedMeasure(f"unknown measure kind {kind!r} in JSON")
 
 
-def _axis_cells(lo: float, hi: float, base_nodes: int, level: int):
+def _axis_cells(lo: float, hi: float, panels: int, level: int, k: int = GAUSS_ORDER):
+    """Nodes, weights and panel width of the k-point Gauss-Legendre rule on
+    each of the ``panels << level`` equal panels of [lo, hi] (k = 1: the
+    midpoint rule).  A collapsed axis is one node of weight 1 and width 0."""
     if hi == lo:
-        return np.array([lo]), 0.0
-    n = base_nodes << level
+        return np.array([lo]), np.ones(1), 0.0
+    n = panels << level
     h = (hi - lo) / n
-    return lo + h * (np.arange(n) + 0.5), h
+    t, wt = _gauss_legendre(k)
+    x = lo + h * (np.arange(n)[:, None] + t)
+    return x.ravel(), np.tile(h * wt, n), h
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the k-point Gauss-Legendre rule on [0, 1]."""
+    t, w = np.polynomial.legendre.leggauss(k)
+    return (t + 1.0) / 2.0, w / 2.0
 
 
 def _split_interval(lo: float, hi: float, points: Sequence[float]):
@@ -542,15 +546,6 @@ def _split_interval(lo: float, hi: float, points: Sequence[float]):
     if hi == lo:
         return [(lo, hi)]
     return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _inside_box(lo: float, hi: float, eps: float) -> bool:
-    # z1 interval inside [0, eps)
-    return hi <= eps and lo >= 0
-
-
-def _inside_box2(lo: float, hi: float, eps: float) -> bool:
-    return lo >= -eps and hi <= eps
 
 
 def _scale_marginal(m: Marginal1D, c: float) -> Marginal1D:
@@ -599,30 +594,38 @@ def _marginal_from_json(d: dict) -> Marginal1D:
 
 
 def levy_integral(mu: LevyMeasure, f: Callable, region=None, tol: float = 1e-8):
-    """Integral of f(z1, z2) against mu, exact for atoms, midpoint-refined
-    for densities.  Refinement doubles nodes until the relative change is
-    below `tol` or the node cap is hit.
-    """
+    """Integral of f(z1, z2) against mu, exact for atoms, Gauss panels
+    refined by node doubling (`_converge`) for densities."""
     if region is not None:
         mu = mu.restrict(region)
+    return _converge(mu, f, tol)[1]
+
+
+def _converge(mu: LevyMeasure, f: Callable, tol: float):
+    """The node-doubling loop behind every integral.
+
+    Returns the rule (z1, z2, w) of the first level whose integral of f
+    differs from the previous level's by at most tol * max(1, |value|),
+    and that value.  f may return a stack of integrands (shape (..., n));
+    each must then meet the test.  Atomic measures are exact at level 0.
+    Raises QuadratureError once the next level would exceed NODE_CAP nodes.
+    """
+    exact = _is_atomic_only(mu)
     prev = None
-    atomic_only = _is_atomic_only(mu)
     for level in range(_MAX_LEVELS):
         if mu.n_cells(level) > NODE_CAP:
-            raise QuadratureError("node cap reached before convergence")
+            raise QuadratureError(f"no convergence to tol {tol:g} within {NODE_CAP} nodes")
         z1, z2, _, _, w = mu.cells(level)
         if z1.size == 0:
-            return 0.0
+            return (z1, z2, w), 0.0
         vals = np.asarray(f(z1, z2))
         if not np.all(np.isfinite(vals)):
             raise NonFiniteIntegrand("integrand evaluated to NaN/inf at a node")
-        val = complex(np.sum(w * vals))
-        if vals.dtype.kind != "c":
-            val = val.real
-        if atomic_only:
-            return val
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
+        val = np.sum(w * vals, axis=-1)
+        if exact or (
+            prev is not None and np.all(np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
+        ):
+            return (z1, z2, w), (val.item() if val.ndim == 0 else val)
         prev = val
     raise QuadratureError("quadrature did not converge under node doubling")
 
@@ -674,17 +677,18 @@ def levy_restrict_tail(n: LevyMeasure, eps: float) -> LevyMeasure:
 class LevySampler:
     """Draws i.i.d. points with law mu / mu(G).
 
-    Atoms are drawn by inverse CDF over weights; density cells by grid-cell
-    inverse CDF with uniform jitter within the selected cell.
+    Atoms are drawn by inverse CDF over weights; density cells (the
+    one-node-per-panel midpoint cells) by grid-cell inverse CDF with uniform
+    jitter within the selected cell.
     """
 
     def __init__(self, mu: LevyMeasure, mass_tol: float = 1e-6, max_cells: int = 1 << 21):
         z1 = z2 = d1 = d2 = w = None
         prev_stats = None
         for level in range(_MAX_LEVELS):
-            if mu.n_cells(level) > max_cells:
+            if mu.n_cells(level, 1) > max_cells:
                 break
-            z1, z2, d1, d2, w = mu.cells(level)
+            z1, z2, d1, d2, w = mu.cells(level, 1)
             stats = (
                 float(np.sum(w)),
                 float(np.sum(w * z1)),
@@ -727,7 +731,7 @@ class LevySampler:
 
 
 def overlap_stats(
-    mu: Marginal1D, nu: Marginal1D, n_grid: int = 1 << 16
+    mu: Marginal1D, nu: Marginal1D, n_grid: int = _GRID
 ) -> tuple[float, float, float, float]:
     """(overlap, tv, mass_mu, mass_nu) computed on one common grid.
 
@@ -741,8 +745,7 @@ def overlap_stats(
     lo, hi = min(lo1, lo2), max(hi1, hi2)
     overlap = tv = mass_mu = mass_nu = 0.0
     if (mu.pieces or nu.pieces) and hi > lo:
-        x = lo + (hi - lo) * (np.arange(n_grid) + 0.5) / n_grid
-        h = (hi - lo) / n_grid
+        x, h = _grid(lo, hi, n_grid)
         p = mu.density_at(x) * h
         q = nu.density_at(x) * h
         overlap += float(np.sum(np.minimum(p, q)))
@@ -771,6 +774,22 @@ def overlap_stats(
             tv += w
             mass_nu += w
     return overlap, tv, mass_mu, mass_nu
+
+
+def grid_integral(mu: Marginal1D, f: Callable) -> float:
+    """Integral of f against mu on overlap_stats' default fixed midpoint grid
+    over mu's support (atoms exact).  No refinement: for densities with
+    jumps, on which node doubling cannot converge."""
+    val = sum(w * float(f(np.asarray(a))) for a, w in mu.atoms)
+    lo, hi = mu.support_bounds()
+    if mu.pieces and hi > lo:
+        x, h = _grid(lo, hi, _GRID)
+        val += float(np.sum(f(x) * (mu.density_at(x) * h)))
+    return val
+
+
+def _grid(lo: float, hi: float, n_grid: int) -> tuple[np.ndarray, float]:
+    return lo + (hi - lo) * (np.arange(n_grid) + 0.5) / n_grid, (hi - lo) / n_grid
 
 
 def _merge_atoms(atoms):

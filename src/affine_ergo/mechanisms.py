@@ -16,18 +16,21 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DominationViolated, DomainError, UnsupportedMeasure
+from .errors import DominationViolated, DomainError
 from .measures import (
     DensityPiece,
     LevyMeasure,
     Marginal1D,
-    levy_integral,
+    _converge,
+    _is_atomic_only,
+    grid_integral,
     levy_restrict_tail,
     overlap_stats,
 )
-from .model import ModelParams
+from .model import ModelParams, _try_integral
 
 _RE_TOL = 1e-12
+_RULE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,67 +50,123 @@ class UPoint:
         return UPoint(self.u1.conjugate(), self.u2.conjugate())
 
 
+def _m_kernel(u1, u2, z1, z2):
+    """e^{<u,z>} - 1 - <u,z> on the outer product of u and the nodes z."""
+    e = np.multiply.outer(u1, z1) + np.multiply.outer(u2, z2)
+    return np.exp(e) - 1.0 - e
+
+
+def _n_kernel(u1, u2, z1, z2):
+    """e^{<u,z>} - 1 - u2 z2 on the outer product of u and the nodes z."""
+    e2 = np.multiply.outer(u2, z2)
+    return np.exp(np.multiply.outer(u1, z1) + e2) - 1.0 - e2
+
+
+def _jump_integral(rule, kernel, u1, u2):
+    """Sum of w * kernel over a frozen rule, vectorised over u; 0 if empty."""
+    z1, z2, w = rule
+    return np.sum(w * kernel(u1, u2, z1, z2), axis=-1) if w.size else 0.0
+
+
+def _box(u1, u2) -> tuple[int, ...]:
+    """Levels of max |Re u1|, max |Im u1| and max |u2|: -1 for a part that is
+    0, else the least j >= 0 with that part <= 2^j (0 for inf/nan)."""
+    if isinstance(u1, complex | float) and isinstance(u2, complex | float):
+        parts = (abs(u1.real), abs(u1.imag), abs(u2))
+    else:
+        u1 = np.asarray(u1)
+        parts = (float(np.max(np.abs(x))) for x in (u1.real, u1.imag, u2))
+    return tuple(
+        -1 if s == 0 else math.ceil(math.log2(s)) if 1.0 < s < math.inf else 0 for s in parts
+    )
+
+
+class Mechanisms:
+    """phi and psi of one model, vectorised over u, on frozen quadrature
+    rules for m and n.
+
+    A rule serves each u whose |Re u1|, |Im u1|, |u2| lie below the same
+    powers of two R1, R2, R3 >= 1 (0 for a part that is 0).  It converges
+    at tol 1e-10 on the nonzero probes (-R1, 0), (i R2, 0), (0, i R3), or
+    raises QuadratureError at NODE_CAP, and is kept once built; the |u| <= 1
+    rules are built with the object (``ModelParams.mechanisms``).
+    phi0(x) = phi(-x, 0), phi0_tilde(x) = phi(x, 0), P(x) = psi(x, 0).
+    """
+
+    def __init__(self, params: ModelParams):
+        self.p = params
+        self._jumps = {
+            kind: (mu, kernel, _is_atomic_only(mu))
+            for kind, mu, kernel in (("m", params.m, _m_kernel), ("n", params.n, _n_kernel))
+        }
+        self._rules: dict = {}
+        for kind in self._jumps:
+            self.rule(kind, -1.0, 1j)
+
+    def rule(self, kind: str, u1, u2):
+        """The frozen rule (z1, z2, w) for m or n (kind "m"/"n") that serves u."""
+        mu, kernel, exact = self._jumps[kind]
+        key = (kind, None if exact else _box(u1, u2))
+        if key not in self._rules:
+            r1, r2, r3 = (0.0 if j < 0 else 2.0**j for j in key[1] or (0, 0, 0))
+            pu1, pu2 = np.array([-r1, 1j * r2, 0.0]), np.array([0.0, 0.0, 1j * r3])
+            live = (pu1 != 0) | (pu2 != 0)
+            f = lambda z1, z2: kernel(pu1[live], pu2[live], z1, z2)
+            self._rules[key] = _converge(mu, f, _RULE_TOL)[0]
+        return self._rules[key]
+
+    def phi(self, u1, u2):
+        """Branching-side mechanism: drift, diffusion and compensated m-jumps."""
+        p = self.p
+        return (
+            -p.a1 * u1
+            - p.b1 * u2
+            + p.alpha_y * u1**2
+            + 2.0 * (math.sqrt(p.a11 * p.a21) + math.sqrt(p.a12 * p.a22)) * u1 * u2
+            + (p.a21 + p.a22) * u2**2
+            + _jump_integral(self.rule("m", u1, u2), _m_kernel, u1, u2)
+        )
+
+    def psi(self, u1, u2):
+        """Immigration-side mechanism: drift, OU diffusion and n-jumps."""
+        p = self.p
+        return (
+            p.a2 * u1
+            - p.b0 * u2
+            + 0.5 * p.sigma**2 * u2**2
+            + _jump_integral(self.rule("n", u1, u2), _n_kernel, u1, u2)
+        )
+
+
 def phi(u: UPoint, params: ModelParams) -> complex:
     """Branching-side mechanism: drift, diffusion and compensated m-jumps."""
-    u1, u2 = u.u1, u.u2
-    p = params
-    val = (
-        -p.a1 * u1
-        - p.b1 * u2
-        + (p.a11 + p.a12) * u1**2
-        + 2.0 * (math.sqrt(p.a11 * p.a21) + math.sqrt(p.a12 * p.a22)) * u1 * u2
-        + (p.a21 + p.a22) * u2**2
-    )
-    if not p.m.is_empty():
-        val += levy_integral(
-            p.m,
-            lambda z1, z2: np.exp(u1 * z1 + u2 * z2) - 1.0 - (u1 * z1 + u2 * z2),
-        )
-    return complex(val)
+    return complex(params.mechanisms.phi(u.u1, u.u2))
 
 
 def psi(u: UPoint, params: ModelParams) -> complex:
     """Immigration-side mechanism: drift, OU diffusion and n-jumps."""
-    u1, u2 = u.u1, u.u2
-    p = params
-    val = p.a2 * u1 - p.b0 * u2 + 0.5 * p.sigma**2 * u2**2
-    if not p.n.is_empty():
-        val += levy_integral(
-            p.n, lambda z1, z2: np.exp(u1 * z1 + u2 * z2) - 1.0 - z2 * u2
-        )
-    return complex(val)
+    return complex(params.mechanisms.psi(u.u1, u.u2))
 
 
 def phi0(x: float, params: ModelParams) -> float:
-    """Branching mechanism on R+."""
+    """Branching mechanism on R+: phi((-x, 0))."""
     if x < 0:
         raise DomainError("phi0 requires x >= 0")
-    p = params
-    val = p.a1 * x + (p.a11 + p.a12) * x**2
-    if not p.m.is_empty():
-        val += levy_integral(p.m, lambda z1, z2: np.exp(-x * z1) - 1.0 + x * z1)
-    return float(val)
+    return float(np.real(params.mechanisms.phi(-x, 0.0)))
 
 
 def phi0_tilde(x: float, params: ModelParams) -> float:
-    """phi0 continued to R-: phi0_tilde(x) = phi0(-x)."""
+    """phi0 continued to R-: phi0_tilde(x) = phi0(-x) = phi((x, 0))."""
     if x > 0:
         raise DomainError("phi0_tilde requires x <= 0")
-    p = params
-    val = -p.a1 * x + (p.a11 + p.a12) * x**2
-    if not p.m.is_empty():
-        val += levy_integral(p.m, lambda z1, z2: np.exp(x * z1) - 1.0 - x * z1)
-    return float(val)
+    return float(np.real(params.mechanisms.phi(x, 0.0)))
 
 
 def P_mech(x: float, params: ModelParams) -> float:
-    """Immigration mechanism on R-."""
+    """Immigration mechanism on R-: psi((x, 0))."""
     if x > 0:
         raise DomainError("P_mech requires x <= 0")
-    val = params.a2 * x
-    if not params.n.is_empty():
-        val += levy_integral(params.n, lambda z1, z2: np.exp(x * z1) - 1.0)
-    return float(val)
+    return float(np.real(params.mechanisms.psi(x, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +297,7 @@ def check_B(
         ov, _, _, _ = overlap_stats(marg, marg.shift(float(a)))
         evidence.append((float(a), float(ov)))
         min_overlap = min(min_overlap, ov)
-    moment = _abs_z2_moment_outside(params.n, eps)
+    moment = _z2_tail_integral(params.n, lambda z1, z2: np.abs(z2), eps)
     moment_finite = math.isfinite(moment)
     verdict = "holds" if (min_overlap > 0 and moment_finite) else "fails"
     return ConditionReport(
@@ -255,14 +314,12 @@ def check_B(
     )
 
 
-def _abs_z2_moment_outside(n: LevyMeasure, eps: float) -> float:
-    total = 0.0
-    for region in (((0.0, np.inf), (-np.inf, -eps)), ((0.0, np.inf), (eps, np.inf))):
-        try:
-            total += float(np.real(levy_integral(n, lambda z1, z2: np.abs(z2), region=region)))
-        except Exception:
-            return math.inf
-    return total
+def _z2_tail_integral(n: LevyMeasure, f, eps: float) -> float:
+    """Integral of f over {|z2| >= eps}; inf when the quadrature diverges."""
+    return sum(
+        _try_integral(n, f, region=((0.0, np.inf), band))
+        for band in ((-np.inf, -eps), (eps, np.inf))
+    )
 
 
 def shift_tv_ratio(marg: Marginal1D, rho: float, halves: bool = True) -> float:
@@ -309,7 +366,7 @@ def check_C(
         verdict = "inconclusive"
     extras = {"Lambda": float(Lambda), "C_eps": float(C_eps)}
     if second_moment:
-        mom2 = _z2_sq_moment_tail(params.n)
+        mom2 = _z2_tail_integral(params.n, lambda z1, z2: z2**2, 1.0)
         extras["z2_sq_tail_moment"] = mom2
         if not math.isfinite(mom2):
             verdict = "fails"
@@ -320,16 +377,6 @@ def check_C(
         inputs={"eps": eps, "rho_grid": rho_grid},
         extras=extras,
     )
-
-
-def _z2_sq_moment_tail(n: LevyMeasure) -> float:
-    total = 0.0
-    for region in (((0.0, np.inf), (-np.inf, -1.0)), ((0.0, np.inf), (1.0, np.inf))):
-        try:
-            total += float(np.real(levy_integral(n, lambda z1, z2: z2**2, region=region)))
-        except Exception:
-            return math.inf
-    return total
 
 
 def check_Cprime(params: ModelParams, eps: float, rho_grid=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)) -> ConditionReport:
@@ -382,9 +429,11 @@ def check_D(
         if k < K:
             continue
         sk = sigma_k_marginal(rho0, g, float(k), domain)
-        mass = sk.mass(tol=1e-6)
+        # rho0 may jump, so no node-doubling rule converges on sigma_k: mass
+        # and moment come from the fixed grid of the shift-TV ratio
+        mass = overlap_stats(sk, sk)[2]
         Lam_k = shift_tv_ratio(sk, rho_probe)
-        mom1 = sk.integrate(lambda x: np.abs(x), tol=1e-6)
+        mom1 = grid_integral(sk, np.abs)
         masses.append(mass)
         evidence.append((float(k), float(mass)))
         extras_rows.append(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,14 @@ class ModelParams:
     def alpha_y(self) -> float:
         """Branching diffusion coefficient alpha11 + alpha12."""
         return self.a11 + self.a12
+
+    @cached_property
+    def mechanisms(self):
+        """phi/psi on frozen quadrature rules (`mechanisms.Mechanisms`),
+        built on first use and kept for the life of this object."""
+        from .mechanisms import Mechanisms
+
+        return Mechanisms(self)
 
     @property
     def subcritical_strict(self) -> bool:

@@ -3,6 +3,9 @@
 V2 is explicit (exp(-b2 t) u2); V1 solves V1' = phi((V1, V2(t))) with an
 embedded adaptive Runge-Kutta pair, and the psi integral is carried as an
 extra state so the characteristic functional comes out of one solve.
+Every phi, psi, phi0, phi0_tilde and P value here comes from the model's
+one cached `Mechanisms` object (``params.mechanisms``), whose frozen jump
+rules either converged to 1e-10 or raised QuadratureError.
 
 vbar is obtained by inverting t = int_v^inf dz / phi0(z) rather than by
 integrating the ODE backwards from a cap: the initial condition sits at
@@ -26,78 +29,11 @@ from .errors import (
     SingularIntegrand,
     StiffnessFailure,
 )
-from .measures import LevyMeasure, levy_integral
+from .measures import levy_integral
 from .mechanisms import UPoint
 from .model import ModelParams
 
 _CLAMP_TOL = 1e-9
-
-
-def _cached_cells(mu: LevyMeasure, probe, tol: float = 1e-10):
-    """Freeze a quadrature grid for a measure: refine until the probe
-    integral stabilizes, then reuse the grid for every later evaluation."""
-    if mu.is_empty():
-        return None
-    prev = None
-    best = None
-    for level in range(20):
-        if mu.n_cells(level) > (1 << 20):
-            break
-        z1, z2, _, _, w = mu.cells(level)
-        best = (z1, z2, w)
-        val = complex(np.sum(w * probe(z1, z2)))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            break
-        if mu.kind == "atomic":
-            break
-        prev = val
-    return best
-
-
-class _Mechanisms:
-    """phi/psi evaluators with frozen jump-measure grids (fast RHS)."""
-
-    def __init__(self, params: ModelParams):
-        self.p = params
-        probe = lambda z1, z2: np.exp(-z1 + 1j * z2) - 1.0 - (-z1 + 1j * z2)
-        self.m_cells = _cached_cells(params.m, probe)
-        probe_n = lambda z1, z2: np.exp(-z1 + 1j * z2) - 1.0 - 1j * z2
-        self.n_cells = _cached_cells(params.n, probe_n)
-
-    def phi(self, u1: complex, u2: complex) -> complex:
-        p = self.p
-        val = (
-            -p.a1 * u1
-            - p.b1 * u2
-            + (p.a11 + p.a12) * u1**2
-            + 2.0 * (math.sqrt(p.a11 * p.a21) + math.sqrt(p.a12 * p.a22)) * u1 * u2
-            + (p.a21 + p.a22) * u2**2
-        )
-        if self.m_cells is not None:
-            z1, z2, w = self.m_cells
-            e = u1 * z1 + u2 * z2
-            val += np.sum(w * (np.exp(e) - 1.0 - e))
-        return complex(val)
-
-    def psi(self, u1: complex, u2: complex) -> complex:
-        p = self.p
-        val = p.a2 * u1 - p.b0 * u2 + 0.5 * p.sigma**2 * u2**2
-        if self.n_cells is not None:
-            z1, z2, w = self.n_cells
-            val += np.sum(w * (np.exp(u1 * z1 + u2 * z2) - 1.0 - z2 * u2))
-        return complex(val)
-
-    def phi0(self, x):
-        p = self.p
-        x = np.asarray(x, dtype=float)
-        val = p.a1 * x + (p.a11 + p.a12) * x**2
-        if self.m_cells is not None:
-            z1, _, w = self.m_cells
-            val = val + np.sum(
-                w[None, :] * (np.exp(-np.outer(x.ravel(), z1)) - 1.0 + np.outer(x.ravel(), z1)),
-                axis=1,
-            ).reshape(x.shape)
-        return val
 
 
 @dataclass
@@ -129,7 +65,7 @@ def solve_V(params: ModelParams, u: UPoint, T: float, tol: float = 1e-10) -> Ric
     """Advance V1 and the accumulated psi integral to horizon T."""
     if T <= 0:
         raise DomainError("T must be > 0")
-    mech = _Mechanisms(params)
+    mech = params.mechanisms
     b2 = params.b2
     u2_0 = u.u2
 
@@ -197,11 +133,9 @@ class Vbar:
     """
 
     def __init__(self, params: ModelParams, tail_tol: float = 1e-12):
-        self._mech = _Mechanisms(params)
-        self._f = lambda z: float(self._mech.phi0(np.array([z]))[0])
-        probes = np.geomspace(1e-8, 1e8, 65)
-        vals = self._mech.phi0(probes)
-        if np.any(vals <= 0):
+        mech = params.mechanisms
+        self._f = lambda z: float(np.real(mech.phi(-z, 0.0)))
+        if np.any(np.real(mech.phi(-np.geomspace(1e-8, 1e8, 65), 0.0)) <= 0):
             raise ConditionAViolated("phi0 must be positive on (0, inf) for vbar")
         # reference tail from v=1, summed over doubling windows
         total = 0.0
@@ -309,33 +243,15 @@ def stationary_transform_closed(params: ModelParams, u1: float) -> float:
         raise DomainError("requires a1 > 0")
     if u1 == 0.0:
         return 1.0
-    mech = _Mechanisms(params)
-    gam = gamma_coeff(params)
-    limit0 = -gam / params.a1
-
-    def ptilde(z: float) -> float:
-        val = params.a2 * z
-        if mech.n_cells is not None:
-            z1, _, w = mech.n_cells
-            val += float(np.sum(w * (np.exp(z * z1) - 1.0)))
-        return val
-
-    def phit(z: float) -> float:
-        p = params
-        val = -p.a1 * z + (p.a11 + p.a12) * z**2
-        if mech.m_cells is not None:
-            z1, _, w = mech.m_cells
-            val += float(np.sum(w * (np.exp(z * z1) - 1.0 - z * z1)))
-        return val
-
-    for z in np.linspace(u1, 0.0, 129)[1:-1]:
-        if abs(phit(float(z))) < 1e-14:
-            raise SingularIntegrand("phi0_tilde vanishes inside the integration range")
+    mech = params.mechanisms
+    limit0 = -gamma_coeff(params) / params.a1
+    if np.any(np.abs(np.real(mech.phi(np.linspace(u1, 0.0, 129)[1:-1], 0.0))) < 1e-14):
+        raise SingularIntegrand("phi0_tilde vanishes inside the integration range")
 
     def g(z: float) -> float:
         if abs(z) < 1e-6:
             return limit0
-        return ptilde(z) / phit(z)
+        return float(np.real(mech.psi(z, 0.0) / mech.phi(z, 0.0)))
 
     val, _ = quad(g, u1, 0.0, limit=400)
     return float(np.exp(val))

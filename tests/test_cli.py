@@ -47,6 +47,18 @@ class TestExitCodes:
         assert run("--out", str(tmp_path), "validate") == 64
 
 
+def test_charfn_divergent_model_exits_1(tmp_path):
+    # z1-density 1/z1^2 on (0, 1] in n: the transform's quadrature cannot converge
+    d = ModelParams(a1=2.0, a2=0.5, b0=0.2, b1=0.3, b2=0.5, sigma=0.5,
+                    alpha=((0.25, 0.0), (0.0, 0.0))).to_json()
+    d["n"] = {"kind": "product",
+              "z1": {"density": {"expr": "1/(z*z)", "domain": [0.0, 1.0], "nodes": 64}},
+              "z2": {"atoms": [[0.0, 1.0]]}}
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps(d))
+    assert run("--model", str(path), "--out", str(tmp_path), "charfn") == 1
+
+
 class TestCharfnGolden:
     def test_cir_closed_form_value(self, tmp_path, capsys):
         # closed-form transform for the bundled diffusion model at

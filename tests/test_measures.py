@@ -36,6 +36,22 @@ class TestLevyIntegral:
         val = levy_integral(mu, lambda z1, z2: z1)
         assert val == pytest.approx(1.0, abs=1e-6)
 
+    def test_gauss_panels_exact_for_degree_15(self):
+        from affine_ergo.measures import DensityPiece
+
+        fn = compile_density_expr("pow(z, 15)", ("z",))
+        mu = Marginal1D(pieces=(DensityPiece(0.0, 1.0, fn, 1),))
+        assert mu.mass() == pytest.approx(1.0 / 16.0, abs=1e-15)
+
+    def test_one_point_rule_is_midpoint_cells(self):
+        fn = compile_density_expr("exp(-z1)", ("z1", "z2"))
+        mu = LevyMeasure.from_density(fn, ((0.0, 3.0), (0.0, 0.0)), (4, 1))
+        z1, _, d1, _, w = mu.cells(1, k=1)
+        h = 3.0 / 8
+        assert np.array_equal(z1, 0.0 + h * (np.arange(8) + 0.5))
+        assert np.array_equal(d1, np.full(8, h))
+        assert np.array_equal(w, np.exp(-z1) * h)
+
     def test_region_outside_cone_rejected(self):
         mu = atomic((1.0, 0.0, 1.0))
         with pytest.raises(DomainError):

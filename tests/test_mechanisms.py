@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_ergo.errors import DomainError, DominationViolated
+from affine_ergo.errors import DomainError, DominationViolated, QuadratureError
 from affine_ergo.measures import (
     DensityPiece,
     LevyMeasure,
     Marginal1D,
     compile_density_expr,
+    levy_integral,
 )
 from affine_ergo.mechanisms import (
     ConditionReport,
@@ -28,7 +29,7 @@ from affine_ergo.mechanisms import (
     psi,
     shift_tv_ratio,
 )
-from affine_ergo.model import ModelParams
+from affine_ergo.model import ModelParams, load_model
 
 
 def make_params(**kw):
@@ -36,6 +37,12 @@ def make_params(**kw):
                 alpha=((0.25, 0.0), (0.0, 0.0)))
     base.update(kw)
     return ModelParams(**base)
+
+
+def bundled(name):
+    import importlib.resources
+
+    return load_model(str(importlib.resources.files("affine_ergo") / "models" / f"{name}.json"))
 
 
 def normal_z2_measure(z1_atom=0.0, weight=1.0):
@@ -97,6 +104,47 @@ class TestPhiPsi:
         u = UPoint(complex(re1, im1), complex(0.0, im2))
         assert phi(u.conj(), p) == pytest.approx(np.conj(phi(u, p)), abs=1e-10)
         assert psi(u.conj(), p) == pytest.approx(np.conj(psi(u, p)), abs=1e-10)
+
+
+class TestMechanismsObject:
+    def test_built_once_per_model(self):
+        p = bundled("jump_cbi_ou")
+        assert p.mechanisms is p.mechanisms
+
+    @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou", "gamma_imm"])
+    def test_bundled_rules_are_small(self, name):
+        mech = bundled(name).mechanisms
+        assert all(mech.rule(kind, -1.0, 1j)[2].size <= 4096 for kind in ("m", "n"))
+
+    @pytest.mark.parametrize("name", ["jump_cbi_ou", "gamma_imm"])
+    def test_frozen_rules_match_adaptive_integral(self, name):
+        # u near the base probe (-1, i) and far from it, in one vectorised call
+        # (which takes the rule of the largest u) and one call per point; the
+        # reference converges its own integral for each u
+        p = bundled(name)
+        u1 = np.array([-0.3 + 1j, -2.0, -400.0, -1.5 + 60j, 0.0])
+        u2 = np.array([0.5j, -1j, 0.0, 3j, 60j])
+        vec = p.mechanisms.psi(u1, u2)
+        for a, b, v in zip(u1, u2, vec):
+            jumps = levy_integral(p.n, lambda z1, z2: np.exp(a * z1 + b * z2) - 1.0 - b * z2, tol=1e-12)
+            ref = p.a2 * a - p.b0 * b + 0.5 * p.sigma**2 * b**2 + jumps
+            for val in (v, psi(UPoint(a, b), p)):
+                assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("u1", [-0.5, -2.0, 0.4j, -50.0, -1000.0, 30j])
+    def test_gamma_imm_psi_closed_form(self, u1):
+        # n = z^-1 e^-z dz x delta_0 on (0, 30]: int (e^{u z} - 1) n(dz) = -log(1 - u)
+        # up to the E1(30) ~ 1e-14 tail
+        p = bundled("gamma_imm")
+        exact = p.a2 * u1 - np.log(1.0 - complex(u1))
+        assert abs(psi(UPoint(u1, 0.0), p) - exact) < 1e-12
+
+    def test_unresolvable_u_raises(self):
+        # at u1 = -1e7 the n kernel varies on a scale of 1e-7, beyond what
+        # NODE_CAP nodes on (0, 30] resolve: the rule must not be used unconverged
+        p = bundled("gamma_imm")
+        with pytest.raises(QuadratureError):
+            psi(UPoint(-1e7, 0.0), p)
 
 
 class TestPhi0:
@@ -219,6 +267,8 @@ class TestConditionD:
         g = lambda z: np.exp(-np.abs(z))
         rep = check_D(p, rho0, g, domain=(-1.0, 1.0), k_list=(1, 4, 16, 64), K=1)
         masses = [row["mass"] for row in rep.extras["rows"]]
+        # sigma_1 = min(e^{-|z|}, rho0) = e^{-z} on (0.04, 1]
+        assert masses[0] == pytest.approx(math.exp(-0.04) - math.exp(-1.0), rel=1e-4)
         assert all(b > a for a, b in zip(masses, masses[1:]))
         assert rep.extras["sigma0_mass_unbounded_evidence"]
 

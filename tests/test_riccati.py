@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from affine_ergo.errors import ConditionAViolated, DomainError
-from affine_ergo.measures import LevyMeasure
+from scipy.integrate import quad
+
+from affine_ergo.errors import ConditionAViolated, DomainError, QuadratureError
+from affine_ergo.measures import DensityPiece, LevyMeasure, Marginal1D, compile_density_expr
 from affine_ergo.mechanisms import UPoint
-from affine_ergo.model import ModelParams
+from affine_ergo.model import ModelParams, load_model
 from affine_ergo.riccati import (
     Vbar,
     build_vbar_table,
@@ -114,6 +116,35 @@ class TestCharFn:
             for th2 in (-1.0, 1.5):
                 v = char_fn(p, 1.0, (1.0, 0.5), UPoint(1j * th1, 1j * th2))
                 assert abs(v) <= 1.0 + 1e-10
+
+
+    @pytest.mark.parametrize("u1", [-0.5, -2.0, 0.4j])
+    def test_gamma_imm_cir_oracle(self, u1):
+        # m = 0 and u2 = 0: V1 is the CIR closed form and
+        # psi((v, 0)) = a2 v - log(1 - v) for n = z^-1 e^-z dz x delta_0
+        import importlib.resources
+
+        p = load_model(str(importlib.resources.files("affine_ergo") / "models" / "gamma_imm.json"))
+        t, x = 1.0, (1.3, -0.7)
+        v1 = lambda s: cir_v1(s, u1, p.a1, p.alpha_y)
+        psi = lambda s: p.a2 * v1(s) - cmath.log(1.0 - v1(s))
+        opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+        integral = quad(lambda s: psi(s).real, 0.0, t, **opts)[0] + 1j * quad(lambda s: psi(s).imag, 0.0, t, **opts)[0]
+        exact = cmath.exp(x[0] * v1(t) + integral)
+        assert abs(char_fn(p, t, x, UPoint(u1, 0.0)) - exact) < 1e-10
+
+
+class TestNonConvergence:
+    def test_divergent_immigration_rule_raises(self):
+        # n has z1-density 1/z1^2 on (0, 1]: int (1 - e^{-z1}) n(dz) = inf, so
+        # no frozen n rule converges and char_fn must not return a value
+        fn = compile_density_expr("1/(z*z)", ("z",))
+        n = LevyMeasure.product(
+            Marginal1D(pieces=(DensityPiece(0.0, 1.0, fn, 64),)),
+            Marginal1D(atoms=((0.0, 1.0),)),
+        )
+        with pytest.raises(QuadratureError):
+            char_fn(make_params(n=n), 1.0, (1.0, 0.0), UPoint(-1.0, 0.0))
 
 
 class TestVbar:
