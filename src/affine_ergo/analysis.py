@@ -26,7 +26,7 @@ from .errors import (
 from .measures import levy_integral, levy_restrict_tail
 from .mechanisms import _jsonable, check_C
 from .model import ModelParams
-from .riccati import Vbar, delta1
+from .riccati import delta1
 from .simulator import SimConfig, simulate_coupled, simulate_paths
 
 
@@ -217,19 +217,16 @@ def prop33_bound(
     y: tuple[float, float],
     t: float,
     C_hat: float,
-    vbar: Vbar | None = None,
 ) -> float:
     """TV bound of order 1/sqrt(t): C_hat (1 + (vbar_{t/(k^2+1)} + 1)|dx1|
     + sqrt(|dx1|) + |dx2|) / sqrt(t).  C_hat is user-supplied or fitted;
     the underlying constant is existential."""
     if t <= 0:
         raise ValueError("t must be > 0")
-    if vbar is None:
-        vbar = Vbar(params)
     k = kappa_coeff(params)
     d1 = abs(x[0] - y[0])
     d2 = abs(x[1] - y[1])
-    vb = vbar(t / (k * k + 1.0)) if d1 > 0 else 0.0
+    vb = params.vbar(t / (k * k + 1.0)) if d1 > 0 else 0.0
     return C_hat * (1.0 + (vb + 1.0) * d1 + math.sqrt(d1) + d2) / math.sqrt(t)
 
 
@@ -267,19 +264,16 @@ def prop42_bound(
     y: tuple[float, float],
     t: float,
     eps: float,
-    vbar: Vbar | None = None,
     constants: dict | None = None,
 ) -> float:
     """Exponential-rate TV bound: C_tilde (1 + (vbar_{kt t / C_eps} + 1)|dx1|
     + sqrt(|dx1|) + |dx2|) e^{-kt t}."""
     if constants is None:
         constants = prop42_constants(params, eps)
-    if vbar is None:
-        vbar = Vbar(params)
     kt, Ct, C_eps = constants["kappa_tilde"], constants["C_tilde"], constants["C_eps"]
     d1 = abs(x[0] - y[0])
     d2 = abs(x[1] - y[1])
-    vb = vbar(kt * t / C_eps) if d1 > 0 and t > 0 else 0.0
+    vb = params.vbar(kt * t / C_eps) if d1 > 0 and t > 0 else 0.0
     return Ct * (1.0 + (vb + 1.0) * d1 + math.sqrt(d1) + d2) * math.exp(-kt * t)
 
 
@@ -341,11 +335,8 @@ def ergodicity_curve(
     if eps is not None:
         try:
             consts = prop42_constants(params, eps)
-            vbar = Vbar(params)
             x_pi = (delta1(params), 0.0)
-            bound = np.array(
-                [prop42_bound(params, x, x_pi, t, eps, vbar, consts) for t in t_grid]
-            )
+            bound = np.array([prop42_bound(params, x, x_pi, t, eps, consts) for t in t_grid])
             constants.update(consts)
         except (ConditionCViolated, ConditionAViolated, SubcriticalityViolated, QuadratureError):
             pass
@@ -374,13 +365,10 @@ def coalescence_curve(
     y1: float,
     t_grid,
     cfg: SimConfig,
-    vbar: Vbar | None = None,
 ) -> BoundReport:
     """Empirical non-coalescence probability against min(1, vbar_t (x1-y1))."""
     if x1 < y1:
         x1, y1 = y1, x1
-    if vbar is None:
-        vbar = Vbar(params)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     cfg = replace(cfg, T=float(t_grid[-1]), record_times=tuple(t_grid))
     ce = simulate_coupled(params, (x1, 0.0), (y1, 0.0), cfg)
@@ -392,7 +380,7 @@ def coalescence_curve(
         p = float(np.mean(~ce.coalesced_by(t)))
         emp[i] = p
         se[i] = math.sqrt(max(p * (1 - p), 1.0 / ce.n_paths) / ce.n_paths)
-        bound[i] = min(1.0, vbar(t) * gap) if gap > 0 else 0.0
+        bound[i] = min(1.0, params.vbar(t) * gap) if gap > 0 else 0.0
     return BoundReport(
         label="non-coalescence probability vs vbar",
         t_grid=t_grid,
@@ -496,7 +484,7 @@ def strong_feller_probe(
     bound 2 vbar_t r + explicit remainder is evaluated per radius."""
     vbar = None
     try:
-        vbar = Vbar(params)
+        vbar = params.vbar
     except ConditionAViolated:
         pass
     run = replace(cfg, T=t, record_times=(t,))

@@ -21,7 +21,6 @@ from .errors import AffineError
 from .mechanisms import UPoint, check_A, check_B, check_Cprime
 from .model import ModelParams, load_model, validate
 from .riccati import (
-    Vbar,
     char_fn,
     delta1,
     solve_V,
@@ -214,7 +213,7 @@ def cmd_vbar(run: Run, tmin, tmax, n):
     """Tabulate the coupling decay function on a log time grid."""
     params = run.require_model()
     _note_flags(run, tmin=tmin, tmax=tmax, n=n)
-    vb = Vbar(params)
+    vb = params.vbar
     rows = [("t", "vbar")]
     for t in np.geomspace(tmin, tmax, n):
         rows.append((f"{t:.12g}", f"{vb(t):.12g}"))

@@ -1,9 +1,12 @@
 """Affine mechanisms and numeric checkers for the jump-activity conditions.
 
-The limit-type conditions (tail integrability of 1/phi0, shift
-total-variation ratios) are probed on finite grids with explicit
-stabilization heuristics; verdicts may be "inconclusive" when the evidence
-is non-monotone.
+Integrals of 1/phi0 (condition (A), vbar) and the closed stationary
+integrand run on the package's one node-doubling loop
+(`measures._converge`): each converges to _LINE_TOL or raises
+QuadratureError.  Condition (A) reads the decay of those integrals over
+doubling windows, and the shift total-variation ratios of (B)-(D) are probed
+on finite grids; verdicts may be "inconclusive" when the evidence is
+non-monotone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DominationViolated, DomainError
 from .measures import (
@@ -31,6 +33,11 @@ from .model import ModelParams, _try_integral
 
 _RE_TOL = 1e-12
 _RULE_TOL = 1e-10
+_LINE_TOL = 1e-13
+# condition (A): thetas, then windows [theta, _A_Z_MAX] and _A_DOUBLINGS doublings
+_A_THETAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+_A_Z_MAX = 64.0
+_A_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -53,13 +60,13 @@ class UPoint:
 def _m_kernel(u1, u2, z1, z2):
     """e^{<u,z>} - 1 - <u,z> on the outer product of u and the nodes z."""
     e = np.multiply.outer(u1, z1) + np.multiply.outer(u2, z2)
-    return np.exp(e) - 1.0 - e
+    return np.expm1(e) - e
 
 
 def _n_kernel(u1, u2, z1, z2):
     """e^{<u,z>} - 1 - u2 z2 on the outer product of u and the nodes z."""
     e2 = np.multiply.outer(u2, z2)
-    return np.exp(np.multiply.outer(u1, z1) + e2) - 1.0 - e2
+    return np.expm1(np.multiply.outer(u1, z1) + e2) - e2
 
 
 def _jump_integral(rule, kernel, u1, u2):
@@ -169,6 +176,18 @@ def P_mech(x: float, params: ModelParams) -> float:
     return float(np.real(params.mechanisms.psi(x, 0.0)))
 
 
+def _line_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """int_lo^hi f on the node-doubling loop, to _LINE_TOL; 0 if lo == hi."""
+    line = Marginal1D(pieces=(DensityPiece(lo, hi, np.ones_like, 1),))
+    return line.integrate(f, tol=_LINE_TOL)
+
+
+def _inv_phi0_integral(mech: Mechanisms, a: float, b: float) -> float:
+    """int_a^b dz / phi0(z) for 0 < a <= b, integrated in s = log z."""
+    f = lambda s: np.exp(s) / np.real(mech.phi(-np.exp(s), 0.0))
+    return _line_integral(f, math.log(a), math.log(b))
+
+
 # ---------------------------------------------------------------------------
 # Condition reports
 # ---------------------------------------------------------------------------
@@ -220,37 +239,25 @@ def _jsonable(v):
     return v
 
 
-def check_A(
-    params: ModelParams,
-    theta_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
-    z_max: float = 64.0,
-    n_doublings: int = 6,
-) -> ConditionReport:
+def check_A(params: ModelParams) -> ConditionReport:
     """Grey-type check: positivity of phi0 past some theta and geometric
     decay of the doubling increments of int dz / phi0(z)."""
-    f = lambda z: phi0(z, params)
-    theta = None
-    for th in sorted(theta_grid):
-        probes = np.geomspace(th, max(z_max, 4 * th), 33)
-        if all(f(z) > 0 for z in probes):
-            theta = th
-            break
+    mech = params.mechanisms
+    positive = lambda th: np.all(
+        np.real(mech.phi(-np.geomspace(th, max(_A_Z_MAX, 4 * th), 33), 0.0)) > 0
+    )
+    theta = next((th for th in _A_THETAS if positive(th)), None)
     if theta is None:
         return ConditionReport(
             "A",
             "fails",
-            inputs={"theta_grid": list(theta_grid), "z_max": z_max},
+            inputs={"theta_grid": list(_A_THETAS), "z_max": _A_Z_MAX},
             note="phi0 <= 0 at probes beyond every candidate theta",
         )
-    increments = []
-    lo = theta
-    hi = z_max
-    for _ in range(n_doublings + 1):
-        val, _ = quad(lambda z: 1.0 / f(z), lo, hi, limit=200)
-        increments.append(val)
-        lo, hi = hi, 2 * hi
+    edges = [theta] + [_A_Z_MAX * 2**i for i in range(_A_DOUBLINGS + 1)]
+    increments = [_inv_phi0_integral(mech, lo, hi) for lo, hi in zip(edges, edges[1:])]
     ratios = [increments[i + 1] / increments[i] for i in range(len(increments) - 1) if increments[i] > 0]
-    evidence = tuple((float(z_max * 2**i), float(v)) for i, v in enumerate(increments))
+    evidence = tuple((float(_A_Z_MAX * 2**i), float(v)) for i, v in enumerate(increments))
     tail = ratios[-3:]
     if len(tail) == 3 and all(r < 0.9 for r in tail):
         verdict = "holds"
@@ -262,7 +269,7 @@ def check_A(
         "A",
         verdict,
         evidence=evidence,
-        inputs={"theta": theta, "z_max": z_max},
+        inputs={"theta": theta, "z_max": _A_Z_MAX},
         extras={"tail_ratios": ratios, "theta": theta},
     )
 

@@ -70,6 +70,14 @@ class ModelParams:
 
         return Mechanisms(self)
 
+    @cached_property
+    def vbar(self):
+        """The coalescence rate vbar (`riccati.Vbar`), built on first use and
+        kept; raises ConditionAViolated, uncached, when (A) fails."""
+        from .riccati import Vbar
+
+        return Vbar(self)
+
     @property
     def subcritical_strict(self) -> bool:
         """0 < 2*b2 < a1, required by the second-moment coupling estimates."""

@@ -9,17 +9,21 @@ rules either converged to 1e-10 or raised QuadratureError.
 
 vbar is obtained by inverting t = int_v^inf dz / phi0(z) rather than by
 integrating the ODE backwards from a cap: the initial condition sits at
-0+ with value +inf, and the integral inversion is the stable route.
+0+ with value +inf, and the integral inversion is the stable route.  That
+integral, and the closed stationary transform's int P/phi0_tilde, run on
+the package's one node-doubling loop (`measures._converge`): each
+converges or raises QuadratureError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (
@@ -30,10 +34,12 @@ from .errors import (
     StiffnessFailure,
 )
 from .measures import levy_integral
-from .mechanisms import UPoint
+from .mechanisms import UPoint, _inv_phi0_integral, _line_integral
 from .model import ModelParams
 
 _CLAMP_TOL = 1e-9
+_TAIL_TOL = 1e-12  # vbar: the last doubling window adds less than this
+_MAX_WINDOWS = 200
 
 
 @dataclass
@@ -128,57 +134,53 @@ class Vbar:
     """The decreasing solution of v' = -phi0(v) started from +infinity,
     evaluated by inverting the time integral t = int_v^inf dz/phi0(z).
 
-    Requires phi0 > 0 on (0, inf) (subcritical branching), which covers
-    every model this package targets.
+    The integral is tabulated once per doubling window as T(2^j) =
+    int_{2^j}^inf dz/phi0: for j >= 0 at construction, up to the first window
+    that adds less than _TAIL_TOL (ConditionAViolated if none does within
+    _MAX_WINDOWS), and below 1 as far down as a call needs.  Requires
+    phi0 > 0 on (0, inf) (subcritical branching).
     """
 
-    def __init__(self, params: ModelParams, tail_tol: float = 1e-12):
-        mech = params.mechanisms
-        self._f = lambda z: float(np.real(mech.phi(-z, 0.0)))
+    def __init__(self, params: ModelParams):
+        self._mech = mech = params.mechanisms
         if np.any(np.real(mech.phi(-np.geomspace(1e-8, 1e8, 65), 0.0)) <= 0):
             raise ConditionAViolated("phi0 must be positive on (0, inf) for vbar")
-        # reference tail from v=1, summed over doubling windows
-        total = 0.0
-        lo, hi = 1.0, 2.0
-        for _ in range(200):
-            inc, _ = quad(lambda z: 1.0 / self._f(z), lo, hi, limit=200)
-            total += inc
-            if inc < tail_tol:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            raise ConditionAViolated("tail integral of 1/phi0 does not converge")
-        self._tail_from_1 = total
+        inc = []
+        while not inc or inc[-1] >= _TAIL_TOL:
+            if len(inc) == _MAX_WINDOWS:
+                raise ConditionAViolated("tail integral of 1/phi0 does not converge")
+            inc.append(_inv_phi0_integral(mech, 2.0 ** len(inc), 2.0 ** (len(inc) + 1)))
+        self._top = len(inc)  # T(2^j) counts as 0 for j >= _top
+        self._T = dict(enumerate(np.cumsum(inc[::-1])[::-1].tolist()))
+
+    def _tail(self, j: int) -> float:
+        """T(2^j), extending the table window by window below its lowest entry."""
+        for k in range(min(self._T) - 1, j - 1, -1):
+            self._T[k] = self.time_from(2.0**k)
+        return self._T.get(j, 0.0)
 
     def time_from(self, v: float) -> float:
-        """t such that vbar_t = v, i.e. int_v^inf dz/phi0."""
+        """t such that vbar_t = v: T at the top of v's window plus the part
+        of that window above v."""
         if v <= 0:
             raise DomainError("v must be > 0")
-        if v >= 1.0:
-            inner, _ = quad(lambda z: 1.0 / self._f(z), 1.0, v, limit=200)
-            return max(self._tail_from_1 - inner, 0.0)
-        inner, _ = quad(lambda z: 1.0 / self._f(z), v, 1.0, limit=200)
-        return self._tail_from_1 + inner
+        j = math.frexp(v)[1] - 1  # 2^j <= v < 2^(j+1)
+        if j >= self._top:
+            return 0.0
+        return self._tail(j + 1) + _inv_phi0_integral(self._mech, v, 2.0 ** (j + 1))
 
     def __call__(self, t: float) -> float:
         if t <= 0:
             raise DomainError("vbar requires t > 0")
-        lo = hi = 1.0
-        for _ in range(400):
-            if self.time_from(hi) < t:
-                break
-            hi *= 2.0
-        else:
-            raise NoConvergence("vbar bracketing failed (upper)")
-        for _ in range(400):
-            if self.time_from(lo) > t:
-                break
-            lo *= 0.5
-        else:
-            raise NoConvergence("vbar bracketing failed (lower)")
-        if lo == hi:
-            return lo
-        v = brentq(lambda w: self.time_from(w) - t, lo, hi, xtol=1e-300, rtol=1e-12)
+        j = 0
+        while self._tail(j) < t:
+            j -= 1
+            if j < sys.float_info.min_exp:
+                raise NoConvergence(f"vbar({t:g}) lies below the smallest normal float")
+        while self._tail(j + 1) >= t:
+            j += 1
+        # T(2^(j+1)) < t <= T(2^j): one root-find inside the window [2^j, 2^(j+1)]
+        v = brentq(lambda w: self.time_from(w) - t, 2.0**j, 2.0 ** (j + 1), xtol=1e-300, rtol=1e-12)
         return float(v)
 
 
@@ -191,16 +193,12 @@ class VBarTable:
         if np.any(np.diff(self.values) >= 0):
             raise ConditionAViolated("vbar table must be strictly decreasing")
 
-    def __call__(self, t: float) -> float:
-        return float(np.exp(np.interp(np.log(t), np.log(self.times), np.log(self.values))))
-
 
 def build_vbar_table(
     params: ModelParams, t_min: float = 1e-2, t_max: float = 10.0, n: int = 41
 ) -> VBarTable:
-    vb = Vbar(params)
     times = np.geomspace(t_min, t_max, n)
-    values = np.array([vb(t) for t in times])
+    values = np.array([params.vbar(t) for t in times])
     return VBarTable(times=times, values=values)
 
 
@@ -235,8 +233,8 @@ def stationary_transform(
 
 def stationary_transform_closed(params: ModelParams, u1: float) -> float:
     """Laplace transform of the stationary law along the Y axis,
-    exp{-int_0^{u1} P(z)/phi0_tilde(z) dz}, with the removable singularity
-    at 0 handled by the derivative ratio."""
+    exp{-int_0^{u1} P(z)/phi0_tilde(z) dz}.  The Gauss nodes never touch the
+    removable singularity at 0."""
     if u1 > 0:
         raise DomainError("u1 must be <= 0")
     if params.a1 <= 0:
@@ -244,16 +242,9 @@ def stationary_transform_closed(params: ModelParams, u1: float) -> float:
     if u1 == 0.0:
         return 1.0
     mech = params.mechanisms
-    limit0 = -gamma_coeff(params) / params.a1
     if np.any(np.abs(np.real(mech.phi(np.linspace(u1, 0.0, 129)[1:-1], 0.0))) < 1e-14):
         raise SingularIntegrand("phi0_tilde vanishes inside the integration range")
-
-    def g(z: float) -> float:
-        if abs(z) < 1e-6:
-            return limit0
-        return float(np.real(mech.psi(z, 0.0) / mech.phi(z, 0.0)))
-
-    val, _ = quad(g, u1, 0.0, limit=400)
+    val = _line_integral(lambda z: np.real(mech.psi(z, 0.0) / mech.phi(z, 0.0)), u1, 0.0)
     return float(np.exp(val))
 
 

@@ -6,7 +6,7 @@ import pytest
 from affine_ergo.errors import EmptyDistribution, SubcriticalityViolated
 from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model
-from affine_ergo.riccati import Vbar, delta1
+from affine_ergo.riccati import delta1
 from affine_ergo.simulator import SimConfig
 from affine_ergo.analysis import (
     BoundReport,
@@ -156,8 +156,7 @@ class TestProp33:
 
     def test_decreasing_in_t(self):
         p = make_params(alpha=((1.0, 0.0), (0.0, 0.0)))
-        vb = Vbar(p)
-        vals = [prop33_bound(p, (2.0, 1.0), (1.0, 0.0), t, 1.0, vb) for t in (1.0, 2.0, 4.0, 8.0)]
+        vals = [prop33_bound(p, (2.0, 1.0), (1.0, 0.0), t, 1.0) for t in (1.0, 2.0, 4.0, 8.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 

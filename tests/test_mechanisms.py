@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from affine_ergo.errors import DomainError, DominationViolated, QuadratureError
 from affine_ergo.measures import (
@@ -165,6 +166,18 @@ class TestPhi0:
         for x in (0.5, 1.0, 3.0):
             assert phi0(x, p) == pytest.approx(phi(UPoint(-x, 0.0), p).real, abs=1e-10)
 
+    @pytest.mark.parametrize("z", [1e-12, 1e-9, 1e-6, 1e-3, 1.0])
+    def test_small_argument_no_cancellation(self, z):
+        # e^x - 1 - x and e^x - 1 must not lose their leading terms at small x
+        p = bundled("jump_cbi_ou")
+        exact = p.a1 * z + p.alpha_y * z**2 + sum(
+            w * (math.expm1(-z * z1) + z * z1) for z1, _, w in p.m.atoms
+        )
+        assert phi0(z, p) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        # n = (delta_0 + delta_0.5)/2 in z1 times the standard normal on [-5, 5] in z2
+        exact = -p.a2 * z + 0.5 * math.expm1(-0.5 * z) * math.erf(5.0 / math.sqrt(2.0))
+        assert P_mech(-z, p) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
     @given(x=st.floats(0, 10, allow_nan=False))
     @settings(max_examples=25, deadline=None)
     def test_tilde_identity(self, x):
@@ -199,6 +212,15 @@ class TestConditionA:
     def test_negative_drift_fails(self):
         p = make_params(a1=-1.0, alpha=((0, 0), (0, 0)))
         assert check_A(p).verdict == "fails"
+
+    def test_evidence_matches_quad_oracle(self):
+        p = bundled("jump_cbi_ou")
+        rep = check_A(p)
+        # each evidence entry is (upper edge of its window, increment)
+        edges = [rep.extras["theta"]] + [z for z, _ in rep.evidence]
+        for lo, hi, (_, inc) in zip(edges, edges[1:], rep.evidence):
+            ref = quad(lambda z: 1.0 / phi0(z, p), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert inc == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 class TestConditionB:

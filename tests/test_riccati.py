@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from affine_ergo.errors import ConditionAViolated, DomainError, QuadratureError
 from affine_ergo.measures import DensityPiece, LevyMeasure, Marginal1D, compile_density_expr
-from affine_ergo.mechanisms import UPoint
+from affine_ergo.mechanisms import UPoint, phi0
 from affine_ergo.model import ModelParams, load_model
 from affine_ergo.riccati import (
     Vbar,
@@ -27,6 +27,22 @@ def make_params(**kw):
                 alpha=((0.25, 0.0), (0.0, 0.0)))
     base.update(kw)
     return ModelParams(**base)
+
+
+def bundled(name):
+    import importlib.resources
+
+    return load_model(str(importlib.resources.files("affine_ergo") / "models" / f"{name}.json"))
+
+
+def quad_time_from(p, v):
+    """int_v^inf dz/phi0(z) by scipy quad: in s = log z below 1, in z above."""
+    f = lambda z: 1.0 / phi0(z, p)
+    opts = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+    if v >= 1.0:
+        return quad(f, v, np.inf, **opts)[0]
+    below = quad(lambda s: math.exp(s) * f(math.exp(s)), math.log(v), 0.0, **opts)[0]
+    return below + quad(f, 1.0, np.inf, **opts)[0]
 
 
 def cir_v1(t, u1, a1, alpha):
@@ -182,6 +198,22 @@ class TestVbar:
         with pytest.raises(DomainError):
             Vbar(p)(0.0)
 
+    def test_built_once_per_model(self):
+        p = bundled("jump_cbi_ou")
+        assert p.vbar is p.vbar
+
+    @pytest.mark.parametrize("name", ["jump_cbi_ou", "gamma_imm"])
+    def test_time_from_matches_quad_oracle(self, name):
+        p = bundled(name)
+        for v in (1e-6, 1e-2, 1.0, 1e2):
+            assert p.vbar.time_from(v) == pytest.approx(quad_time_from(p, v), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["jump_cbi_ou", "gamma_imm"])
+    def test_time_from_inverts_vbar(self, name):
+        vb = bundled(name).vbar
+        for t in np.geomspace(0.01, 10.0, 9):
+            assert vb.time_from(vb(t)) == pytest.approx(t, rel=1e-12, abs=0.0)
+
 
 class TestStationary:
     def test_normalization(self):
@@ -204,11 +236,18 @@ class TestStationary:
             assert abs(val.imag) < 1e-10
 
     def test_closed_matches_quadrature(self):
-        p = make_params()
+        p = make_params()  # the bundled cir_ou parameters
         for u1 in (-0.25, -1.0, -4.0):
             a = stationary_transform(p, UPoint(u1, 0.0)).value.real
             b = stationary_transform_closed(p, u1)
-            assert b == pytest.approx(a, abs=1e-6)
+            assert b == pytest.approx(a, abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["jump_cbi_ou", "gamma_imm"])
+    def test_closed_matches_riccati_on_jump_models(self, name):
+        p = bundled(name)
+        for u1 in (-0.25, -1.0, -4.0):
+            a = stationary_transform(p, UPoint(u1, 0.0)).value.real
+            assert stationary_transform_closed(p, u1) == pytest.approx(a, rel=0.0, abs=1e-10)
 
     def test_closed_at_zero(self):
         assert stationary_transform_closed(make_params(), 0.0) == pytest.approx(1.0)
