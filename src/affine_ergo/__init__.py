@@ -2,6 +2,10 @@
 coupled to a real Ornstein-Uhlenbeck-type coordinate, with numerical
 verification of coupling, ergodicity and regularity estimates."""
 
+# Recorded in every run manifest.  Bump it whenever a seed's output changes
+# (0.2.0: superposed jump counts changed the simulator's draw order).
+__version__ = "0.2.0"
+
 from .errors import AffineError
 from .measures import LevyMeasure, Marginal1D, levy_integral, levy_restrict_tail
 from .mechanisms import (

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import datetime
 import hashlib
-import importlib.metadata
 import importlib.resources
 import json
 import os
@@ -16,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import analysis, rng as rngmod
+from . import __version__, analysis, rng as rngmod
 from .errors import AffineError
 from .mechanisms import UPoint, check_A, check_B, check_Cprime
 from .model import ModelParams, load_model, validate
@@ -30,13 +29,6 @@ from .riccati import (
 from .simulator import SimConfig, simulate_coupled, simulate_paths
 
 BUNDLED = ("cir_ou", "jump_cbi_ou", "gamma_imm")
-
-
-def _version() -> str:
-    try:
-        return importlib.metadata.version("affine-ergo")
-    except importlib.metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _resolve_model(name: str) -> Path:
@@ -83,7 +75,7 @@ class Run:
             "flags": self.flags,
             "seed": self.seed,
             "threads": self.threads,
-            "version": _version(),
+            "version": __version__,
             "started": self.started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": outputs,

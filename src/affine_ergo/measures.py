@@ -548,6 +548,29 @@ def _split_interval(lo: float, hi: float, points: Sequence[float]):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _octaves(lo: float, hi: float) -> list[tuple[float, float]]:
+    """[lo, hi] cut at lo * 2^j (whole if lo <= 0)."""
+    cuts = [lo]
+    while lo > 0 and 2 * cuts[-1] < hi:
+        cuts.append(2 * cuts[-1])
+    return _split_interval(lo, hi, cuts[1:])
+
+
+def _graded(mu: LevyMeasure) -> LevyMeasure:
+    """mu with every z1 density piece split into its octaves (LevySampler)."""
+    if mu.kind == "product":
+        pieces = tuple(replace(p, lo=a, hi=b) for p in mu.m1.pieces for a, b in _octaves(p.lo, p.hi))
+        return LevyMeasure.product(replace(mu.m1, pieces=pieces), mu.m2)
+    if mu.kind == "density":
+        (z1lo, z1hi), dom2 = mu.domain
+        return LevyMeasure.union(
+            LevyMeasure.from_density(mu.density, ((a, b), dom2), mu.nodes) for a, b in _octaves(z1lo, z1hi)
+        )
+    if mu.kind == "union":
+        return LevyMeasure.union(_graded(m) for m in mu.members)
+    return mu
+
+
 def _scale_marginal(m: Marginal1D, c: float) -> Marginal1D:
     atoms = tuple((a, w * c) for a, w in m.atoms)
     pieces = tuple(
@@ -601,23 +624,25 @@ def levy_integral(mu: LevyMeasure, f: Callable, region=None, tol: float = 1e-8):
     return _converge(mu, f, tol)[1]
 
 
-def _converge(mu: LevyMeasure, f: Callable, tol: float):
-    """The node-doubling loop behind every integral.
+def _converge(mu: LevyMeasure, f: Callable, tol: float, k: int = GAUSS_ORDER):
+    """The node-doubling loop behind every integral and the jump sampler.
 
-    Returns the rule (z1, z2, w) of the first level whose integral of f
-    differs from the previous level's by at most tol * max(1, |value|),
-    and that value.  f may return a stack of integrands (shape (..., n));
-    each must then meet the test.  Atomic measures are exact at level 0.
-    Raises QuadratureError once the next level would exceed NODE_CAP nodes.
+    Returns the cells (z1, z2, dz1, dz2, w) of `mu.cells(level, k)` at the
+    first level whose integral of f differs from the previous level's by at
+    most tol * max(1, |value|), and that value.  f may return a stack of
+    integrands (shape (..., n)); each must then meet the test.  Atomic
+    measures are exact at level 0.  Raises QuadratureError once the next
+    level would exceed NODE_CAP nodes.
     """
     exact = _is_atomic_only(mu)
     prev = None
     for level in range(_MAX_LEVELS):
-        if mu.n_cells(level) > NODE_CAP:
+        if mu.n_cells(level, k) > NODE_CAP:
             raise QuadratureError(f"no convergence to tol {tol:g} within {NODE_CAP} nodes")
-        z1, z2, _, _, w = mu.cells(level)
+        cells = mu.cells(level, k)
+        z1, z2, w = cells[0], cells[1], cells[4]
         if z1.size == 0:
-            return (z1, z2, w), 0.0
+            return cells, 0.0
         vals = np.asarray(f(z1, z2))
         if not np.all(np.isfinite(vals)):
             raise NonFiniteIntegrand("integrand evaluated to NaN/inf at a node")
@@ -625,7 +650,7 @@ def _converge(mu: LevyMeasure, f: Callable, tol: float):
         if exact or (
             prev is not None and np.all(np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
         ):
-            return (z1, z2, w), (val.item() if val.ndim == 0 else val)
+            return cells, (val.item() if val.ndim == 0 else val)
         prev = val
     raise QuadratureError("quadrature did not converge under node doubling")
 
@@ -679,29 +704,18 @@ class LevySampler:
 
     Atoms are drawn by inverse CDF over weights; density cells (the
     one-node-per-panel midpoint cells) by grid-cell inverse CDF with uniform
-    jitter within the selected cell.
+    jitter within the selected cell.  Each z1 density piece [lo, hi] with
+    lo > 0 is graded: cut at lo * 2^j, every octave gets the piece's base
+    panel count, so the cells shrink towards a truncation edge where a
+    density like exp(-z)/z is steep.  The cells are refined on `_converge`
+    until mass and mean agree to mass_tol between levels; QuadratureError
+    if that needs more than NODE_CAP cells.
     """
 
-    def __init__(self, mu: LevyMeasure, mass_tol: float = 1e-6, max_cells: int = 1 << 21):
-        z1 = z2 = d1 = d2 = w = None
-        prev_stats = None
-        for level in range(_MAX_LEVELS):
-            if mu.n_cells(level, 1) > max_cells:
-                break
-            z1, z2, d1, d2, w = mu.cells(level, 1)
-            stats = (
-                float(np.sum(w)),
-                float(np.sum(w * z1)),
-                float(np.sum(w * z2)),
-            )
-            if _is_atomic_only(mu):
-                break
-            if prev_stats is not None and all(
-                abs(a - b) <= mass_tol * max(1.0, abs(a)) for a, b in zip(stats, prev_stats)
-            ):
-                break
-            prev_stats = stats
-        if z1 is None or float(np.sum(w)) <= 0.0:
+    def __init__(self, mu: LevyMeasure, mass_tol: float = 1e-6):
+        moments = lambda z1, z2: np.stack([np.ones_like(z1), z1, z2])
+        z1, z2, d1, d2, w = _converge(_graded(mu), moments, mass_tol, k=1)[0]
+        if float(np.sum(w)) <= 0.0:
             raise ZeroMass("cannot sample from a zero-mass measure")
         keep = w > 0
         self.z1, self.z2 = z1[keep], z2[keep]

@@ -119,7 +119,8 @@ class Mechanisms:
             pu1, pu2 = np.array([-r1, 1j * r2, 0.0]), np.array([0.0, 0.0, 1j * r3])
             live = (pu1 != 0) | (pu2 != 0)
             f = lambda z1, z2: kernel(pu1[live], pu2[live], z1, z2)
-            self._rules[key] = _converge(mu, f, _RULE_TOL)[0]
+            z1, z2, _, _, w = _converge(mu, f, _RULE_TOL)[0]
+            self._rules[key] = (z1, z2, w)
         return self._rules[key]
 
     def phi(self, u1, u2):

@@ -136,8 +136,11 @@ class Vbar:
 
     The integral is tabulated once per doubling window as T(2^j) =
     int_{2^j}^inf dz/phi0: for j >= 0 at construction, up to the first window
-    that adds less than _TAIL_TOL (ConditionAViolated if none does within
-    _MAX_WINDOWS), and below 1 as far down as a call needs.  Requires
+    that adds less than _TAIL_TOL and less than the window before it
+    (ConditionAViolated if none does within _MAX_WINDOWS), and below 1 as far
+    down as a call needs.  Beyond the table the windows are taken to shrink
+    geometrically at the ratio r of the last two, which adds r / (1 - r)
+    times the last window (exact for phi0 ~ z^p, r = 2^(1-p)).  Requires
     phi0 > 0 on (0, inf) (subcritical branching).
     """
 
@@ -146,18 +149,27 @@ class Vbar:
         if np.any(np.real(mech.phi(-np.geomspace(1e-8, 1e8, 65), 0.0)) <= 0):
             raise ConditionAViolated("phi0 must be positive on (0, inf) for vbar")
         inc = []
-        while not inc or inc[-1] >= _TAIL_TOL:
+        while len(inc) < 2 or inc[-1] >= min(_TAIL_TOL, inc[-2]):
             if len(inc) == _MAX_WINDOWS:
                 raise ConditionAViolated("tail integral of 1/phi0 does not converge")
             inc.append(_inv_phi0_integral(mech, 2.0 ** len(inc), 2.0 ** (len(inc) + 1)))
-        self._top = len(inc)  # T(2^j) counts as 0 for j >= _top
-        self._T = dict(enumerate(np.cumsum(inc[::-1])[::-1].tolist()))
+        self._top = len(inc)
+        self._r = inc[-1] / inc[-2]
+        self._rest = self._r / (1.0 - self._r) * inc[-1]  # T(2^top)
+        # summed from the top down, so that T(2^j) == time_from(2^j) bit for bit
+        T = [self._rest]
+        for w in reversed(inc):
+            T.append(T[-1] + w)
+        self._T = dict(enumerate(T[::-1]))
 
     def _tail(self, j: int) -> float:
-        """T(2^j), extending the table window by window below its lowest entry."""
+        """T(2^j): geometric above the table, extended window by window
+        below its lowest entry."""
+        if j >= self._top:
+            return self._rest * self._r ** (j - self._top)
         for k in range(min(self._T) - 1, j - 1, -1):
             self._T[k] = self.time_from(2.0**k)
-        return self._T.get(j, 0.0)
+        return self._T[j]
 
     def time_from(self, v: float) -> float:
         """t such that vbar_t = v: T at the top of v's window plus the part
@@ -165,21 +177,27 @@ class Vbar:
         if v <= 0:
             raise DomainError("v must be > 0")
         j = math.frexp(v)[1] - 1  # 2^j <= v < 2^(j+1)
-        if j >= self._top:
-            return 0.0
         return self._tail(j + 1) + _inv_phi0_integral(self._mech, v, 2.0 ** (j + 1))
+
+    def _edge(self, j: int) -> float:
+        """time_from(2^j), the function brentq sees, read from the table
+        below its top.  Above it time_from adds the real window to the
+        geometric T(2^(j+1)) and differs from the geometric T(2^j)."""
+        return self._tail(j) if j < self._top else self.time_from(2.0**j)
 
     def __call__(self, t: float) -> float:
         if t <= 0:
             raise DomainError("vbar requires t > 0")
         j = 0
-        while self._tail(j) < t:
+        while self._edge(j) < t:
             j -= 1
             if j < sys.float_info.min_exp:
                 raise NoConvergence(f"vbar({t:g}) lies below the smallest normal float")
-        while self._tail(j + 1) >= t:
+        while self._edge(j + 1) >= t:
             j += 1
-        # T(2^(j+1)) < t <= T(2^j): one root-find inside the window [2^j, 2^(j+1)]
+            if j + 2 >= sys.float_info.max_exp:  # time_from(2^(j+1)) needs 2^(j+2)
+                raise NoConvergence(f"vbar({t:g}) lies above the largest float")
+        # time_from(2^(j+1)) < t <= time_from(2^j): one root-find in [2^j, 2^(j+1)]
         v = brentq(lambda w: self.time_from(w) - t, 2.0**j, 2.0 ** (j + 1), xtol=1e-300, rtol=1e-12)
         return float(v)
 

@@ -1,9 +1,16 @@
 """Path simulation for the CBI + OU-type system and its shared-noise coupling.
 
 Scheme: full-truncation Euler for the square-root diffusion part (coefficients
-evaluated at max(Y,0), state clamped to 0 after the step), homogeneous
-compound-Poisson immigration jumps, and state-dependent branching jumps by
-per-step thinning with the intensity frozen at the left endpoint.
+evaluated at max(Y,0), state clamped to 0 after the step) and compound-Poisson
+jumps with the intensity frozen at the left endpoint: immigration jumps at
+the rate of n, branching jumps at Y times the rate of m.  A step's jumps of
+one kind on a chunk's paths are drawn as one Poisson total, each jump placed
+on a path with probability proportional to its intensity; this is exactly
+the law of independent per-path counts (superposition).  So per step a count
+stream (N_COUNT, M_COUNT, DM_COUNT) carries that total and then one path
+index per jump (an integer for n's constant intensity, a uniform for the Y-
+or D-proportional ones), and a jump stream (N_JUMP, M_JUMP, DM_JUMP) the
+sampler's three uniforms per jump.
 
 Coupling (the time-space noise split of Dawson-Li 2012): the copy with the
 smaller start is the base copy and is advanced by the same `_step` as
@@ -14,7 +21,8 @@ exactly as a single path from its start does; its paths are bit-identical to
 continuous-state branching process without immigration and adds only its own
 independent increments, scaled by D:
 
-- D_W: one normal each for the diffusion of D and of the Z-difference;
+- D_W: the normals that drive D and the Z-difference, one for the W1 part and
+  one for the W2 part, each drawn only when the model has that part;
 - DM_COUNT, DM_JUMP: branching jumps at D times the branching-jump rate;
 - D_GAUSS (gaussian_approx mode): one normal each for the dropped small
   branching jumps of D and of the Z-difference, variance D * drop_var * dt.
@@ -83,7 +91,6 @@ class _JumpSpec:
     """Frozen sampling table and moment set for one (truncated) measure."""
 
     def __init__(self, mu: LevyMeasure, eps: float, mode: str, label: str):
-        finite, _ = mu.total_mass()
         self.active = not mu.is_empty()
         self.sampler: LevySampler | None = None
         self.rate = 0.0
@@ -92,7 +99,7 @@ class _JumpSpec:
         self.drop_var_z1 = self.drop_var_z2 = 0.0
         if not self.active:
             return
-        if not finite and eps <= 0:
+        if eps <= 0 and not mu.total_mass()[0]:
             raise ConfigError(f"measure {label} has infinite activity; eps_trunc > 0 required")
         trunc = mu.truncate_small(eps) if eps > 0 else mu
         if not trunc.is_empty():
@@ -177,12 +184,28 @@ class CoupledEnsemble(_RecordGrid):
 
 def _jump_sums(spec: _JumpSpec, g_count, g_jump, intensity, h: float, n: int):
     """Per-path sums of z1 and z2 over one step's jumps, with
-    Poisson(intensity * rate * h) jumps on each path."""
+    Poisson(intensity * rate * h) jumps on each path.
+
+    Independent Poisson counts on the paths are one Poisson total placed
+    path by path with probability proportional to the intensity
+    (superposition), so g_count draws the total and then the paths: uniform
+    for a constant intensity, by inverse CDF over the intensities otherwise,
+    where a path of intensity 0 is never chosen."""
     if spec.sampler is None:
         return 0.0, 0.0
-    cnt = g_count.poisson(intensity * (spec.rate * h), n)
-    z1j, z2j = spec.sampler.draw(g_jump, int(cnt.sum()))
-    idx = np.repeat(np.arange(n), cnt)
+    if np.ndim(intensity) == 0:
+        k = g_count.poisson(intensity * spec.rate * h * n)
+        idx = g_count.integers(0, n, k)
+    else:
+        cum = np.cumsum(intensity)
+        total = cum[-1]
+        k = g_count.poisson(total * spec.rate * h)
+        idx = np.searchsorted(cum, g_count.random(k) * total, side="right")
+        # u * total can round up to total: the last path of positive intensity
+        idx = np.minimum(idx, np.searchsorted(cum, total))
+    if k == 0:
+        return 0.0, 0.0
+    z1j, z2j = spec.sampler.draw(g_jump, k)
     return np.bincount(idx, weights=z1j, minlength=n), np.bincount(idx, weights=z2j, minlength=n)
 
 
@@ -262,8 +285,8 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
         alive = D > 0.0
         Yb, Zb = _step(comp, g, Yb, Zb, n)
         # difference-process noise: independent, scaled by D (branching property)
-        xd1 = g[rng.D_W].standard_normal(n)
-        xd2 = g[rng.D_W].standard_normal(n)
+        xd1 = g[rng.D_W].standard_normal(n) if comp.use_w1 else 0.0
+        xd2 = g[rng.D_W].standard_normal(n) if comp.use_w2 else 0.0
         jd1, jd2 = _jump_sums(comp.mjump, g[rng.DM_COUNT], g[rng.DM_JUMP], Dc, h, n)
         gd1 = gd2 = 0.0
         if comp.gauss:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import affine_ergo
 from affine_ergo.cli import main
 from affine_ergo.model import ModelParams, save_model
 
@@ -85,6 +86,8 @@ class TestOutputs:
         assert man["subcommand"] == "validate"
         assert len(man["model_sha256"]) == 64
         assert man["outputs"] == ["validate.json"]
+        # read from the source tree, so an uninstalled checkout records it too
+        assert man["version"] == affine_ergo.__version__
 
     def test_simulate_csv_shape(self, tmp_path):
         rc = run("--model", "cir_ou", "--seed", "3", "--out", str(tmp_path),

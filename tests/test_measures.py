@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_ergo.errors import DomainError, EmptyDistribution, ZeroMass
+from affine_ergo.errors import DomainError, EmptyDistribution, QuadratureError, ZeroMass
 from affine_ergo.measures import (
+    DensityPiece,
     LevyMeasure,
     LevySampler,
     Marginal1D,
@@ -151,6 +152,24 @@ class TestSampler:
     def test_zero_mass(self):
         with pytest.raises(ZeroMass):
             LevySampler(LevyMeasure.zero())
+
+    def test_unconverged_grid_raises(self):
+        # 1/z on (0, 1] has infinite mass: every doubling adds about log 2
+        m1 = Marginal1D(pieces=(DensityPiece(0.0, 1.0, compile_density_expr("1/z", ("z",)), 64),))
+        mu = LevyMeasure.product(m1, Marginal1D(atoms=((0.0, 1.0),)))
+        with pytest.raises(QuadratureError):
+            LevySampler(mu)
+
+    def test_graded_cells_at_a_small_truncation(self):
+        # gamma_imm's n without its jumps below 1e-3: int_{1e-3}^{30} e^{-z}/z dz
+        import importlib.resources
+
+        from affine_ergo.model import load_model
+
+        p = load_model(str(importlib.resources.files("affine_ergo") / "models" / "gamma_imm.json"))
+        s = LevySampler(p.n.truncate_small(1e-3))
+        assert s.w.size < 10_000
+        assert s.rate == pytest.approx(6.331539364, rel=1e-6)
 
     def test_ks_distance_exponential_marginal(self):
         fn = compile_density_expr("exp(-z1)", ("z1", "z2"))

@@ -183,10 +183,39 @@ class TestVbar:
         vals = [vb(t) for t in np.geomspace(0.01, 10.0, 30)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_below_the_table(self):
+        # t below T(2^top), where the table's geometric T(2^k) and time_from(2^k)
+        # (which integrates the window above 2^k) differ; the second t lies
+        # between the two, so a bracket walked on the first has no sign change
+        p = make_params(a1=2.0, alpha=((1.0, 0.0), (0.0, 0.0)))
+        vb = Vbar(p)
+        k = vb._top + 1
+        assert all(vb._tail(j) == vb.time_from(2.0**j) for j in range(-3, vb._top))
+        assert vb._tail(k) != vb.time_from(2.0**k)
+        for t in (vb._rest / 3, 0.5 * (vb._tail(k) + vb.time_from(2.0**k))):
+            assert vb(t) == pytest.approx(2.0 / math.expm1(2 * t), rel=1e-8)
+
     def test_table_monotone(self):
         p = make_params(a1=2.0, alpha=((1.0, 0.0), (0.0, 0.0)))
         table = build_vbar_table(p)
         assert np.all(np.diff(table.values) < 0)
+
+    def test_small_t_against_mpmath_oracle(self):
+        # v large at t = 0.01: the tail beyond the table is a visible part of t
+        import mpmath
+
+        p = bundled("jump_cbi_ou")
+
+        def phi0_mp(z):
+            return p.a1 * z + mpmath.mpf(p.alpha_y) * z**2 + sum(
+                mpmath.mpf(w) * (mpmath.expm1(-z * z1) + z * z1) for z1, _, w in p.m.atoms
+            )
+
+        with mpmath.workdps(30):
+            t = mpmath.mpf("0.01")
+            tail = lambda v: mpmath.quad(lambda z: 1 / phi0_mp(z), [v, 10 * v, mpmath.inf])
+            exact = float(mpmath.findroot(lambda v: tail(v) - t, 1 / (p.alpha_y * t)))
+        assert Vbar(p)(0.01) == pytest.approx(exact, rel=1e-11, abs=0.0)
 
     def test_grey_violation(self):
         p = make_params(alpha=((0, 0), (0, 0)))

@@ -9,7 +9,14 @@ from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model
 from affine_ergo.riccati import cbi_mean, char_fn
 from affine_ergo.mechanisms import UPoint
-from affine_ergo.simulator import SimConfig, empirical_at, simulate_coupled, simulate_paths
+from affine_ergo.simulator import (
+    SimConfig,
+    _jump_sums,
+    _JumpSpec,
+    empirical_at,
+    simulate_coupled,
+    simulate_paths,
+)
 
 
 def make_params(**kw):
@@ -128,6 +135,49 @@ class TestDeterminism:
             c8 = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=8))
             for f in ("Yx", "Zx", "Yy", "Zy", "varsigma", "threshold_absorbed"):
                 assert np.array_equal(getattr(c1, f), getattr(c8, f)), (mode, f)
+
+
+class TestJumpCounts:
+    """The superposed counts of `_jump_sums`: one Poisson total per step,
+    placed on the paths in proportion to their intensity."""
+
+    @staticmethod
+    def counts(intensity, n, steps, h, seed):
+        # unit z1 jumps: the per-path sum of z1 is the per-path count
+        spec = _JumpSpec(LevyMeasure.atomic([(1.0, 0.0, 2.0)]), 0.0, "drop_compensate", "m")
+        g_count, g_jump = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+        total = np.zeros(n)
+        for _ in range(steps):
+            total += _jump_sums(spec, g_count, g_jump, intensity, h, n)[0]
+        return total
+
+    def test_zero_intensity_never_jumps(self):
+        # zero-intensity paths at both ends and in between
+        intensity = np.tile([0.0, 1.0, 3.0, 0.0], 250)
+        c = self.counts(intensity, intensity.size, 200, 0.01, 40)
+        assert np.all(c[intensity == 0.0] == 0.0)
+        assert np.all(c[intensity == 3.0] > 0.0)
+
+    def test_zero_y_gets_no_branching_jump(self):
+        # no immigration: paths at Y = 0 stay there although m has mass
+        p = make_params(a2=0.0, m=LevyMeasure.atomic([(0.5, 0.2, 4.0)]))
+        cfg = SimConfig(dt=0.01, T=1.0, n_paths=500, seed=41, record_times=(0.5, 1.0))
+        assert np.all(simulate_paths(p, (0.0, 0.3), cfg).Y == 0.0)
+        assert np.all(simulate_coupled(p, (1.0, 0.3), (0.0, 0.0), cfg).Yy == 0.0)
+
+    @pytest.mark.parametrize("intensity", [np.repeat([0.25, 1.0, 4.0], 4000), 1.0])
+    def test_per_path_counts_are_poisson(self, intensity):
+        # an array intensity (the Y- and D-driven jumps) and a constant one (immigration)
+        n, steps, h, rate = 12_000, 100, 0.01, 2.0
+        c = self.counts(intensity, n, steps, h, 42)
+        lam_of_path = np.broadcast_to(intensity, (n,))
+        for lam in np.unique(lam_of_path):
+            x = c[lam_of_path == lam]
+            mu = lam * rate * h * steps
+            m = x.size
+            assert abs(x.mean() - mu) < 3 * math.sqrt(mu / m)
+            # Var(s^2) = (mu4 - sigma^4 (m-3)/(m-1)) / m with mu4 = mu + 3 mu^2
+            assert abs(x.var(ddof=1) - mu) < 3 * math.sqrt((mu + 2 * mu**2 * m / (m - 1)) / m)
 
 
 class TestCoupled:
