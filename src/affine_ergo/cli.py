@@ -230,6 +230,8 @@ def cmd_stationary(run: Run, u1, dt, paths, horizon):
         "transform_re": tr.value.real,
         "transform_im": tr.value.imag,
         "transform_horizon": tr.horizon,
+        "transform_nfev": tr.nfev,
+        "transform_clamped": tr.clamped,
         "delta1": delta1(params),
     }
     try:

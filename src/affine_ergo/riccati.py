@@ -1,8 +1,12 @@
 """Generalized Riccati flow, transition/stationary transforms and vbar.
 
-V2 is explicit (exp(-b2 t) u2); V1 solves V1' = phi((V1, V2(t))) with an
-embedded adaptive Runge-Kutta pair, and the psi integral is carried as an
-extra state so the characteristic functional comes out of one solve.
+V2 is explicit (exp(-b2 t) u2); V1 solves V1' = phi((V1, V2(t))) with the
+8th-order Dormand-Prince pair (DOP853, Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.10), and the psi integral is carried as an extra state so
+the characteristic functional comes out of one solve.  A solve can be
+continued from an earlier one's horizon (``solve_V(..., start=sol)``): the
+stationary transform extends its horizon by doubling that way, one solve
+continued from T to 2T, never restarted from 0.
 Every phi, psi, phi0, phi0_tilde and P value here comes from the model's
 one cached `Mechanisms` object (``params.mechanisms``), whose frozen jump
 rules either converged to 1e-10 or raised QuadratureError.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import (
@@ -44,14 +48,15 @@ _MAX_WINDOWS = 200
 
 @dataclass
 class RiccatiSolution:
-    """Dense-output solution of the Riccati system for one u."""
+    """Dense-output solution of the Riccati system for one u on [0, T]."""
 
     u: UPoint
     T: float
     b2: float
-    _sol: object
+    _sol: OdeSolution
+    _y_T: np.ndarray  # (V1, psi integral) at T, where a continuation starts
     clamped: bool
-    nfev: int
+    nfev: int  # RHS evaluations of the last segment solved
     nsteps: int
 
     def V1(self, t: float) -> complex:
@@ -67,10 +72,22 @@ class RiccatiSolution:
         return complex(self._sol(t)[1])
 
 
-def solve_V(params: ModelParams, u: UPoint, T: float, tol: float = 1e-10) -> RiccatiSolution:
-    """Advance V1 and the accumulated psi integral to horizon T."""
+def solve_V(
+    params: ModelParams,
+    u: UPoint,
+    T: float,
+    tol: float = 1e-10,
+    start: RiccatiSolution | None = None,
+) -> RiccatiSolution:
+    """Advance V1 and the accumulated psi integral to horizon T.
+
+    With ``start`` (a solution for the same u) the solve continues from
+    start.T and its state there; the result is dense on the whole of [0, T],
+    while nfev and nsteps count the new segment only."""
     if T <= 0:
         raise DomainError("T must be > 0")
+    if start is not None and (start.u != u or not start.T < T):
+        raise DomainError("a continued solve needs the same u and T > start.T")
     mech = params.mechanisms
     b2 = params.b2
     u2_0 = u.u2
@@ -82,24 +99,36 @@ def solve_V(params: ModelParams, u: UPoint, T: float, tol: float = 1e-10) -> Ric
             v1 = 1j * v1.imag
         return np.array([mech.phi(v1, u2), mech.psi(v1, u2)], dtype=complex)
 
+    if start is None:
+        t0, y0, first_step = 0.0, np.array([u.u1, 0.0], dtype=complex), min(1e-3, T / 10)
+    else:
+        t0, y0, first_step = start.T, start._y_T, None
     sol = solve_ivp(
         rhs,
-        (0.0, T),
-        np.array([u.u1, 0.0], dtype=complex),
-        method="RK45",
+        (t0, T),
+        y0,
+        method="DOP853",
         rtol=tol,
         atol=tol * 1e-4,
         dense_output=True,
-        first_step=min(1e-3, T / 10),
+        first_step=first_step,
     )
     if not sol.success:
         raise StiffnessFailure(f"ODE solver failed: {sol.message}")
+    dense = sol.sol
     clamped = bool(np.any(sol.y[0].real > _CLAMP_TOL))
+    if start is not None:
+        dense = OdeSolution(
+            np.concatenate([start._sol.ts, dense.ts[1:]]),
+            start._sol.interpolants + dense.interpolants,
+        )
+        clamped = clamped or start.clamped
     return RiccatiSolution(
         u=u,
         T=T,
         b2=b2,
-        _sol=sol.sol,
+        _sol=dense,
+        _y_T=sol.y[:, -1],
         clamped=clamped,
         nfev=int(sol.nfev),
         nsteps=len(sol.t),
@@ -185,6 +214,11 @@ class Vbar:
         geometric T(2^(j+1)) and differs from the geometric T(2^j)."""
         return self._tail(j) if j < self._top else self.time_from(2.0**j)
 
+    def _phi0_finite(self, v: float) -> bool:
+        """phi0(v) is finite, hence (phi0 increasing) finite on (0, v]."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return bool(np.isfinite(np.real(self._mech.phi(np.float64(-v), 0.0))))
+
     def __call__(self, t: float) -> float:
         if t <= 0:
             raise DomainError("vbar requires t > 0")
@@ -197,6 +231,8 @@ class Vbar:
             j += 1
             if j + 2 >= sys.float_info.max_exp:  # time_from(2^(j+1)) needs 2^(j+2)
                 raise NoConvergence(f"vbar({t:g}) lies above the largest float")
+            if not self._phi0_finite(2.0 ** (j + 2)):
+                raise NoConvergence(f"vbar({t:g}): phi0 overflows below 2^{j + 2}")
         # time_from(2^(j+1)) < t <= time_from(2^j): one root-find in [2^j, 2^(j+1)]
         v = brentq(lambda w: self.time_from(w) - t, 2.0**j, 2.0 ** (j + 1), xtol=1e-300, rtol=1e-12)
         return float(v)
@@ -228,22 +264,28 @@ def build_vbar_table(
 class StationaryTransform(NamedTuple):
     value: complex
     horizon: float
+    nfev: int  # RHS evaluations over all horizon segments
+    clamped: bool
 
 
 def stationary_transform(
     params: ModelParams, u: UPoint, tail_tol: float = 1e-10
 ) -> StationaryTransform:
-    """exp{int_0^inf psi(V(s,u)) ds}: psi integral extended by horizon
-    doubling until the increment over the last doubling is below tail_tol."""
+    """exp{int_0^inf psi(V(s,u)) ds}: the psi integral is extended by horizon
+    doubling, each doubling continuing the one solve from its last horizon,
+    until the increment over the last doubling is below tail_tol."""
     if params.a1 <= 0 or params.b2 <= 0:
         raise DomainError("stationary transform requires a1 > 0 and b2 > 0")
     T = 1.0 / min(params.a1, params.b2)
+    sol = None
     prev = None
+    nfev = 0
     for _ in range(40):
-        sol = solve_V(params, u, T)
+        sol = solve_V(params, u, T, start=sol)
+        nfev += sol.nfev
         acc = sol.psi_accum(T)
         if prev is not None and abs(acc - prev) < tail_tol:
-            return StationaryTransform(complex(np.exp(acc)), T)
+            return StationaryTransform(complex(np.exp(acc)), T, nfev, sol.clamped)
         prev = acc
         T *= 2.0
     raise NoConvergence("psi tail did not converge after 40 horizon doublings")

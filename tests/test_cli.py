@@ -127,6 +127,15 @@ class TestOutputs:
         assert rep["A"]["verdict"] == "holds"
         assert rep["Cprime"]["verdict"] == "holds"
 
+    def test_stationary_transform_diagnostics(self, tmp_path):
+        rc = run("--model", "cir_ou", "--out", str(tmp_path), "stationary",
+                 "--paths", "200", "--dt", "0.05", "--horizon", "2")
+        assert rc == 0
+        payload = json.loads((tmp_path / "stationary.json").read_text())
+        assert 0 < payload["transform_nfev"] < 1500
+        assert payload["transform_clamped"] is False
+        assert payload["transform_re"] == pytest.approx(payload["transform_closed"], abs=1e-10)
+
     def test_solve_riccati_csv(self, tmp_path):
         rc = run("--model", "cir_ou", "--out", str(tmp_path),
                  "solve-riccati", "--t", "1", "--u1", "-1", "--grid", "10")

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from scipy.integrate import quad
 
-from affine_ergo.errors import ConditionAViolated, DomainError, QuadratureError
+from affine_ergo.errors import ConditionAViolated, DomainError, NoConvergence, QuadratureError
 from affine_ergo.measures import DensityPiece, LevyMeasure, Marginal1D, compile_density_expr
 from affine_ergo.mechanisms import UPoint, phi0
 from affine_ergo.model import ModelParams, load_model
@@ -98,6 +99,43 @@ class TestSolveV:
         u_mid = UPoint(first.V1(s), cmath.exp(-p.b2 * s) * u.u2)
         second = solve_V(p, u_mid, t)
         assert second.V1(t) == pytest.approx(full.V1(s + t), abs=1e-7)
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou"])
+    def test_matches_fresh_solve(self, name):
+        p = bundled(name)
+        u = UPoint(-1.0, 0.5j)
+        T = 2.0
+        first = solve_V(p, u, T)
+        continued = solve_V(p, u, 2 * T, start=first)
+        fresh = solve_V(p, u, 2 * T)
+        for t in (0.1 * T, T, 1.5 * T, 2 * T):
+            assert abs(continued.V1(t) - fresh.V1(t)) <= 1e-10
+            assert abs(continued.psi_accum(t) - fresh.psi_accum(t)) <= 1e-10
+            # char_fn reads the continued solution on the whole of [0, 2T]
+            assert char_fn(p, t, (1.0, 0.5), u, sol=continued) == pytest.approx(
+                char_fn(p, t, (1.0, 0.5), u, sol=fresh), rel=0.0, abs=1e-10
+            )
+
+    def test_counts_and_clamp_flags(self):
+        p = bundled("cir_ou")
+        u = UPoint(-1.0, 0.0)
+        first = solve_V(p, u, 1.0)
+        continued = solve_V(p, u, 3.0, start=first)
+        # nfev counts the segment [1, 3] only
+        assert 0 < continued.nfev < solve_V(p, u, 3.0).nfev
+        assert continued.clamped is first.clamped is False
+        # a clamp in either segment marks the whole solution
+        assert solve_V(p, u, 3.0, start=dataclasses.replace(first, clamped=True)).clamped is True
+
+    def test_rejects_mismatched_start(self):
+        p = make_params()
+        first = solve_V(p, UPoint(-1.0, 0.0), 1.0)
+        with pytest.raises(DomainError):
+            solve_V(p, UPoint(-1.0, 0.0), 1.0, start=first)
+        with pytest.raises(DomainError):
+            solve_V(p, UPoint(-2.0, 0.0), 2.0, start=first)
 
 
 class TestCharFn:
@@ -217,6 +255,15 @@ class TestVbar:
             exact = float(mpmath.findroot(lambda v: tail(v) - t, 1 / (p.alpha_y * t)))
         assert Vbar(p)(0.01) == pytest.approx(exact, rel=1e-11, abs=0.0)
 
+    def test_phi0_overflow_raises(self):
+        # phi0 = 2z + z^2 overflows past z ~ 1e154, long before vbar(1e-300) ~ 1e300
+        p = ModelParams(a1=2.0, a2=0.0, b0=0.0, b1=0.0, b2=0.5, sigma=0.0,
+                        alpha=((1.0, 0.0), (0.0, 0.0)))
+        vb = Vbar(p)
+        with pytest.raises(NoConvergence):
+            vb(1e-300)
+        assert vb(1e-3) == pytest.approx(2.0 / math.expm1(2e-3), rel=1e-12, abs=0.0)
+
     def test_grey_violation(self):
         p = make_params(alpha=((0, 0), (0, 0)))
         with pytest.raises(ConditionAViolated):
@@ -277,6 +324,13 @@ class TestStationary:
         for u1 in (-0.25, -1.0, -4.0):
             a = stationary_transform(p, UPoint(u1, 0.0)).value.real
             assert stationary_transform_closed(p, u1) == pytest.approx(a, rel=0.0, abs=1e-10)
+
+    def test_cost_guard(self):
+        # the horizon doublings continue one solve: about 1k RHS evaluations
+        # here, where a restart from 0 at every doubling spent about 8k
+        st = stationary_transform(bundled("cir_ou"), UPoint(-1.0, 0.0))
+        assert st.nfev < 1500
+        assert st.clamped is False
 
     def test_closed_at_zero(self):
         assert stationary_transform_closed(make_params(), 0.0) == pytest.approx(1.0)
