@@ -87,12 +87,6 @@ def tv_hat(P: EmpiricalDistribution, Q: EmpiricalDistribution, bins=(50, 50)) ->
     return 0.5 * float(np.abs(hp - hq).sum())
 
 
-def tv_both(P: EmpiricalDistribution, Q: EmpiricalDistribution, bins=(50, 50)) -> tuple[float, float]:
-    """(half-L1 estimate, operator-norm scale = twice that)."""
-    v = tv_hat(P, Q, bins)
-    return v, 2.0 * v
-
-
 # ---------------------------------------------------------------------------
 # reports
 

@@ -8,7 +8,6 @@ import datetime
 import hashlib
 import importlib.resources
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -44,14 +43,12 @@ def _resolve_model(name: str) -> Path:
 class Run:
     """Shared flag state plus manifest plumbing for one invocation."""
 
-    def __init__(self, model: str | None, seed: int, threads: int | None, out: str, strict: bool):
+    def __init__(self, model: str | None, seed: int, threads: int, out: str, strict: bool):
         self.model_path = _resolve_model(model) if model else None
         self.params: ModelParams | None = (
             load_model(self.model_path) if self.model_path else None
         )
         self.seed = seed
-        if threads is None:
-            threads = int(os.environ.get("AFFINE_ERGO_THREADS", "1"))
         self.threads = threads
         self.out = Path(out)
         self.strict = strict
@@ -102,7 +99,8 @@ class Run:
 @click.group()
 @click.option("--model", default=None, help="Model JSON path or bundled name.")
 @click.option("--seed", default=7, type=click.IntRange(0), show_default=True)
-@click.option("--threads", default=None, type=click.IntRange(1), help="Worker threads (env AFFINE_ERGO_THREADS).")
+@click.option("--threads", default=1, type=click.IntRange(1), envvar="AFFINE_ERGO_THREADS",
+              show_envvar=True, show_default=True, help="Worker threads.")
 @click.option("--out", default="out", show_default=True, help="Output directory.")
 @click.option("--strict", is_flag=True, help="Exit 2 on validation/condition failure.")
 @click.pass_context

@@ -59,8 +59,14 @@ class RiccatiSolution:
     nfev: int  # RHS evaluations of the last segment solved
     nsteps: int
 
+    def _at(self, t: float) -> np.ndarray:
+        # the dense interpolant extrapolates silently outside the solved span
+        if not 0.0 <= t <= self.T:
+            raise DomainError(f"t={t} is outside the solved horizon [0, {self.T}]")
+        return self._sol(t)
+
     def V1(self, t: float) -> complex:
-        v = complex(self._sol(t)[0])
+        v = complex(self._at(t)[0])
         if v.real > 0.0:
             v = 1j * v.imag
         return v
@@ -69,7 +75,7 @@ class RiccatiSolution:
         return math.exp(-self.b2 * t) * self.u.u2
 
     def psi_accum(self, t: float) -> complex:
-        return complex(self._sol(t)[1])
+        return complex(self._at(t)[1])
 
 
 def solve_V(

@@ -17,8 +17,7 @@ W0, W1, W2 = 0, 1, 2
 N_COUNT, N_JUMP = 3, 4
 M_COUNT, M_JUMP = 5, 6
 D_W, DM_COUNT, DM_JUMP = 7, 8, 9
-GAUSS_APPROX, D_GAUSS = 10, 11
-N_USED = 12  # ids 0..11 above
+N_USED = 10  # ids 0..9 above
 _N_STREAMS = 16  # key slots per chunk
 
 

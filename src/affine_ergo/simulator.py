@@ -10,22 +10,22 @@ the law of independent per-path counts (superposition).  So per step a count
 stream (N_COUNT, M_COUNT, DM_COUNT) carries that total and then one path
 index per jump (an integer for n's constant intensity, a uniform for the Y-
 or D-proportional ones), and a jump stream (N_JUMP, M_JUMP, DM_JUMP) the
-sampler's three uniforms per jump.
+sampler's three uniforms per jump.  Jumps in the box max(z1, |z2|) <
+eps_trunc are dropped, and the mean z1 of the dropped immigration jumps is
+restored as drift; the other jump terms are compensated, so their dropped
+part has mean zero.
 
 Coupling (the time-space noise split of Dawson-Li 2012): the copy with the
 smaller start is the base copy and is advanced by the same `_step` as
-`simulate_paths`, so it consumes W0, W1, W2, the immigration jumps, its
-branching jumps and, in gaussian_approx mode, the small-jump Gaussian noise
-exactly as a single path from its start does; its paths are bit-identical to
-`simulate_paths` from that start.  The difference process D = Y(x) - Y(y) is a
-continuous-state branching process without immigration and adds only its own
-independent increments, scaled by D:
+`simulate_paths`, so it consumes W0, W1, W2, the immigration jumps and its
+branching jumps exactly as a single path from its start does; its paths are
+bit-identical to `simulate_paths` from that start.  The difference process
+D = Y(x) - Y(y) is a continuous-state branching process without immigration
+and adds only its own independent increments, scaled by D:
 
 - D_W: the normals that drive D and the Z-difference, one for the W1 part and
   one for the W2 part, each drawn only when the model has that part;
-- DM_COUNT, DM_JUMP: branching jumps at D times the branching-jump rate;
-- D_GAUSS (gaussian_approx mode): one normal each for the dropped small
-  branching jumps of D and of the Z-difference, variance D * drop_var * dt.
+- DM_COUNT, DM_JUMP: branching jumps at D times the branching-jump rate.
 
 D is absorbed at 0 once it drops below coal_tol; after that the Z-difference
 decays deterministically at rate b2.
@@ -53,7 +53,6 @@ class SimConfig:
     seed: int
     record_times: tuple[float, ...] = ()
     eps_trunc: float = 0.0
-    small_jump_mode: str = "drop_compensate"  # or "gaussian_approx"
     coal_tol: float | None = None
     threads: int = 1
 
@@ -64,12 +63,12 @@ class SimConfig:
             raise ConfigError("T must be >= dt")
         if self.eps_trunc < 0:
             raise ConfigError("eps_trunc must be >= 0")
-        if self.small_jump_mode not in ("drop_compensate", "gaussian_approx"):
-            raise ConfigError(f"unknown small_jump_mode {self.small_jump_mode!r}")
         if self.coal_tol is not None and self.coal_tol <= 0:
             raise ConfigError("coal_tol must be > 0")
         if self.n_paths <= 0:
             raise ConfigError("n_paths must be > 0")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
 
     def record_steps(self) -> dict[int, float]:
         """Map step index -> requested record time (snapped to the grid)."""
@@ -90,13 +89,12 @@ class SimConfig:
 class _JumpSpec:
     """Frozen sampling table and moment set for one (truncated) measure."""
 
-    def __init__(self, mu: LevyMeasure, eps: float, mode: str, label: str):
+    def __init__(self, mu: LevyMeasure, eps: float, label: str):
         self.active = not mu.is_empty()
         self.sampler: LevySampler | None = None
         self.rate = 0.0
         self.mean_z1 = self.mean_z2 = 0.0
-        self.drop_mean_z1 = self.drop_mean_z2 = 0.0
-        self.drop_var_z1 = self.drop_var_z2 = 0.0
+        self.drop_mean_z1 = 0.0
         if not self.active:
             return
         if eps <= 0 and not mu.total_mass()[0]:
@@ -114,10 +112,6 @@ class _JumpSpec:
             drop = mu.restrict(((0.0, eps), (-eps, eps)))
             if not drop.is_empty():
                 self.drop_mean_z1 = float(np.real(levy_integral(drop, lambda z1, z2: z1)))
-                self.drop_mean_z2 = float(np.real(levy_integral(drop, lambda z1, z2: z2)))
-                if mode == "gaussian_approx":
-                    self.drop_var_z1 = float(np.real(levy_integral(drop, lambda z1, z2: z1**2)))
-                    self.drop_var_z2 = float(np.real(levy_integral(drop, lambda z1, z2: z2**2)))
 
 
 class _Compiled:
@@ -131,9 +125,8 @@ class _Compiled:
         self.use_w0 = p.sigma > 0
         self.use_w1 = p.a11 > 0 or p.a21 > 0
         self.use_w2 = p.a12 > 0 or p.a22 > 0
-        self.njump = _JumpSpec(p.n, cfg.eps_trunc, cfg.small_jump_mode, "n")
-        self.mjump = _JumpSpec(p.m, cfg.eps_trunc, cfg.small_jump_mode, "m")
-        self.gauss = cfg.small_jump_mode == "gaussian_approx"
+        self.njump = _JumpSpec(p.n, cfg.eps_trunc, "n")
+        self.mjump = _JumpSpec(p.m, cfg.eps_trunc, "m")
         rec = cfg.record_steps()
         steps = sorted(rec)
         self.times = tuple(rec[s] for s in steps)
@@ -218,12 +211,6 @@ def _step(comp: _Compiled, g: dict, Y: np.ndarray, Z: np.ndarray, n: int):
     xi2 = g[rng.W2].standard_normal(n) if comp.use_w2 else 0.0
     jn1, jn2 = _jump_sums(comp.njump, g[rng.N_COUNT], g[rng.N_JUMP], 1.0, h, n)
     jm1, jm2 = _jump_sums(comp.mjump, g[rng.M_COUNT], g[rng.M_JUMP], Yc, h, n)
-    gy = gz = 0.0
-    if comp.gauss:
-        vy = comp.njump.drop_var_z1 + Yc * comp.mjump.drop_var_z1
-        vz = comp.njump.drop_var_z2 + Yc * comp.mjump.drop_var_z2
-        gy = np.sqrt(vy * h) * g[rng.GAUSS_APPROX].standard_normal(n)
-        gz = np.sqrt(vz * h) * g[rng.GAUSS_APPROX].standard_normal(n)
     root = np.sqrt(Yc * h)
     Ynew = (
         Y
@@ -234,7 +221,6 @@ def _step(comp: _Compiled, g: dict, Y: np.ndarray, Z: np.ndarray, n: int):
         + comp.njump.drop_mean_z1 * h  # mean of dropped uncompensated small N-jumps
         + jm1
         - Yc * comp.mjump.mean_z1 * h
-        + gy
     )
     Znew = (
         Z
@@ -246,7 +232,6 @@ def _step(comp: _Compiled, g: dict, Y: np.ndarray, Z: np.ndarray, n: int):
         - comp.njump.mean_z2 * h
         + jm2
         - Yc * comp.mjump.mean_z2 * h
-        + gz
     )
     return np.maximum(Ynew, 0.0), Znew
 
@@ -288,10 +273,6 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
         xd1 = g[rng.D_W].standard_normal(n) if comp.use_w1 else 0.0
         xd2 = g[rng.D_W].standard_normal(n) if comp.use_w2 else 0.0
         jd1, jd2 = _jump_sums(comp.mjump, g[rng.DM_COUNT], g[rng.DM_JUMP], Dc, h, n)
-        gd1 = gd2 = 0.0
-        if comp.gauss:
-            gd1 = np.sqrt(Dc * comp.mjump.drop_var_z1 * h) * g[rng.D_GAUSS].standard_normal(n)
-            gd2 = np.sqrt(Dc * comp.mjump.drop_var_z2 * h) * g[rng.D_GAUSS].standard_normal(n)
         rootd = np.sqrt(Dc * h)
         Dn = (
             D
@@ -300,7 +281,6 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
             + math.sqrt(2 * p.a12) * rootd * xd2
             + jd1
             - Dc * comp.mjump.mean_z1 * h
-            + gd1
         )
         Dn = np.maximum(Dn, 0.0)
         dZn = (
@@ -310,7 +290,6 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
             + math.sqrt(2 * p.a22) * rootd * xd2
             + jd2
             - Dc * comp.mjump.mean_z2 * h
-            + gd2
         )
         # absorbed paths: deterministic decay of the accumulated Z-difference
         dZ = np.where(alive, dZn, dZ * decay)
@@ -378,11 +357,3 @@ def simulate_coupled(
         swapped=swapped,
         cfg=cfg,
     )
-
-
-def empirical_at(ens: Ensemble, t: float):
-    """Equal-weight empirical law of (Y, Z) at a recorded time."""
-    from .analysis import EmpiricalDistribution
-
-    k = ens.index_of(t)
-    return EmpiricalDistribution.from_samples(ens.Y[k], ens.Z[k])

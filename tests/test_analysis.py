@@ -7,7 +7,7 @@ from affine_ergo.errors import EmptyDistribution, SubcriticalityViolated
 from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model
 from affine_ergo.riccati import delta1
-from affine_ergo.simulator import SimConfig
+from affine_ergo.simulator import SimConfig, simulate_paths
 from affine_ergo.analysis import (
     BoundReport,
     EmpiricalDistribution,
@@ -24,7 +24,6 @@ from affine_ergo.analysis import (
     prop42_constants,
     stationary_moments,
     strong_feller_probe,
-    tv_both,
     tv_hat,
 )
 
@@ -40,6 +39,21 @@ def dist(y, z):
     return EmpiricalDistribution.from_samples(np.asarray(y, float), np.asarray(z, float))
 
 
+class TestEmpirical:
+    def test_single_path(self):
+        cfg = SimConfig(dt=0.01, T=0.5, n_paths=1, seed=16, record_times=(0.5,))
+        ens = simulate_paths(make_params(), (1.0, 0.0), cfg)
+        P = EmpiricalDistribution.from_samples(ens.Y[0], ens.Z[0])
+        assert P.n == 1
+        assert P.weights.sum() == pytest.approx(1.0)
+
+    def test_weights_sum_to_one(self):
+        cfg = SimConfig(dt=0.01, T=0.5, n_paths=777, seed=17, record_times=(0.5,))
+        ens = simulate_paths(make_params(), (1.0, 0.0), cfg)
+        P = EmpiricalDistribution.from_samples(ens.Y[0], ens.Z[0])
+        assert P.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 class TestTvHat:
     def test_identical(self):
         P = dist([1, 2, 3], [0, 0, 0])
@@ -48,9 +62,7 @@ class TestTvHat:
     def test_disjoint(self):
         P = dist(np.zeros(100), np.zeros(100))
         Q = dist(np.full(100, 10.0), np.full(100, 10.0))
-        v, paper = tv_both(P, Q)
-        assert v == pytest.approx(1.0)
-        assert paper == pytest.approx(2.0)
+        assert tv_hat(P, Q) == pytest.approx(1.0)  # 1 + 3 ulp: histogram2d sums the 0.01 weights
 
     def test_half_overlap_bins(self):
         # P uniform on cells {1,2}, Q uniform on cells {2,3}: tv = 0.5

@@ -47,6 +47,17 @@ class TestExitCodes:
     def test_model_required(self, tmp_path):
         assert run("--out", str(tmp_path), "validate") == 64
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_threads_env(self, value, tmp_path, monkeypatch):
+        monkeypatch.setenv("AFFINE_ERGO_THREADS", value)
+        assert run("--model", "cir_ou", "--out", str(tmp_path), "validate") == 64
+        assert not any(tmp_path.iterdir())
+
+    def test_threads_env_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AFFINE_ERGO_THREADS", "2")
+        assert run("--model", "cir_ou", "--out", str(tmp_path), "validate") == 0
+        assert json.loads((tmp_path / "manifest_validate.json").read_text())["threads"] == 2
+
 
 def test_charfn_divergent_model_exits_1(tmp_path):
     # z1-density 1/z1^2 on (0, 1] in n: the transform's quadrature cannot converge

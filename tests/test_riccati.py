@@ -84,6 +84,19 @@ class TestSolveV:
         assert sol.V1(0.0) == pytest.approx(-2.0, abs=1e-12)
         assert sol.psi_accum(0.0) == 0.0
 
+    def test_reads_outside_horizon_raise(self):
+        # the dense interpolant extrapolates outside [0, T]: on cir_ou it
+        # read V1(3.0) = 0j and V1(-0.5) = -607.6 against -0.0022 and -3.46
+        p = bundled("cir_ou")
+        sol = solve_V(p, UPoint(-1.0, 0.0), 1.0)
+        for t in (-0.5, 3.0, math.nextafter(1.0, 2.0)):
+            with pytest.raises(DomainError):
+                sol.V1(t)
+            with pytest.raises(DomainError):
+                sol.psi_accum(t)
+        for t in (0.0, 1.0):  # the endpoints are inside
+            assert sol.V1(t).real == pytest.approx(cir_v1(t, -1.0, p.a1, p.alpha_y), rel=1e-8)
+
     def test_u_stays_in_U(self):
         p = make_params(m=LevyMeasure.atomic([(0.5, 0.2, 0.8)]))
         sol = solve_V(p, UPoint(-1.0 + 2j, 1j), 4.0)
