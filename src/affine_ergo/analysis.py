@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from . import rng as rngmod
 from .errors import (
@@ -78,13 +77,14 @@ def _common_edges(P: EmpiricalDistribution, Q: EmpiricalDistribution, bins):
 
 def tv_hat(P: EmpiricalDistribution, Q: EmpiricalDistribution, bins=(50, 50)) -> float:
     """Half-L1 histogram TV estimate on a common grid over the pooled
-    1%-99% quantile box."""
+    1%-99% quantile box, in [0, 1]."""
     if P.n == 0 or Q.n == 0:
         raise EmptyDistribution("empty empirical distribution")
     ey, ez = _common_edges(P, Q, bins)
     hp = P.histogram(ey, ez)
     hq = Q.histogram(ey, ez)
-    return 0.5 * float(np.abs(hp - hq).sum())
+    # the summed weights of a histogram can pass 1 by a few ulp
+    return min(1.0, 0.5 * float(np.abs(hp - hq).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +339,9 @@ def ergodicity_curve(
     pos = tail & (emp > floor * 0.5)
     rate = float("nan")
     if pos.sum() >= 2:
-        sl = stats.linregress(t_grid[pos], np.log(emp[pos]))
-        rate = -float(sl.slope)
+        # least-squares slope, as scipy.stats.linregress computes it
+        c = np.cov(t_grid[pos], np.log(emp[pos]), bias=1)
+        rate = -float(c[0, 1] / c[0, 0])
     constants["fitted_decay_rate"] = rate
     return BoundReport(
         label="TV distance to stationary proxy",

@@ -100,7 +100,8 @@ class Run:
 @click.option("--model", default=None, help="Model JSON path or bundled name.")
 @click.option("--seed", default=7, type=click.IntRange(0), show_default=True)
 @click.option("--threads", default=1, type=click.IntRange(1), envvar="AFFINE_ERGO_THREADS",
-              show_envvar=True, show_default=True, help="Worker threads.")
+              show_envvar=True, show_default=True,
+              help="Threads drawing the simulator's normals ahead; outputs are unchanged.")
 @click.option("--out", default="out", show_default=True, help="Output directory.")
 @click.option("--strict", is_flag=True, help="Exit 2 on validation/condition failure.")
 @click.pass_context

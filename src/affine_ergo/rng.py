@@ -2,8 +2,8 @@
 
 Paths are processed in fixed-size chunks; each (seed, chunk, stream) triple
 keys an independent Philox stream, so results are bit-identical for any
-worker-thread count: scheduling only changes *when* a chunk runs, never
-which stream it consumes.
+worker-thread count: worker threads only change *when* a stream's values
+are drawn, never which values a chunk consumes.
 """
 
 from __future__ import annotations

@@ -29,6 +29,12 @@ and adds only its own independent increments, scaled by D:
 
 D is absorbed at 0 once it drops below coal_tol; after that the Z-difference
 decays deterministically at rate b2.
+
+Paths run in fixed-size chunks (`rng.CHUNK_SIZE`), one chunk after another
+on the calling thread.  A stream's normals are drawn BLOCK steps at a time
+(`_Normals`); with cfg.threads > 1 a pool of worker threads draws each
+stream's next block while the current one is used, and does nothing else.
+The draws do not depend on the thread count, so neither do the outputs.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from . import rng
 from .errors import ConfigError, TimeNotRecorded, ZeroMass
 from .measures import LevyMeasure, LevySampler, levy_integral
 from .model import ModelParams
+
+BLOCK = 8  # steps per draw of a stream's normals: 8 x 8192 doubles = 512 KiB
 
 
 @dataclass(frozen=True)
@@ -125,12 +133,24 @@ class _Compiled:
         self.use_w0 = p.sigma > 0
         self.use_w1 = p.a11 > 0 or p.a21 > 0
         self.use_w2 = p.a12 > 0 or p.a22 > 0
+        self.c11, self.c12 = math.sqrt(2 * p.a11), math.sqrt(2 * p.a12)
+        self.c21, self.c22 = math.sqrt(2 * p.a21), math.sqrt(2 * p.a22)
+        self.n_steps = cfg.n_steps
         self.njump = _JumpSpec(p.n, cfg.eps_trunc, "n")
         self.mjump = _JumpSpec(p.m, cfg.eps_trunc, "m")
         rec = cfg.record_steps()
         steps = sorted(rec)
         self.times = tuple(rec[s] for s in steps)
         self.rows = {s: i for i, s in enumerate(steps)}  # step -> record row
+
+    def normals(self, g: dict, n: int, pool, coupled: bool = False) -> dict:
+        """A `_Normals` for each normal stream the model uses: W0, W1, W2
+        one normal per step, and in a coupled run D_W one for each of the
+        W1 and W2 parts."""
+        k = {rng.W0: self.use_w0, rng.W1: self.use_w1, rng.W2: self.use_w2}
+        if coupled:
+            k[rng.D_W] = self.use_w1 + self.use_w2
+        return {sid: _Normals(g[sid], int(ks), n, self.n_steps, pool) for sid, ks in k.items() if ks}
 
 
 class _RecordGrid:
@@ -175,9 +195,44 @@ class CoupledEnsemble(_RecordGrid):
         return self.varsigma <= t + 1e-12
 
 
+class _Normals:
+    """One stream's standard normals for n_steps steps, k per path and step.
+
+    They are drawn BLOCK steps at a time as one (b, k, n) array, which holds
+    the values of b*k successive draws of n in their order, so blocking
+    changes no draw.  Without a pool a block is drawn when it is first read.
+    With one, the next block is drawn on a worker thread while the current
+    one is read; one block per stream is in flight at a time."""
+
+    def __init__(self, g: np.random.Generator, k: int, n: int, n_steps: int, pool=None):
+        self._g, self._shape, self._pool = g, (k, n), pool
+        self._left = n_steps
+        self._block = np.empty((0, k, n))
+        self._i = 0
+        self._pending = self._request()
+
+    def _request(self):
+        """A callable returning the next block, which a pool starts drawing now."""
+        b = min(BLOCK, self._left)
+        self._left -= b
+        shape = (b, *self._shape)
+        if self._pool is None or b == 0:
+            return lambda: self._g.standard_normal(shape)
+        return self._pool.submit(self._g.standard_normal, shape).result
+
+    def next(self) -> np.ndarray:
+        """The (k, n) normals of the next step."""
+        if self._i == len(self._block):
+            self._block, self._i = self._pending(), 0
+            self._pending = self._request()
+        self._i += 1
+        return self._block[self._i - 1]
+
+
 def _jump_sums(spec: _JumpSpec, g_count, g_jump, intensity, h: float, n: int):
     """Per-path sums of z1 and z2 over one step's jumps, with
-    Poisson(intensity * rate * h) jumps on each path.
+    Poisson(intensity * rate * h) jumps on each path; (0.0, 0.0) when the
+    step has none.
 
     Independent Poisson counts on the paths are one Poisson total placed
     path by path with probability proportional to the intensity
@@ -202,56 +257,86 @@ def _jump_sums(spec: _JumpSpec, g_count, g_jump, intensity, h: float, n: int):
     return np.bincount(idx, weights=z1j, minlength=n), np.bincount(idx, weights=z2j, minlength=n)
 
 
-def _step(comp: _Compiled, g: dict, Y: np.ndarray, Z: np.ndarray, n: int):
-    """One Euler step of n independent paths; returns the new (Y, Z)."""
-    p, h, sqh = comp.p, comp.h, comp.sqh
-    Yc = np.maximum(Y, 0.0)
-    xi0 = g[rng.W0].standard_normal(n) if comp.use_w0 else 0.0
-    xi1 = g[rng.W1].standard_normal(n) if comp.use_w1 else 0.0
-    xi2 = g[rng.W2].standard_normal(n) if comp.use_w2 else 0.0
+def _add(acc: np.ndarray, c: float, x: np.ndarray, y, tmp: np.ndarray) -> None:
+    """acc += (c * x) * y, skipped when c == 0; tmp is scratch."""
+    if c:
+        np.multiply(x, c, out=tmp)
+        tmp *= y
+        acc += tmp
+
+
+def _step(comp: _Compiled, g: dict, xi: dict, Y: np.ndarray, Z: np.ndarray, buf: np.ndarray):
+    """One Euler step of a chunk's paths, in place on Y and Z.
+
+    xi maps each normal stream the model uses to its `_Normals`, and buf is
+    (4, n) scratch.  The terms are added in the order of the scheme,
+    Y + (a2 - a1*Yc)*h + (sqrt(2*a11)*root)*xi1 + ...  A term whose
+    coefficient is 0 is skipped: adding it would change no sum, except in
+    turning a sum of exactly -0.0 into +0.0."""
+    p, h, n = comp.p, comp.h, Y.size
+    Yc, root, t, u = buf
+    np.maximum(Y, 0.0, out=Yc)
+    xi0 = xi[rng.W0].next()[0] if comp.use_w0 else None
+    xi1 = xi[rng.W1].next()[0] if comp.use_w1 else None
+    xi2 = xi[rng.W2].next()[0] if comp.use_w2 else None
     jn1, jn2 = _jump_sums(comp.njump, g[rng.N_COUNT], g[rng.N_JUMP], 1.0, h, n)
     jm1, jm2 = _jump_sums(comp.mjump, g[rng.M_COUNT], g[rng.M_JUMP], Yc, h, n)
-    root = np.sqrt(Yc * h)
-    Ynew = (
-        Y
-        + (p.a2 - p.a1 * Yc) * h
-        + math.sqrt(2 * p.a11) * root * xi1
-        + math.sqrt(2 * p.a12) * root * xi2
-        + jn1
-        + comp.njump.drop_mean_z1 * h  # mean of dropped uncompensated small N-jumps
-        + jm1
-        - Yc * comp.mjump.mean_z1 * h
-    )
-    Znew = (
-        Z
-        - (p.b0 + p.b1 * Yc + p.b2 * Z) * h
-        + p.sigma * sqh * xi0
-        + math.sqrt(2 * p.a21) * root * xi1
-        + math.sqrt(2 * p.a22) * root * xi2
-        + jn2
-        - comp.njump.mean_z2 * h
-        + jm2
-        - Yc * comp.mjump.mean_z2 * h
-    )
-    return np.maximum(Ynew, 0.0), Znew
+    np.sqrt(np.multiply(Yc, h, out=root), out=root)
+
+    np.multiply(Yc, p.a1, out=t)
+    np.subtract(p.a2, t, out=t)
+    t *= h
+    Y += t
+    _add(Y, comp.c11, root, xi1, t)
+    _add(Y, comp.c12, root, xi2, t)
+    if np.ndim(jn1):
+        Y += jn1
+    if comp.njump.drop_mean_z1:  # mean of dropped uncompensated small N-jumps
+        Y += comp.njump.drop_mean_z1 * h
+    if np.ndim(jm1):
+        Y += jm1
+    _add(Y, -comp.mjump.mean_z1, Yc, h, t)
+    np.maximum(Y, 0.0, out=Y)
+
+    # Z - (b0 + b1*Yc + b2*Z)*h + (sigma*sqh)*xi0 + ...
+    np.multiply(Yc, p.b1, out=t)
+    t += p.b0
+    t += np.multiply(Z, p.b2, out=u)
+    t *= h
+    Z -= t
+    if comp.use_w0:
+        Z += np.multiply(xi0, p.sigma * comp.sqh, out=t)
+    _add(Z, comp.c21, root, xi1, t)
+    _add(Z, comp.c22, root, xi2, t)
+    if np.ndim(jn2):
+        Z += jn2
+    if comp.njump.mean_z2:
+        Z -= comp.njump.mean_z2 * h
+    if np.ndim(jm2):
+        Z += jm2
+    _add(Z, -comp.mjump.mean_z2, Yc, h, t)
 
 
-def _simulate_chunk(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, x: tuple[float, float]):
+def _simulate_chunk(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
+                    x: tuple[float, float]):
     g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(rng.N_USED)}
+    xi = comp.normals(g, n, pool)
     Y = np.full(n, float(x[0]))
     Z = np.full(n, float(x[1]))
+    buf = np.empty((4, n))
     out = np.empty((2, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):
-        Y, Z = _step(comp, g, Y, Z, n)
+        _step(comp, g, xi, Y, Z, buf)
         if step in comp.rows:
             out[:, comp.rows[step]] = Y, Z
     return out[0], out[1]
 
 
-def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
+def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
                             x: tuple[float, float], y: tuple[float, float], coal_tol: float):
     p, h = comp.p, comp.h
     g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(rng.N_USED)}
+    xi = comp.normals(g, n, pool, coupled=True)
     Yb = np.full(n, float(y[0]))  # base copy (smaller start)
     Zb = np.full(n, float(y[1]))
     D = np.full(n, float(x[0]) - float(y[0]))
@@ -263,38 +348,46 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
         thresh_abs[:] = float(x[0]) != float(y[0])
         D[:] = 0.0
     decay = math.exp(-p.b2 * h)
+    buf = np.empty((4, n))
+    Dc, rootd, Dn, dZn, t = np.empty((5, n))
     out = np.empty((4, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):
-        t = step * h
-        Dc = np.maximum(D, 0.0)
+        np.maximum(D, 0.0, out=Dc)
         alive = D > 0.0
-        Yb, Zb = _step(comp, g, Yb, Zb, n)
+        _step(comp, g, xi, Yb, Zb, buf)
         # difference-process noise: independent, scaled by D (branching property)
-        xd1 = g[rng.D_W].standard_normal(n) if comp.use_w1 else 0.0
-        xd2 = g[rng.D_W].standard_normal(n) if comp.use_w2 else 0.0
+        xd = xi[rng.D_W].next() if rng.D_W in xi else None
+        xd1 = xd[0] if comp.use_w1 else None
+        xd2 = xd[int(comp.use_w1)] if comp.use_w2 else None
         jd1, jd2 = _jump_sums(comp.mjump, g[rng.DM_COUNT], g[rng.DM_JUMP], Dc, h, n)
-        rootd = np.sqrt(Dc * h)
-        Dn = (
-            D
-            - p.a1 * Dc * h
-            + math.sqrt(2 * p.a11) * rootd * xd1
-            + math.sqrt(2 * p.a12) * rootd * xd2
-            + jd1
-            - Dc * comp.mjump.mean_z1 * h
-        )
-        Dn = np.maximum(Dn, 0.0)
-        dZn = (
-            dZ
-            - (p.b1 * Dc + p.b2 * dZ) * h
-            + math.sqrt(2 * p.a21) * rootd * xd1
-            + math.sqrt(2 * p.a22) * rootd * xd2
-            + jd2
-            - Dc * comp.mjump.mean_z2 * h
-        )
-        # absorbed paths: deterministic decay of the accumulated Z-difference
+        np.sqrt(np.multiply(Dc, h, out=rootd), out=rootd)
+
+        # D - a1*Dc*h + (sqrt(2*a11)*rootd)*xd1 + ...
+        np.multiply(Dc, p.a1, out=t)
+        t *= h
+        np.subtract(D, t, out=Dn)
+        _add(Dn, comp.c11, rootd, xd1, t)
+        _add(Dn, comp.c12, rootd, xd2, t)
+        if np.ndim(jd1):
+            Dn += jd1
+        _add(Dn, -comp.mjump.mean_z1, Dc, h, t)
+        np.maximum(Dn, 0.0, out=Dn)
+
+        # dZ - (b1*Dc + b2*dZ)*h + ...; absorbed paths: deterministic decay
+        # of the accumulated Z-difference
+        np.multiply(Dc, p.b1, out=dZn)
+        dZn += np.multiply(dZ, p.b2, out=t)
+        dZn *= h
+        np.subtract(dZ, dZn, out=dZn)
+        _add(dZn, comp.c21, rootd, xd1, t)
+        _add(dZn, comp.c22, rootd, xd2, t)
+        if np.ndim(jd2):
+            dZn += jd2
+        _add(dZn, -comp.mjump.mean_z2, Dc, h, t)
         dZ = np.where(alive, dZn, dZ * decay)
+
         newly = alive & (Dn <= coal_tol)
-        varsigma = np.where(newly, t, varsigma)
+        varsigma[newly] = step * h
         thresh_abs |= newly & (Dn > 0.0)
         D = np.where(alive & ~newly, Dn, 0.0)
         if step in comp.rows:
@@ -303,18 +396,25 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
 
 
 def _run_chunks(cfg: SimConfig, run_chunk) -> list[np.ndarray]:
-    """Call run_chunk(chunk, n) on each fixed-size path chunk, on cfg.threads
-    worker threads, and join each returned array along its last (path) axis
-    in chunk order."""
+    """Call run_chunk(chunk, n, pool) on each fixed-size path chunk in chunk
+    order, on the calling thread, and join each returned array along its
+    last (path) axis.
+
+    With cfg.threads > 1, pool is a thread pool of cfg.threads workers that
+    only draws normals ahead (`_Normals`): numpy's normal sampler runs
+    without the interpreter lock and scales over threads, while the Euler
+    arithmetic, a few dozen numpy calls per step, does not.  Otherwise pool
+    is None.  Either way each chunk consumes the same streams in the same
+    order, so outputs do not depend on cfg.threads."""
     jobs = [
         (i, min(rng.CHUNK_SIZE, cfg.n_paths - start))
         for i, start in enumerate(range(0, cfg.n_paths, rng.CHUNK_SIZE))
     ]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda job: run_chunk(*job), jobs))
+            results = [run_chunk(i, n, pool) for i, n in jobs]
     else:
-        results = [run_chunk(*job) for job in jobs]
+        results = [run_chunk(i, n, None) for i, n in jobs]
     return [np.concatenate(parts, axis=-1) for parts in zip(*results)]
 
 
@@ -323,7 +423,7 @@ def simulate_paths(params: ModelParams, x: tuple[float, float], cfg: SimConfig) 
     if x[0] < 0:
         raise ConfigError("x1 must be >= 0")
     comp = _Compiled(params, cfg)
-    Y, Z = _run_chunks(cfg, lambda i, n: _simulate_chunk(comp, cfg, i, n, x))
+    Y, Z = _run_chunks(cfg, lambda i, n, pool: _simulate_chunk(comp, cfg, i, n, pool, x))
     return Ensemble(record_times=comp.times, Y=Y, Z=Z, cfg=cfg)
 
 
@@ -344,7 +444,7 @@ def simulate_coupled(
     coal_tol = cfg.coal_tol if cfg.coal_tol is not None else 1e-12 * max(1.0, x[0])
     comp = _Compiled(params, cfg)
     Yx, Zx, Yy, Zy, varsigma, thr = _run_chunks(
-        cfg, lambda i, n: _simulate_chunk_coupled(comp, cfg, i, n, x, y, coal_tol)
+        cfg, lambda i, n, pool: _simulate_chunk_coupled(comp, cfg, i, n, pool, x, y, coal_tol)
     )
     return CoupledEnsemble(
         record_times=comp.times,

@@ -62,7 +62,7 @@ class TestTvHat:
     def test_disjoint(self):
         P = dist(np.zeros(100), np.zeros(100))
         Q = dist(np.full(100, 10.0), np.full(100, 10.0))
-        assert tv_hat(P, Q) == pytest.approx(1.0)  # 1 + 3 ulp: histogram2d sums the 0.01 weights
+        assert tv_hat(P, Q) == 1.0  # unclamped, histogram2d's summed 0.01 weights give 1 + 3 ulp
 
     def test_half_overlap_bins(self):
         # P uniform on cells {1,2}, Q uniform on cells {2,3}: tv = 0.5

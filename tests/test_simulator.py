@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from affine_ergo.model import ModelParams, load_model
 from affine_ergo.riccati import cbi_mean, char_fn
 from affine_ergo.mechanisms import UPoint
 from affine_ergo.simulator import (
+    BLOCK,
     SimConfig,
     _jump_sums,
     _JumpSpec,
+    _Normals,
     simulate_coupled,
     simulate_paths,
 )
@@ -38,6 +42,21 @@ def jump_model():
 def atom_in_box_model():
     """make_params with branching jumps, one atom inside the eps_trunc=0.5 box."""
     return make_params(m=LevyMeasure.atomic([(0.4, 0.1, 2.0), (1.0, -0.3, 0.4)]))
+
+
+def full_alpha_model():
+    """All four alpha entries > 0: W2, two D_W normals per step and the
+    a12, a21, a22 terms; jumps of both kinds with z2 parts."""
+    return make_params(alpha=((0.25, 0.1), (0.15, 0.2)),
+                       m=LevyMeasure.atomic([(0.5, 0.2, 0.8), (1.0, -0.3, 0.4)]),
+                       n=LevyMeasure.atomic([(0.3, 0.4, 1.0)]))
+
+
+GOLDEN_MODELS = {
+    "atom_in_box": atom_in_box_model,
+    "full_alpha": full_alpha_model,
+    "sigma_zero": lambda: make_params(sigma=0.0),
+}
 
 
 class TestConfig:
@@ -107,12 +126,20 @@ class TestSinglePath:
 
 class TestDeterminism:
     def test_thread_count_invariance(self):
+        # 20,000 paths are three chunks, and 50 steps are not a multiple of BLOCK
         p = jump_model()
         base = dict(dt=0.01, T=0.5, n_paths=20_000, seed=6, record_times=(0.25, 0.5))
+        assert round(base["T"] / base["dt"]) % BLOCK != 0
         e1 = simulate_paths(p, (1.0, 0.0), SimConfig(**base, threads=1))
-        e8 = simulate_paths(p, (1.0, 0.0), SimConfig(**base, threads=8))
-        assert np.array_equal(e1.Y, e8.Y)
-        assert np.array_equal(e1.Z, e8.Z)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often while blocks are in flight
+        try:
+            for threads in (2, 3, 8):
+                en = simulate_paths(p, (1.0, 0.0), SimConfig(**base, threads=threads))
+                assert np.array_equal(e1.Y, en.Y), threads
+                assert np.array_equal(e1.Z, en.Z), threads
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_seed_changes_output(self):
         p = make_params()
@@ -126,9 +153,10 @@ class TestDeterminism:
         p = atom_in_box_model()
         base = dict(dt=0.01, T=0.5, n_paths=20_000, seed=9, record_times=(0.5,), eps_trunc=0.5)
         c1 = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=1))
-        c8 = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=8))
-        for f in ("Yx", "Zx", "Yy", "Zy", "varsigma", "threshold_absorbed"):
-            assert np.array_equal(getattr(c1, f), getattr(c8, f)), f
+        for threads in (2, 3, 8):
+            cn = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=threads))
+            for f in ("Yx", "Zx", "Yy", "Zy", "varsigma", "threshold_absorbed"):
+                assert np.array_equal(getattr(c1, f), getattr(cn, f)), (f, threads)
 
     # SHA-256 of the raw output bytes (signed zeros included), computed at
     # version 0.2.0.  A mismatch means a seed's output changed.
@@ -149,14 +177,23 @@ class TestDeterminism:
             "a860d12c70de7bb6f629b658085dc26c4ab25e31d7ed8df8cadf537647195270",
             "fc136052ceea79c14c4fcd636db1560ca26a048307838056e55b368f6515ed65",
         ),
+        "full_alpha": (
+            "5a91d4bd82dc49e12667b2288cb1ab611d074f9e97a31d3a0d6dd0faf05f066c",
+            "5285f2cec01f0b5564bc5f2b889d9fc3efc02beb91ad2232ce09425a8c994ba3",
+        ),
+        "sigma_zero": (
+            "8dee14c917e0fe14823ac26aa9caedda8f6c3ed345bcc6f8d94e533cbd471493",
+            "d151763bac65b2f3b46b88f51b9efcfcd0e6bc879b01a7e4d88dfd620116f99c",
+        ),
     }
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("name,eps", [("cir_ou", 0.0), ("jump_cbi_ou", 0.6),
-                                          ("gamma_imm", 1e-2), ("atom_in_box", 0.5)])
+                                          ("gamma_imm", 1e-2), ("atom_in_box", 0.5),
+                                          ("full_alpha", 0.0), ("sigma_zero", 0.0)])
     def test_golden_digests(self, name, eps, threads):
         # 9,000 paths are two chunks; atom_in_box has an m atom inside the eps box
-        p = atom_in_box_model() if name == "atom_in_box" else bundled(name)
+        p = GOLDEN_MODELS[name]() if name in GOLDEN_MODELS else bundled(name)
         cfg = SimConfig(dt=0.01, T=0.5, n_paths=9_000, seed=23, record_times=(0.25, 0.5),
                         eps_trunc=eps, threads=threads)
 
@@ -170,6 +207,23 @@ class TestDeterminism:
         c = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), cfg)
         got = (digest(e.Y, e.Z), digest(c.Yx, c.Zx, c.Yy, c.Zy, c.varsigma, c.threshold_absorbed))
         assert got == self.GOLDEN[name], "draws changed: bump `__version__` and update the digests"
+
+
+class TestNormals:
+    """`_Normals` blocks hold exactly the draws of one call per step."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_blocks_match_per_step_draws(self, k, pooled):
+        n, n_steps = 5, 2 * BLOCK + 3
+        ref_g, g = np.random.default_rng(31), np.random.default_rng(31)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            src = _Normals(g, k, n, n_steps, pool if pooled else None)
+            for _ in range(n_steps):
+                want = np.array([ref_g.standard_normal(n) for _ in range(k)]).reshape(k, n)
+                assert np.array_equal(src.next(), want)
+        # the stream is left where per-step draws leave it
+        assert g.random() == ref_g.random()
 
 
 class TestJumpCounts:
