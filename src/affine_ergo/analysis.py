@@ -150,6 +150,11 @@ def lemma31_constants(params: ModelParams) -> tuple[float, float, float, float]:
     return C11, C12, C1, C2
 
 
+def _binomial_se(p, n: int):
+    """Standard error of a proportion p of n, floored at that of 1/n."""
+    return np.sqrt(np.maximum(p * (1 - p), 1.0 / n) / n)
+
+
 def lemma31_check(
     params: ModelParams,
     x: tuple[float, float],
@@ -183,7 +188,7 @@ def lemma31_check(
             p = float(np.mean(dz > Tt * eta))
             tails[(float(t), float(eta))] = {
                 "empirical": p,
-                "se": math.sqrt(max(p * (1 - p), 1.0 / dz.size) / dz.size),
+                "se": float(_binomial_se(p, dz.size)),
                 "bound": bracket / eta,
             }
     return BoundReport(
@@ -361,7 +366,13 @@ def coalescence_curve(
     t_grid,
     cfg: SimConfig,
 ) -> BoundReport:
-    """Empirical non-coalescence probability against min(1, vbar_t (x1-y1))."""
+    """Empirical non-coalescence probability against min(1, vbar_t (x1-y1)).
+
+    extras["exact"] is the exact probability 1 - exp(-vbar_t (x1-y1)): the
+    difference of the two Y-coordinates is a CB process without
+    immigration, which is 0 at t with probability exp(-gap vbar_t).
+    extras["z"] is the two-sided score (empirical - exact) / se0, se0 the
+    binomial standard error at the exact probability (floored like se)."""
     if x1 < y1:
         x1, y1 = y1, x1
     t_grid = np.asarray(sorted(t_grid), dtype=float)
@@ -371,11 +382,14 @@ def coalescence_curve(
     emp = np.empty(len(t_grid))
     se = np.empty(len(t_grid))
     bound = np.empty(len(t_grid))
+    exact = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
         p = float(np.mean(~ce.coalesced_by(t)))
         emp[i] = p
-        se[i] = math.sqrt(max(p * (1 - p), 1.0 / ce.n_paths) / ce.n_paths)
-        bound[i] = min(1.0, params.vbar(t) * gap) if gap > 0 else 0.0
+        se[i] = _binomial_se(p, ce.n_paths)
+        v = params.vbar(t) * gap if gap > 0 else 0.0
+        bound[i] = min(1.0, v)
+        exact[i] = -math.expm1(-v)
     return BoundReport(
         label="non-coalescence probability vs vbar",
         t_grid=t_grid,
@@ -383,6 +397,7 @@ def coalescence_curve(
         se=se,
         bound=bound,
         constants={"gap": gap, "coal_tol_bias": float(ce.threshold_absorbed.mean())},
+        extras={"exact": exact, "z": (emp - exact) / _binomial_se(exact, ce.n_paths)},
     )
 
 

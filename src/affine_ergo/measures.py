@@ -729,9 +729,7 @@ class LevySampler:
     def draw(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         if size == 0:
             return np.zeros(0), np.zeros(0)
-        u = rng.random(size)
-        j1 = rng.random(size)
-        j2 = rng.random(size)
+        u, j1, j2 = rng.random((3, size))  # the values of three calls of size
         idx = np.searchsorted(self._cum, u, side="right")
         idx = np.minimum(idx, len(self.w) - 1)
         z1 = self.z1[idx] + (j1 - 0.5) * self.d1[idx]

@@ -15,13 +15,25 @@ eps_trunc are dropped, and the mean z1 of the dropped immigration jumps is
 restored as drift; the other jump terms are compensated, so their dropped
 part has mean zero.
 
+Z's W0 part is drawn at record steps only.  The Euler chain for Z is linear
+and sigma*dW0 has a constant coefficient, so Z_k = Z'_k + G_k, where Z' is
+the chain without its sigma*sqrt(h)*xi0 term and G_k = rho*G_{k-1} +
+sigma*sqrt(h)*xi0_k (rho = 1 - b2*h, G_0 = 0) is a Gaussian AR(1)
+independent of Y and of every other noise.  `_step` advances Z'; at a
+record step W0 carries one normal per path, and G moves over the Delta
+steps since the previous record in one draw, G <- rho^Delta*G +
+s_Delta*N(0, 1) with s_Delta^2 = sigma^2*h*sum_{i<Delta} rho^(2i).  The
+recorded (Y, Z' + G) has the law of the full Euler chain at the record
+times.
+
 Coupling (the time-space noise split of Dawson-Li 2012): the copy with the
 smaller start is the base copy and is advanced by the same `_step` as
 `simulate_paths`, so it consumes W0, W1, W2, the immigration jumps and its
 branching jumps exactly as a single path from its start does; its paths are
-bit-identical to `simulate_paths` from that start.  The difference process
-D = Y(x) - Y(y) is a continuous-state branching process without immigration
-and adds only its own independent increments, scaled by D:
+bit-identical to `simulate_paths` from that start.  W0 is common noise, so
+both copies add the same G.  The difference process D = Y(x) - Y(y) is a
+continuous-state branching process without immigration and adds only its
+own independent increments, scaled by D:
 
 - D_W: the normals that drive D and the Z-difference, one for the W1 part and
   one for the W2 part, each drawn only when the model has that part;
@@ -129,7 +141,6 @@ class _Compiled:
         p = params
         self.p = p
         self.h = cfg.dt
-        self.sqh = math.sqrt(cfg.dt)
         self.use_w0 = p.sigma > 0
         self.use_w1 = p.a11 > 0 or p.a21 > 0
         self.use_w2 = p.a12 > 0 or p.a22 > 0
@@ -142,15 +153,33 @@ class _Compiled:
         steps = sorted(rec)
         self.times = tuple(rec[s] for s in steps)
         self.rows = {s: i for i, s in enumerate(steps)}  # step -> record row
+        # G's AR(1) factor rho^Delta and scale s_Delta from each record row
+        # to the next, Delta being the steps since the previous record
+        rho = 1.0 - p.b2 * cfg.dt
+        self.ou = [
+            (rho ** d, p.sigma * math.sqrt(cfg.dt * float(np.sum((rho * rho) ** np.arange(d)))))
+            for d in np.diff(steps, prepend=0)
+        ]
 
     def normals(self, g: dict, n: int, pool, coupled: bool = False) -> dict:
-        """A `_Normals` for each normal stream the model uses: W0, W1, W2
-        one normal per step, and in a coupled run D_W one for each of the
-        W1 and W2 parts."""
-        k = {rng.W0: self.use_w0, rng.W1: self.use_w1, rng.W2: self.use_w2}
+        """A `_Normals` for each per-step normal stream the model uses: W1
+        and W2 one normal per step, and in a coupled run D_W one for each of
+        the W1 and W2 parts.  W0 is drawn at record steps only (`with_ou`)."""
+        k = {rng.W1: self.use_w1, rng.W2: self.use_w2}
         if coupled:
             k[rng.D_W] = self.use_w1 + self.use_w2
         return {sid: _Normals(g[sid], int(ks), n, self.n_steps, pool) for sid, ks in k.items() if ks}
+
+    def with_ou(self, g0: np.random.Generator, G: np.ndarray, row: int, Z: np.ndarray) -> np.ndarray:
+        """Z + G at record row `row`, after G, the W0 part of Z, has moved
+        in place over the steps since the previous record with one normal
+        per path from g0; Z itself when sigma is 0."""
+        if not self.use_w0:
+            return Z
+        a, s = self.ou[row]
+        G *= a
+        G += s * g0.standard_normal(G.size)
+        return Z + G
 
 
 class _RecordGrid:
@@ -266,7 +295,8 @@ def _add(acc: np.ndarray, c: float, x: np.ndarray, y, tmp: np.ndarray) -> None:
 
 
 def _step(comp: _Compiled, g: dict, xi: dict, Y: np.ndarray, Z: np.ndarray, buf: np.ndarray):
-    """One Euler step of a chunk's paths, in place on Y and Z.
+    """One Euler step of a chunk's paths, in place on Y and on Z without its
+    W0 part.
 
     xi maps each normal stream the model uses to its `_Normals`, and buf is
     (4, n) scratch.  The terms are added in the order of the scheme,
@@ -276,7 +306,6 @@ def _step(comp: _Compiled, g: dict, xi: dict, Y: np.ndarray, Z: np.ndarray, buf:
     p, h, n = comp.p, comp.h, Y.size
     Yc, root, t, u = buf
     np.maximum(Y, 0.0, out=Yc)
-    xi0 = xi[rng.W0].next()[0] if comp.use_w0 else None
     xi1 = xi[rng.W1].next()[0] if comp.use_w1 else None
     xi2 = xi[rng.W2].next()[0] if comp.use_w2 else None
     jn1, jn2 = _jump_sums(comp.njump, g[rng.N_COUNT], g[rng.N_JUMP], 1.0, h, n)
@@ -298,14 +327,12 @@ def _step(comp: _Compiled, g: dict, xi: dict, Y: np.ndarray, Z: np.ndarray, buf:
     _add(Y, -comp.mjump.mean_z1, Yc, h, t)
     np.maximum(Y, 0.0, out=Y)
 
-    # Z - (b0 + b1*Yc + b2*Z)*h + (sigma*sqh)*xi0 + ...
+    # Z - (b0 + b1*Yc + b2*Z)*h + (sqrt(2*a21)*root)*xi1 + ...; no W0 term
     np.multiply(Yc, p.b1, out=t)
     t += p.b0
     t += np.multiply(Z, p.b2, out=u)
     t *= h
     Z -= t
-    if comp.use_w0:
-        Z += np.multiply(xi0, p.sigma * comp.sqh, out=t)
     _add(Z, comp.c21, root, xi1, t)
     _add(Z, comp.c22, root, xi2, t)
     if np.ndim(jn2):
@@ -323,12 +350,14 @@ def _simulate_chunk(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
     xi = comp.normals(g, n, pool)
     Y = np.full(n, float(x[0]))
     Z = np.full(n, float(x[1]))
+    G = np.zeros(n)
     buf = np.empty((4, n))
     out = np.empty((2, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):
         _step(comp, g, xi, Y, Z, buf)
         if step in comp.rows:
-            out[:, comp.rows[step]] = Y, Z
+            row = comp.rows[step]
+            out[:, row] = Y, comp.with_ou(g[rng.W0], G, row, Z)
     return out[0], out[1]
 
 
@@ -339,6 +368,7 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
     xi = comp.normals(g, n, pool, coupled=True)
     Yb = np.full(n, float(y[0]))  # base copy (smaller start)
     Zb = np.full(n, float(y[1]))
+    G = np.zeros(n)  # W0 part of Z, common to both copies
     D = np.full(n, float(x[0]) - float(y[0]))
     dZ = np.full(n, float(x[1]) - float(y[1]))
     varsigma = np.full(n, np.inf)
@@ -391,7 +421,9 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
         thresh_abs |= newly & (Dn > 0.0)
         D = np.where(alive & ~newly, Dn, 0.0)
         if step in comp.rows:
-            out[:, comp.rows[step]] = Yb + D, Zb + dZ, Yb, Zb
+            row = comp.rows[step]
+            Zy = comp.with_ou(g[rng.W0], G, row, Zb)
+            out[:, row] = Yb + D, Zy + dZ, Yb, Zy
     return out[0], out[1], out[2], out[3], varsigma, thresh_abs
 
 

@@ -249,6 +249,17 @@ class TestCoalescence:
         for t, b in zip(rep.t_grid, rep.bound):
             assert b == pytest.approx(min(1.0, 2.0 / (math.exp(2 * t) - 1.0)), rel=1e-8)
 
+    def test_exact_law_and_z(self):
+        p = make_params(a1=2.0, alpha=((1.0, 0.0), (0.0, 0.0)))
+        cfg = SimConfig(dt=0.01, T=1.0, n_paths=100, seed=35)
+        rep = coalescence_curve(p, 2.0, 1.0, (0.5, 1.0), cfg)
+        gap = 1.0
+        for t, e in zip(rep.t_grid, rep.extras["exact"]):
+            assert e == -math.expm1(-gap * p.vbar(t))
+        exact = rep.extras["exact"]
+        se0 = np.sqrt(np.maximum(exact * (1 - exact), 1 / 100) / 100)
+        assert np.allclose(rep.extras["z"], (rep.empirical - exact) / se0, rtol=1e-12, atol=0)
+
 
 class TestStationaryMoments:
     def test_cir_delta1(self):

@@ -16,6 +16,7 @@ from affine_ergo.measures import (
     levy_restrict_tail,
     overlap_stats,
 )
+from affine_ergo.rng import M_JUMP, stream
 
 
 def atomic(*atoms):
@@ -170,6 +171,20 @@ class TestSampler:
         s = LevySampler(p.n.truncate_small(1e-3))
         assert s.w.size < 10_000
         assert s.rate == pytest.approx(6.331539364, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 7, 164, 1001])
+    def test_draw_matches_three_calls(self, k):
+        # one (3, k) draw holds the values of three calls of k in their order
+        fn = compile_density_expr("exp(-z1)", ("z1", "z2"))
+        s = LevySampler(LevyMeasure.from_density(fn, ((0.0, 5.0), (-1.0, 1.0)), (16, 4)))
+        ref_g, g = stream(5, 1, M_JUMP), stream(5, 1, M_JUMP)
+        z1, z2 = s.draw(g, k)
+        u, j1, j2 = ref_g.random(k), ref_g.random(k), ref_g.random(k)
+        idx = np.minimum(np.searchsorted(s._cum, u, side="right"), len(s.w) - 1)
+        assert np.array_equal(z1, s.z1[idx] + (j1 - 0.5) * s.d1[idx])
+        assert np.array_equal(z2, s.z2[idx] + (j2 - 0.5) * s.d2[idx])
+        # the stream is left where three calls leave it
+        assert g.random() == ref_g.random()
 
     def test_ks_distance_exponential_marginal(self):
         fn = compile_density_expr("exp(-z1)", ("z1", "z2"))

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import affine_ergo
 from affine_ergo.errors import ConfigError, TimeNotRecorded
 from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model
@@ -158,34 +159,68 @@ class TestDeterminism:
             for f in ("Yx", "Zx", "Yy", "Zy", "varsigma", "threshold_absorbed"):
                 assert np.array_equal(getattr(c1, f), getattr(cn, f)), (f, threads)
 
-    # SHA-256 of the raw output bytes (signed zeros included), computed at
-    # version 0.2.0.  A mismatch means a seed's output changed.
-    GOLDEN = {
+    # SHA-256 of the raw output bytes (signed zeros included).  A mismatch
+    # means a seed's output changed: bump `__version__`, recompute GOLDEN and
+    # set GOLDEN_VERSION to the new version.
+    GOLDEN_VERSION = "0.3.0"
+    GOLDEN = {  # (Y, Z) of simulate_paths; all six arrays of simulate_coupled
         "cir_ou": (
-            "81d67ce051cc16695437a24bb1385a5cbabef68e96490fbfe9e9c5821ef6829d",
-            "4320598c816a610ecf13a8c6e1e486c4d9f0c7d9bfefef9fa6f2d962a228e5b4",
+            "aceeb5b4a5fc0c22bc1f46d9204ee121d206a01f0fa320932cbe2fc143ce38b8",
+            "e2b6c7143447477b7eedd9a68af02fa2a9ad67ca8425cf21611fca834a78aded",
         ),
         "jump_cbi_ou": (
-            "eb617049e78937a14511dc93169013d3d6aa3a94146ae78a132f6b1239c4052f",
-            "e046744a97c4c083f93ea12d34b8b3e1319bb9554b874185bd838bbfb1f243db",
+            "51950e1977dd38549c8a51cb16eb91c4421474a0ba3134c17aacca3afb0fd228",
+            "af8c2315356c8e91ed1b137e54b48fbbdd2127477735469eb3dc6a51aee06f05",
         ),
         "gamma_imm": (
-            "615a5a523554ee598cb6a20b790dd5a1b502cea1e1eeebbae2a8bbadb5ef3fdd",
-            "87a491f5cedfc9316a440dcf00ff659b1eaed37a81d690c904045d3cbc0d8af8",
+            "74f15010f4c34f2384ac061dd3383a16f8d64fab197839012297a3e100c716d7",
+            "331d56411a8279c39905d256808584d0e37ce3d4f83f87e99c5f09e84da2f45d",
         ),
         "atom_in_box": (
-            "a860d12c70de7bb6f629b658085dc26c4ab25e31d7ed8df8cadf537647195270",
-            "fc136052ceea79c14c4fcd636db1560ca26a048307838056e55b368f6515ed65",
+            "c63ed219a3968b394d56e74f7e3daff3291dee097a448a889c436af6e66e4ea7",
+            "f382fef850d988e2b33dff7937db4d26a7eec5e7a83c994f5391a1dc2b6541f6",
         ),
         "full_alpha": (
-            "5a91d4bd82dc49e12667b2288cb1ab611d074f9e97a31d3a0d6dd0faf05f066c",
-            "5285f2cec01f0b5564bc5f2b889d9fc3efc02beb91ad2232ce09425a8c994ba3",
+            "0351794947bf1eb61a086365daa9bb0523ee2312d5de63bbe3194613e179afc5",
+            "4e6b4d9d7196966649f2c378afac62bd00ebc64673737149e8170c45fef3724e",
         ),
         "sigma_zero": (
             "8dee14c917e0fe14823ac26aa9caedda8f6c3ed345bcc6f8d94e533cbd471493",
             "d151763bac65b2f3b46b88f51b9efcfcd0e6bc879b01a7e4d88dfd620116f99c",
         ),
     }
+    # Y of simulate_paths; Yx, Yy, varsigma and threshold_absorbed of
+    # simulate_coupled.  Unchanged since 0.2.0: the draws of Y and of the
+    # coalescence times have not changed since then.
+    GOLDEN_Y = {
+        "cir_ou": (
+            "70b6afde1f0938232c8cfabae694af4027b8d7a67de8f4305191e343d2b96ed6",
+            "39d6e74b1ca59d2924ac76d9222cba154fabdacbcc98c1c7570ede8ba77131b1",
+        ),
+        "jump_cbi_ou": (
+            "ab742e1c30cec7df43c8bff648356803ff178b1e194f24dd7141af8fffb1dd97",
+            "4994739690ee6092ce230516babf444084526fefae86fe2a8547f41707b5b14e",
+        ),
+        "gamma_imm": (
+            "9ccaf2bfb19d78e660fe7a09beb9e18d658f5b425be26fa2ae572a8d73432573",
+            "8f1154c8c2d59b505b7d2fe1f981a19ee6f2952d4569e9e421482bf74a48dd71",
+        ),
+        "atom_in_box": (
+            "5a5ec959a0be45c781ab786dc77879d9558c2d5d99d0a10dff8356ee0dfb8e4f",
+            "1113c9d731f459540cc2699d7d43447270a0305b0fc5c0194beea9a7bff5730c",
+        ),
+        "full_alpha": (
+            "0828291f092920fc552d003cd7c1193e933392e49aa93772a8cf7cae6168212a",
+            "9358d104fad3c6e264f61d4a66b093d65b05bfed4a3483d3499ac5207eaa4fe7",
+        ),
+        "sigma_zero": (  # sigma does not enter Y, so these are cir_ou's
+            "70b6afde1f0938232c8cfabae694af4027b8d7a67de8f4305191e343d2b96ed6",
+            "39d6e74b1ca59d2924ac76d9222cba154fabdacbcc98c1c7570ede8ba77131b1",
+        ),
+    }
+
+    def test_golden_version(self):
+        assert self.GOLDEN_VERSION == affine_ergo.__version__
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("name,eps", [("cir_ou", 0.0), ("jump_cbi_ou", 0.6),
@@ -205,8 +240,50 @@ class TestDeterminism:
 
         e = simulate_paths(p, (2.0, 1.0), cfg)
         c = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), cfg)
+        got_y = (digest(e.Y), digest(c.Yx, c.Yy, c.varsigma, c.threshold_absorbed))
+        assert got_y == self.GOLDEN_Y[name], "the draws of Y or of the coalescence times changed"
         got = (digest(e.Y, e.Z), digest(c.Yx, c.Zx, c.Yy, c.Zy, c.varsigma, c.threshold_absorbed))
         assert got == self.GOLDEN[name], "draws changed: bump `__version__` and update the digests"
+
+
+class TestRecordOU:
+    """Z's W0 part is drawn at record steps only; the recorded Z keeps the
+    joint law of the Euler chain Z_k = rho*Z_{k-1} - b0*h + sigma*sqrt(h)*xi_k,
+    rho = 1 - b2*h, at every pair of record times."""
+
+    def test_euler_ar1_law(self):
+        # a2 = 0, x1 = 0 and no jumps: Y stays 0 and Z is the Gaussian AR(1)
+        b0, b2, sigma, h, z0 = 0.2, 0.5, 0.5, 0.2, 1.0
+        p = make_params(a2=0.0, b0=b0, b2=b2, sigma=sigma)
+        cfg = SimConfig(dt=h, T=1.0, n_paths=100_000, seed=41, record_times=(0.4, 1.0))
+        e = simulate_paths(p, (0.0, z0), cfg)
+        assert np.all(e.Y == 0.0)
+        rho = 1.0 - b2 * h
+        ks = (2, 5)
+
+        def mean(k):
+            return rho**k * z0 - b0 * h * sum(rho**i for i in range(k))
+
+        def var(k):
+            return sigma**2 * h * sum(rho ** (2 * i) for i in range(k))
+
+        dev = e.Z - np.array([[mean(k)] for k in ks])
+        n = cfg.n_paths
+        for i, k in enumerate(ks):
+            z = dev[i]
+            assert abs(z.mean()) <= 3 * z.std() / math.sqrt(n), k
+            sq = z * z
+            se = sq.std() / math.sqrt(n)
+            assert abs(sq.mean() - var(k)) <= 3 * se, k
+            # the continuous OU variance is more than 5 SE away, so the
+            # check tells the Euler law from the exact one
+            t = k * h
+            assert abs(sigma**2 * (1 - math.exp(-2 * b2 * t)) / (2 * b2) - var(k)) > 5 * se, k
+        cross = dev[0] * dev[1]
+        se = cross.std() / math.sqrt(n)
+        cov = rho ** (ks[1] - ks[0]) * var(ks[0])
+        assert abs(cross.mean() - cov) <= 3 * se
+        assert cov > 5 * se  # G drawn afresh at each record time would read 0
 
 
 class TestNormals:
