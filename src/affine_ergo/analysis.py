@@ -23,8 +23,8 @@ from .errors import (
     SubcriticalityViolated,
 )
 from .measures import levy_integral, levy_restrict_tail
-from .mechanisms import _jsonable, check_C
-from .model import ModelParams
+from .mechanisms import check_C
+from .model import ModelParams, _jsonable
 from .riccati import delta1
 from .simulator import SimConfig, simulate_coupled, simulate_paths
 
@@ -155,6 +155,11 @@ def _binomial_se(p, n: int):
     return np.sqrt(np.maximum(p * (1 - p), 1.0 / n) / n)
 
 
+def _mean_se(x: np.ndarray) -> float:
+    """Standard error of the mean of the samples x; nan (null in JSON) for one."""
+    return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.nan
+
+
 def lemma31_check(
     params: ModelParams,
     x: tuple[float, float],
@@ -181,7 +186,7 @@ def lemma31_check(
         k = ce.index_of(t)
         dz = np.abs(ce.Zx[k] - ce.Zy[k])
         emp[i] = float(dz.mean())
-        se[i] = float(dz.std(ddof=1) / math.sqrt(dz.size))
+        se[i] = _mean_se(dz)
         Tt = math.exp(-params.b2 * t)
         bound[i] = Tt * bracket
         for eta in eta_grid:
@@ -295,14 +300,12 @@ def stationary_proxy(
     return EmpiricalDistribution.from_samples(ens.Y[0], ens.Z[0])
 
 
-def noise_floor(
-    params: ModelParams, cfg: SimConfig, horizon: float, bins=(50, 50)
-) -> float:
+def noise_floor(params: ModelParams, cfg: SimConfig, horizon: float) -> float:
     """Calibrated TV estimator floor: 2 tv_hat of two independent
     same-law ensembles."""
     p1 = stationary_proxy(params, cfg, horizon, seed_tag=1)
     p2 = stationary_proxy(params, cfg, horizon, seed_tag=2)
-    return 2.0 * tv_hat(p1, p2, bins)
+    return 2.0 * tv_hat(p1, p2)
 
 
 def ergodicity_curve(
@@ -311,23 +314,20 @@ def ergodicity_curve(
     t_grid,
     cfg: SimConfig,
     eps: float | None = None,
-    bins=(50, 50),
 ) -> BoundReport:
     """2 tv_hat(law at t from x, long-horizon proxy) per t, with the
     exponential bound overlaid when its conditions check out."""
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     horizon = 4.0 * float(t_grid[-1])
     pi_hat = stationary_proxy(params, cfg, horizon, seed_tag=1)
-    # noise_floor(params, cfg, horizon, bins), reusing the seed_tag=1 proxy
-    floor = 2.0 * tv_hat(pi_hat, stationary_proxy(params, cfg, horizon, seed_tag=2), bins)
+    # noise_floor(params, cfg, horizon), reusing the seed_tag=1 proxy
+    floor = 2.0 * tv_hat(pi_hat, stationary_proxy(params, cfg, horizon, seed_tag=2))
     run = replace(cfg, T=float(t_grid[-1]), record_times=tuple(t_grid))
     ens = simulate_paths(params, x, run)
     emp = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
         k = ens.index_of(t)
-        emp[i] = 2.0 * tv_hat(
-            EmpiricalDistribution.from_samples(ens.Y[k], ens.Z[k]), pi_hat, bins
-        )
+        emp[i] = 2.0 * tv_hat(EmpiricalDistribution.from_samples(ens.Y[k], ens.Z[k]), pi_hat)
     se = np.full(len(t_grid), 0.5 * floor)  # floor doubles as the noise scale
     bound = np.full(len(t_grid), np.inf)
     constants: dict = {"noise_floor": floor}
@@ -413,13 +413,12 @@ def stationary_moments(params: ModelParams, cfg: SimConfig, horizon: float | Non
     for tag, scale in (("T", 1.0), ("T/2", 0.5)):
         h = round(horizon * scale / cfg.dt) * cfg.dt
         dist = stationary_proxy(params, cfg, h, seed_tag=3 if tag == "T" else 4)
-        n = dist.n
         rows[tag] = {
             "horizon": h,
             "D1_hat": float(dist.Y.mean()),
-            "D1_se": float(dist.Y.std(ddof=1) / math.sqrt(n)),
+            "D1_se": _mean_se(dist.Y),
             "D2_hat": float(np.abs(dist.Z).mean()),
-            "D2_se": float(np.abs(dist.Z).std(ddof=1) / math.sqrt(n)),
+            "D2_se": _mean_se(np.abs(dist.Z)),
         }
     d1 = delta1(params)
     full = rows["T"]
@@ -486,7 +485,6 @@ def strong_feller_probe(
     cfg: SimConfig,
     sigma_k_mass: float | None = None,
     Lambda_k: float | None = None,
-    bins=(50, 50),
 ) -> list[dict]:
     """TV continuity in the initial state: 2 tv_hat between laws at t from
     x and from x shifted by r in both coordinates, for shrinking r.  When
@@ -501,15 +499,13 @@ def strong_feller_probe(
     base = simulate_paths(params, x, run)
     P = EmpiricalDistribution.from_samples(base.Y[0], base.Z[0])
     floor_P = simulate_paths(params, x, replace(run, seed=rngmod.derive_seed(cfg.seed, 5)))
-    floor = 2.0 * tv_hat(
-        P, EmpiricalDistribution.from_samples(floor_P.Y[0], floor_P.Z[0]), bins
-    )
+    floor = 2.0 * tv_hat(P, EmpiricalDistribution.from_samples(floor_P.Y[0], floor_P.Z[0]))
     rows = []
     for r in radii:
         y = (x[0] + r, x[1] + r)
         ens = simulate_paths(params, y, replace(run, seed=rngmod.derive_seed(cfg.seed, 6)))
         Q = EmpiricalDistribution.from_samples(ens.Y[0], ens.Z[0])
-        emp = 2.0 * tv_hat(P, Q, bins)
+        emp = 2.0 * tv_hat(P, Q)
         row = {"radius": float(r), "tv2": emp, "noise_floor": floor}
         if vbar is not None and sigma_k_mass is not None and Lambda_k is not None:
             b = 2.0 * min(1.0, vbar(t) * r) + lemma51_bound(

@@ -17,8 +17,9 @@ import numpy as np
 from . import __version__, analysis, rng as rngmod
 from .errors import AffineError
 from .mechanisms import UPoint, check_A, check_B, check_Cprime
-from .model import ModelParams, load_model, validate
+from .model import ModelParams, _jsonable, load_model, validate
 from .riccati import (
+    build_vbar_table,
     char_fn,
     delta1,
     solve_V,
@@ -53,7 +54,6 @@ class Run:
         self.out = Path(out)
         self.strict = strict
         self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        self.flags: dict = {}
 
     def require_model(self) -> ModelParams:
         if self.params is None:
@@ -61,15 +61,18 @@ class Run:
         return self.params
 
     def write_manifest(self, subcommand: str, outputs: list[str]):
+        """Write the manifest; its flags are the running subcommand's options
+        as click parsed them, in declaration order."""
         self.out.mkdir(parents=True, exist_ok=True)
         digest = None
         if self.model_path is not None:
             digest = hashlib.sha256(self.model_path.read_bytes()).hexdigest()
+        ctx = click.get_current_context()
         manifest = {
             "subcommand": subcommand,
             "model_file": str(self.model_path) if self.model_path else None,
             "model_sha256": digest,
-            "flags": self.flags,
+            "flags": {p.name: ctx.params[p.name] for p in ctx.command.params},
             "seed": self.seed,
             "threads": self.threads,
             "version": __version__,
@@ -83,7 +86,7 @@ class Run:
     def write_json(self, name: str, payload: dict) -> str:
         self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
         return name
 
     def write_csv(self, name: str, rows) -> str:
@@ -111,10 +114,6 @@ def cli(ctx, model, seed, threads, out, strict):
     ctx.obj = Run(model, seed, threads, out, strict)
 
 
-def _note_flags(run: Run, **kw):
-    run.flags.update({k: v for k, v in kw.items()})
-
-
 @cli.command("validate")
 @click.pass_obj
 def cmd_validate(run: Run):
@@ -136,7 +135,6 @@ def cmd_validate(run: Run):
 def cmd_check_conditions(run: Run, eps, eta):
     """Probe the regularity conditions on the jump measures."""
     params = run.require_model()
-    _note_flags(run, eps=eps, eta=eta)
     reports = {}
     for name, fn in (
         ("A", lambda: check_A(params)),
@@ -156,23 +154,22 @@ def cmd_check_conditions(run: Run, eps, eta):
 
 
 @cli.command("solve-riccati")
-@click.option("--t", "t_max", default=1.0, show_default=True)
+@click.option("--t", default=1.0, show_default=True)
 @click.option("--u1", default=-1.0, show_default=True, help="Real u1 <= 0.")
 @click.option("--u2i", default=0.0, show_default=True, help="Imaginary part of u2.")
 @click.option("--grid", default=50, show_default=True)
 @click.pass_obj
-def cmd_solve_riccati(run: Run, t_max, u1, u2i, grid):
+def cmd_solve_riccati(run: Run, t, u1, u2i, grid):
     """Integrate the transform ODE system and dump V on a time grid."""
     params = run.require_model()
-    _note_flags(run, t=t_max, u1=u1, u2i=u2i, grid=grid)
-    sol = solve_V(params, UPoint(u1, 1j * u2i), t_max)
+    sol = solve_V(params, UPoint(u1, 1j * u2i), t)
     rows = [("t", "re_v1", "im_v1", "re_v2", "im_v2", "re_psi_int", "im_psi_int")]
-    for t in np.linspace(t_max / grid, t_max, grid):
-        v1, v2, ps = sol.V1(t), sol.V2(t), sol.psi_accum(t)
-        rows.append(tuple(f"{v:.12g}" for v in (t, v1.real, v1.imag, v2.real, v2.imag, ps.real, ps.imag)))
+    for s in np.linspace(t / grid, t, grid):
+        v1, v2, ps = sol.V1(s), sol.V2(s), sol.psi_accum(s)
+        rows.append(tuple(f"{v:.12g}" for v in (s, v1.real, v1.imag, v2.real, v2.imag, ps.real, ps.imag)))
     out = run.write_csv("riccati.csv", rows)
     run.write_manifest("solve-riccati", [out])
-    click.echo(f"V1({t_max}) = {sol.V1(t_max)}")
+    click.echo(f"V1({t}) = {sol.V1(t)}")
 
 
 @cli.command("charfn")
@@ -185,7 +182,6 @@ def cmd_solve_riccati(run: Run, t_max, u1, u2i, grid):
 def cmd_charfn(run: Run, t, u1, u2i, x1, x2):
     """Exact transform value E_x exp(u1 Y_t + u2 Z_t)."""
     params = run.require_model()
-    _note_flags(run, t=t, u1=u1, u2i=u2i, x1=x1, x2=x2)
     val = char_fn(params, t, (x1, x2), UPoint(u1, 1j * u2i))
     out = run.write_json(
         "charfn.json",
@@ -203,14 +199,11 @@ def cmd_charfn(run: Run, t, u1, u2i, x1, x2):
 def cmd_vbar(run: Run, tmin, tmax, n):
     """Tabulate the coupling decay function on a log time grid."""
     params = run.require_model()
-    _note_flags(run, tmin=tmin, tmax=tmax, n=n)
-    vb = params.vbar
-    rows = [("t", "vbar")]
-    for t in np.geomspace(tmin, tmax, n):
-        rows.append((f"{t:.12g}", f"{vb(t):.12g}"))
+    table = build_vbar_table(params, tmin, tmax, n)
+    rows = [("t", "vbar")] + [(f"{t:.12g}", f"{v:.12g}") for t, v in zip(table.times, table.values)]
     out = run.write_csv("vbar.csv", rows)
     run.write_manifest("vbar", [out])
-    click.echo(f"vbar({tmax}) = {vb(tmax):.6g}")
+    click.echo(f"vbar({tmax}) = {params.vbar(tmax):.6g}")
 
 
 @cli.command("stationary")
@@ -222,7 +215,6 @@ def cmd_vbar(run: Run, tmin, tmax, n):
 def cmd_stationary(run: Run, u1, dt, paths, horizon):
     """Stationary transform values and long-horizon moment estimates."""
     params = run.require_model()
-    _note_flags(run, u1=u1, dt=dt, paths=paths, horizon=horizon)
     tr = stationary_transform(params, UPoint(u1, 0.0))
     payload = {
         "u1": u1,
@@ -284,7 +276,6 @@ def _sim_cfg(run: Run, dt, t, paths, eps_trunc, record):
 def cmd_simulate(run: Run, x1, x2, t, dt, paths, eps_trunc, record):
     """Simulate an ensemble and dump the recorded states."""
     params = run.require_model()
-    _note_flags(run, x1=x1, x2=x2, t=t, dt=dt, paths=paths, eps_trunc=eps_trunc, record=list(record))
     cfg = _sim_cfg(run, dt, t, paths, eps_trunc, record)
     ens = simulate_paths(params, (x1, x2), cfg)
     rows = [("path_id", "t", "Y", "Z")]
@@ -312,7 +303,6 @@ def cmd_couple(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc, record):
     """Simulate the shared-noise coupled pair and dump states plus
     coalescence times."""
     params = run.require_model()
-    _note_flags(run, x1=x1, x2=x2, y1=y1, y2=y2, t=t, dt=dt, paths=paths, eps_trunc=eps_trunc, record=list(record))
     cfg = _sim_cfg(run, dt, t, paths, eps_trunc, record)
     ce = simulate_coupled(params, (x1, x2), (y1, y2), cfg)
     rows = [("path_id", "t", "Yx", "Zx", "Yy", "Zy", "coalesce_time")]
@@ -333,25 +323,24 @@ def cmd_couple(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc, record):
 @cli.command("tv-curve")
 @click.option("--x1", default=3.0, show_default=True)
 @click.option("--x2", default=2.0, show_default=True)
-@click.option("--t", "t_grid", multiple=True, type=float, default=(1.0, 2.0, 4.0, 8.0), show_default=True)
+@click.option("--t", multiple=True, type=float, default=(1.0, 2.0, 4.0, 8.0), show_default=True)
 @click.option("--dt", default=0.01, show_default=True)
 @click.option("--paths", default=20000, show_default=True)
 @click.option("--eps-trunc", default=0.0, show_default=True)
 @click.option("--eps", default=None, type=float, help="Tail cut for the exponential bound overlay.")
 @click.pass_obj
-def cmd_tv_curve(run: Run, x1, x2, t_grid, dt, paths, eps_trunc, eps):
+def cmd_tv_curve(run: Run, x1, x2, t, dt, paths, eps_trunc, eps):
     """TV distance to the long-horizon stationary proxy over a time grid."""
     params = run.require_model()
-    _note_flags(run, x1=x1, x2=x2, t=list(t_grid), dt=dt, paths=paths, eps_trunc=eps_trunc, eps=eps)
     cfg = SimConfig(
-        dt=dt, T=max(t_grid), n_paths=paths, seed=run.seed, eps_trunc=eps_trunc, threads=run.threads
+        dt=dt, T=max(t), n_paths=paths, seed=run.seed, eps_trunc=eps_trunc, threads=run.threads
     )
-    rep = analysis.ergodicity_curve(params, (x1, x2), t_grid, cfg, eps=eps)
+    rep = analysis.ergodicity_curve(params, (x1, x2), t, cfg, eps=eps)
     out = run.write_csv("tv_curve.csv", rep.csv_rows())
     out2 = run.write_json("tv_curve.json", rep.to_json())
     run.write_manifest("tv-curve", [out, out2])
-    for t, e in zip(rep.t_grid, rep.empirical):
-        click.echo(f"t={t:g}  2*tv_hat={e:.4f}")
+    for s, e in zip(rep.t_grid, rep.empirical):
+        click.echo(f"t={s:g}  2*tv_hat={e:.4f}")
     click.echo(f"noise floor {rep.constants['noise_floor']:.4f}, fitted rate {rep.constants['fitted_decay_rate']:.4f}")
 
 
@@ -360,21 +349,20 @@ def cmd_tv_curve(run: Run, x1, x2, t_grid, dt, paths, eps_trunc, eps):
 @click.option("--x2", default=1.0, show_default=True)
 @click.option("--y1", default=1.0, show_default=True)
 @click.option("--y2", default=0.0, show_default=True)
-@click.option("--t", "t_grid", multiple=True, type=float, default=(0.25, 0.5, 1.0, 2.0), show_default=True)
+@click.option("--t", multiple=True, type=float, default=(0.25, 0.5, 1.0, 2.0), show_default=True)
 @click.option("--dt", default=0.01, show_default=True)
 @click.option("--paths", default=20000, show_default=True)
 @click.option("--eps-trunc", default=0.0, show_default=True)
 @click.pass_obj
-def cmd_verify_bounds(run: Run, x1, x2, y1, y2, t_grid, dt, paths, eps_trunc):
+def cmd_verify_bounds(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc):
     """Coupled-MC checks of the Z-difference moment bound and the
     non-coalescence probability bound."""
     params = run.require_model()
-    _note_flags(run, x1=x1, x2=x2, y1=y1, y2=y2, t=list(t_grid), dt=dt, paths=paths, eps_trunc=eps_trunc)
     cfg = SimConfig(
-        dt=dt, T=max(t_grid), n_paths=paths, seed=run.seed, eps_trunc=eps_trunc, threads=run.threads
+        dt=dt, T=max(t), n_paths=paths, seed=run.seed, eps_trunc=eps_trunc, threads=run.threads
     )
-    rep1 = analysis.lemma31_check(params, (x1, x2), (y1, y2), t_grid, cfg)
-    rep2 = analysis.coalescence_curve(params, x1, y1, t_grid, cfg)
+    rep1 = analysis.lemma31_check(params, (x1, x2), (y1, y2), t, cfg)
+    rep2 = analysis.coalescence_curve(params, x1, y1, t, cfg)
     outs = [
         run.write_csv("zdiff_bound.csv", rep1.csv_rows()),
         run.write_json("zdiff_bound.json", rep1.to_json()),
@@ -392,21 +380,19 @@ def cmd_verify_bounds(run: Run, x1, x2, y1, y2, t_grid, dt, paths, eps_trunc):
 @click.option("--x1", default=1.0, show_default=True)
 @click.option("--x2", default=0.0, show_default=True)
 @click.option("--t", default=1.0, show_default=True)
-@click.option("--radius", "radii", multiple=True, type=float, default=(0.5, 0.25, 0.1, 0.05), show_default=True)
+@click.option("--radius", multiple=True, type=float, default=(0.5, 0.25, 0.1, 0.05), show_default=True)
 @click.option("--dt", default=0.01, show_default=True)
 @click.option("--paths", default=20000, show_default=True)
 @click.option("--eps-trunc", default=0.0, show_default=True)
 @click.option("--sigma-k-mass", default=None, type=float)
 @click.option("--lambda-k", default=None, type=float)
 @click.pass_obj
-def cmd_strong_feller(run: Run, x1, x2, t, radii, dt, paths, eps_trunc, sigma_k_mass, lambda_k):
+def cmd_strong_feller(run: Run, x1, x2, t, radius, dt, paths, eps_trunc, sigma_k_mass, lambda_k):
     """TV continuity in the initial state over shrinking radii."""
     params = run.require_model()
-    _note_flags(run, x1=x1, x2=x2, t=t, radius=list(radii), dt=dt, paths=paths,
-                eps_trunc=eps_trunc, sigma_k_mass=sigma_k_mass, lambda_k=lambda_k)
     cfg = SimConfig(dt=dt, T=t, n_paths=paths, seed=run.seed, eps_trunc=eps_trunc, threads=run.threads)
     rows = analysis.strong_feller_probe(
-        params, (x1, x2), t, radii, cfg, sigma_k_mass=sigma_k_mass, Lambda_k=lambda_k
+        params, (x1, x2), t, radius, cfg, sigma_k_mass=sigma_k_mass, Lambda_k=lambda_k
     )
     csv_rows = [("t", "empirical", "se", "bound", "violation")]
     for r in rows:
@@ -429,7 +415,6 @@ def cmd_strong_feller(run: Run, x1, x2, t, radii, dt, paths, eps_trunc, sigma_k_
 @click.pass_obj
 def cmd_suite(run: Run, dt, paths):
     """Reduced verification battery over the bundled reference models."""
-    _note_flags(run, dt=dt, paths=paths)
     outs = []
     summary = {}
     for name in BUNDLED:
@@ -452,7 +437,7 @@ def cmd_suite(run: Run, dt, paths):
         vals = np.exp(u.u1 * ens.Y[0] + u.u2 * ens.Z[0])
         mc = complex(vals.mean())
         entry["charfn_mc"] = [mc.real, mc.imag]
-        entry["charfn_mc_se"] = float(np.abs(vals - mc).std(ddof=1) / np.sqrt(vals.size))
+        entry["charfn_mc_se"] = analysis._mean_se(np.abs(vals - mc))
         if params.subcritical_strict:
             rep31 = analysis.lemma31_check(params, (2.0, 1.0), (1.0, 0.0), (0.5, 1.0, 2.0), cfg)
             entry["zdiff_violations"] = int(rep31.violations.sum())

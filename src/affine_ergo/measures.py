@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ NODE_CAP = 1 << 20
 _MAX_LEVELS = 24
 GAUSS_ORDER = 8
 _GRID = 1 << 16  # cells of the fixed overlap/TV grid
+_SAMPLER_TOL = 1e-6  # LevySampler: relative change of rate and mean between levels
 
 _SAFE_FUNCS = {
     "exp": np.exp,
@@ -194,8 +195,8 @@ class Marginal1D:
         on_axis = LevyMeasure.product(_const_marginal(0.0), self)
         return float(levy_integral(on_axis, lambda z1, z2: f(z2), tol=tol))
 
-    def mass(self, tol: float = 1e-8) -> float:
-        return self.integrate(np.ones_like, tol=tol)
+    def mass(self) -> float:
+        return self.integrate(np.ones_like)
 
     def support_bounds(self) -> tuple[float, float]:
         los = [p.lo for p in self.pieces] + [a for a, _ in self.atoms]
@@ -236,7 +237,6 @@ class LevyMeasure:
     m1: Marginal1D | None = None  # product: z1 marginal
     m2: Marginal1D | None = None  # product: z2 marginal
     members: tuple["LevyMeasure", ...] = ()
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.kind == "atomic":
@@ -440,7 +440,7 @@ class LevyMeasure:
 
     # -- marginals ----------------------------------------------------------
 
-    def z2_marginal(self, z1_level: int = 6) -> Marginal1D:
+    def z2_marginal(self) -> Marginal1D:
         """The z2-marginal n(R+ x dz2) as a 1-D measure."""
         if self.kind == "atomic":
             agg: dict[float, float] = {}
@@ -449,8 +449,8 @@ class LevyMeasure:
             return Marginal1D(atoms=tuple(sorted(agg.items())))
         if self.kind == "density":
             (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            # (nodes << z1_level) Gauss nodes in all
-            panels = max(1, (self.nodes[0] << z1_level) // GAUSS_ORDER)
+            # z1 on (nodes << 6) Gauss nodes in all
+            panels = max(1, (self.nodes[0] << 6) // GAUSS_ORDER)
             x1, w1, _ = _axis_cells(z1lo, z1hi, panels, 0)
             if z2hi == z2lo:
                 w = float(np.sum(self.density(x1, np.full_like(x1, z2lo)) * w1))
@@ -469,7 +469,7 @@ class LevyMeasure:
                 return Marginal1D()
             total = self.m1.mass()
             return _scale_marginal(self.m2, total)
-        parts = [m.z2_marginal(z1_level) for m in self.members]
+        parts = [m.z2_marginal() for m in self.members]
         return Marginal1D(
             atoms=tuple(a for p in parts for a in p.atoms),
             pieces=tuple(q for p in parts for q in p.pieces),
@@ -477,10 +477,10 @@ class LevyMeasure:
 
     # -- mass ---------------------------------------------------------------
 
-    def total_mass(self, tol: float = 1e-8) -> tuple[bool, float]:
+    def total_mass(self) -> tuple[bool, float]:
         """(finite, value).  Divergence under node doubling reads as infinite."""
         try:
-            val = levy_integral(self, lambda z1, z2: np.ones_like(z1), tol=tol)
+            val = levy_integral(self, lambda z1, z2: np.ones_like(z1))
             return True, val
         except QuadratureError:
             return False, math.inf
@@ -602,6 +602,11 @@ def _marginal_to_json(m: Marginal1D) -> dict:
 
 
 def _marginal_from_json(d: dict) -> Marginal1D:
+    """A product's marginal {"atoms": [[z, w], ...], "density": {"expr",
+    "domain", "nodes"}}, each key optional; UnsupportedMeasure on any other."""
+    unknown = (set(d) - {"atoms", "density"}) | (set(d.get("density", ())) - {"expr", "domain", "nodes"})
+    if unknown:
+        raise UnsupportedMeasure(f"unknown marginal keys {sorted(unknown)}")
     atoms = tuple(tuple(a) for a in d.get("atoms", ()))
     pieces = ()
     if "density" in d:
@@ -708,13 +713,13 @@ class LevySampler:
     lo > 0 is graded: cut at lo * 2^j, every octave gets the piece's base
     panel count, so the cells shrink towards a truncation edge where a
     density like exp(-z)/z is steep.  The cells are refined on `_converge`
-    until mass and mean agree to mass_tol between levels; QuadratureError
-    if that needs more than NODE_CAP cells.
+    until mass and mean agree to _SAMPLER_TOL between levels;
+    QuadratureError if that needs more than NODE_CAP cells.
     """
 
-    def __init__(self, mu: LevyMeasure, mass_tol: float = 1e-6):
+    def __init__(self, mu: LevyMeasure):
         moments = lambda z1, z2: np.stack([np.ones_like(z1), z1, z2])
-        z1, z2, d1, d2, w = _converge(_graded(mu), moments, mass_tol, k=1)[0]
+        z1, z2, d1, d2, w = _converge(_graded(mu), moments, _SAMPLER_TOL, k=1)[0]
         if float(np.sum(w)) <= 0.0:
             raise ZeroMass("cannot sample from a zero-mass measure")
         keep = w > 0
@@ -742,10 +747,9 @@ class LevySampler:
 # ---------------------------------------------------------------------------
 
 
-def overlap_stats(
-    mu: Marginal1D, nu: Marginal1D, n_grid: int = _GRID
-) -> tuple[float, float, float, float]:
-    """(overlap, tv, mass_mu, mass_nu) computed on one common grid.
+def overlap_stats(mu: Marginal1D, nu: Marginal1D) -> tuple[float, float, float, float]:
+    """(overlap, tv, mass_mu, mass_nu) computed on one common grid of
+    _GRID midpoint cells.
 
     overlap = (mu ^ nu)(R), tv = |mu - nu|(R).  Atoms match exactly
     (position tolerance 1e-12); atom-vs-density pairs never overlap.
@@ -757,7 +761,7 @@ def overlap_stats(
     lo, hi = min(lo1, lo2), max(hi1, hi2)
     overlap = tv = mass_mu = mass_nu = 0.0
     if (mu.pieces or nu.pieces) and hi > lo:
-        x, h = _grid(lo, hi, n_grid)
+        x, h = _grid(lo, hi)
         p = mu.density_at(x) * h
         q = nu.density_at(x) * h
         overlap += float(np.sum(np.minimum(p, q)))
@@ -789,19 +793,19 @@ def overlap_stats(
 
 
 def grid_integral(mu: Marginal1D, f: Callable) -> float:
-    """Integral of f against mu on overlap_stats' default fixed midpoint grid
+    """Integral of f against mu on overlap_stats' fixed midpoint grid
     over mu's support (atoms exact).  No refinement: for densities with
     jumps, on which node doubling cannot converge."""
     val = sum(w * float(f(np.asarray(a))) for a, w in mu.atoms)
     lo, hi = mu.support_bounds()
     if mu.pieces and hi > lo:
-        x, h = _grid(lo, hi, _GRID)
+        x, h = _grid(lo, hi)
         val += float(np.sum(f(x) * (mu.density_at(x) * h)))
     return val
 
 
-def _grid(lo: float, hi: float, n_grid: int) -> tuple[np.ndarray, float]:
-    return lo + (hi - lo) * (np.arange(n_grid) + 0.5) / n_grid, (hi - lo) / n_grid
+def _grid(lo: float, hi: float) -> tuple[np.ndarray, float]:
+    return lo + (hi - lo) * (np.arange(_GRID) + 0.5) / _GRID, (hi - lo) / _GRID
 
 
 def _merge_atoms(atoms):

@@ -29,7 +29,7 @@ from .measures import (
     levy_restrict_tail,
     overlap_stats,
 )
-from .model import ModelParams, _try_integral
+from .model import ModelParams, _jsonable, _try_integral
 
 _RE_TOL = 1e-12
 _RULE_TOL = 1e-10
@@ -38,6 +38,9 @@ _LINE_TOL = 1e-13
 _A_THETAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 _A_Z_MAX = 64.0
 _A_DOUBLINGS = 6
+_C_RHOS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)  # conditions (C), (C'): decreasing shifts rho
+_D_RHO = 1e-2  # condition (D): the shift of sigma_k's TV ratio
+_D_NODES = 512  # condition (D): base panel count of sigma_k
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class Mechanisms:
     at tol 1e-10 on the nonzero probes (-R1, 0), (i R2, 0), (0, i R3), or
     raises QuadratureError at NODE_CAP, and is kept once built; the |u| <= 1
     rules are built with the object (``ModelParams.mechanisms``).
-    phi0(x) = phi(-x, 0), phi0_tilde(x) = phi(x, 0), P(x) = psi(x, 0).
+    phi0(x) = phi(-x, 0).
     """
 
     def __init__(self, params: ModelParams):
@@ -163,20 +166,6 @@ def phi0(x: float, params: ModelParams) -> float:
     return float(np.real(params.mechanisms.phi(-x, 0.0)))
 
 
-def phi0_tilde(x: float, params: ModelParams) -> float:
-    """phi0 continued to R-: phi0_tilde(x) = phi0(-x) = phi((x, 0))."""
-    if x > 0:
-        raise DomainError("phi0_tilde requires x <= 0")
-    return float(np.real(params.mechanisms.phi(x, 0.0)))
-
-
-def P_mech(x: float, params: ModelParams) -> float:
-    """Immigration mechanism on R-: psi((x, 0))."""
-    if x > 0:
-        raise DomainError("P_mech requires x <= 0")
-    return float(np.real(params.mechanisms.psi(x, 0.0)))
-
-
 def _line_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """int_lo^hi f on the node-doubling loop, to _LINE_TOL; 0 if lo == hi."""
     line = Marginal1D(pieces=(DensityPiece(lo, hi, np.ones_like, 1),))
@@ -221,23 +210,6 @@ class ConditionReport:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())
-
-
-def _jsonable(v):
-    """JSON-ready copy of v: numpy scalars and arrays become Python values,
-    containers are converted recursively, and non-finite floats become None
-    (null), so the result serializes under json.dumps(..., allow_nan=False)."""
-    if isinstance(v, np.generic):
-        v = v.item()
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, float) and not math.isfinite(v):
-        return None
-    return v
 
 
 def check_A(params: ModelParams) -> ConditionReport:
@@ -330,45 +302,30 @@ def _z2_tail_integral(n: LevyMeasure, f, eps: float) -> float:
     )
 
 
-def shift_tv_ratio(marg: Marginal1D, rho: float, halves: bool = True) -> float:
-    """sup over a in {+-rho, +-rho/2} of |marg - shift_a marg|(R) / rho."""
-    shifts = [rho, -rho]
-    if halves:
-        shifts += [rho / 2, -rho / 2]
+def shift_tv_ratio(marg: Marginal1D, rho: float) -> float:
+    """sup over a in {+-rho, +-rho/2} of |marg - shift_a marg|(R) / |a|."""
     best = 0.0
-    for a in shifts:
+    for a in (rho, -rho, rho / 2, -rho / 2):
         _, tv, _, _ = overlap_stats(marg, marg.shift(a))
         best = max(best, tv / abs(a))
     return best
 
 
-def check_C(
-    params: ModelParams,
-    eps: float,
-    rho_grid: Sequence[float] = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-    second_moment: bool = False,
-) -> ConditionReport:
-    """Shift total-variation ratio r(rho) for n_eps over a decreasing rho
-    grid.  Lambda is the sup of r over all probed rho (probe-based,
+def check_C(params: ModelParams, eps: float, second_moment: bool = False) -> ConditionReport:
+    """Shift total-variation ratio r(rho) for n_eps over the decreasing rho
+    in _C_RHOS.  Lambda is the sup of r over all probed rho (probe-based,
     under-estimates the true sup)."""
-    rho_grid = list(rho_grid)
-    if any(rho_grid[i + 1] >= rho_grid[i] for i in range(len(rho_grid) - 1)):
-        raise DomainError("rho_grid must be strictly decreasing")
     n_eps = levy_restrict_tail(params.n, eps)
     marg = n_eps.m2
     C_eps = overlap_stats(marg, marg)[2]
-    evidence = []
-    for rho in rho_grid:
-        evidence.append((float(rho), float(shift_tv_ratio(marg, float(rho)))))
-    values = [v for _, v in evidence]
-    Lambda = max(values) if values else math.inf
+    values = [float(shift_tv_ratio(marg, rho)) for rho in _C_RHOS]
+    Lambda = max(values)
     tail = values[-3:]
-    stable = len(tail) == 3 and min(tail) > 0 and max(tail) / min(tail) < 2.0
     if C_eps == 0.0:
         verdict = "fails"
-    elif stable:
+    elif min(tail) > 0 and max(tail) / min(tail) < 2.0:
         verdict = "holds"
-    elif len(tail) == 3 and values[-1] > 10 * values[0] > 0:
+    elif values[-1] > 10 * values[0] > 0:
         verdict = "fails"
     else:
         verdict = "inconclusive"
@@ -381,14 +338,14 @@ def check_C(
     return ConditionReport(
         "Cprime" if second_moment else "C",
         verdict,
-        evidence=tuple(evidence),
-        inputs={"eps": eps, "rho_grid": rho_grid},
+        evidence=tuple(zip(_C_RHOS, values)),
+        inputs={"eps": eps, "rho_grid": list(_C_RHOS)},
         extras=extras,
     )
 
 
-def check_Cprime(params: ModelParams, eps: float, rho_grid=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3)) -> ConditionReport:
-    return check_C(params, eps, rho_grid, second_moment=True)
+def check_Cprime(params: ModelParams, eps: float) -> ConditionReport:
+    return check_C(params, eps, second_moment=True)
 
 
 def sigma_k_marginal(
@@ -396,14 +353,13 @@ def sigma_k_marginal(
     g: Callable[[np.ndarray], np.ndarray],
     k: float,
     domain: tuple[float, float],
-    nodes: int = 512,
 ) -> Marginal1D:
     """The density min(k*g, rho0) on the given interval."""
 
     def fn(x, _k=k):
         return np.minimum(_k * np.asarray(g(x)), np.asarray(rho0(x)))
 
-    return Marginal1D(pieces=(DensityPiece(domain[0], domain[1], fn, nodes),))
+    return Marginal1D(pieces=(DensityPiece(domain[0], domain[1], fn, _D_NODES),))
 
 
 def check_D(
@@ -413,7 +369,6 @@ def check_D(
     domain: tuple[float, float],
     k_list: Sequence[float] = (1, 4, 16, 64, 256),
     K: float = 1,
-    rho_probe: float = 1e-2,
 ) -> ConditionReport:
     """Builds sigma_k = min(k g, rho0) dz2, reports masses, shift-TV ratios
     and first moments, and growth evidence for sigma_0(R) = inf."""
@@ -440,7 +395,7 @@ def check_D(
         # rho0 may jump, so no node-doubling rule converges on sigma_k: mass
         # and moment come from the fixed grid of the shift-TV ratio
         mass = overlap_stats(sk, sk)[2]
-        Lam_k = shift_tv_ratio(sk, rho_probe)
+        Lam_k = shift_tv_ratio(sk, _D_RHO)
         mom1 = grid_integral(sk, np.abs)
         masses.append(mass)
         evidence.append((float(k), float(mass)))

@@ -148,18 +148,30 @@ class ValidationReport:
         raise KeyError(name)
 
     def to_json(self) -> dict:
-        return {
+        return _jsonable({
             "all_pass": self.all_pass,
             "checks": [
-                {
-                    "name": c.name,
-                    "value": None if math.isinf(c.value) else c.value,
-                    "threshold": c.threshold,
-                    "pass": c.passed,
-                }
+                {"name": c.name, "value": c.value, "threshold": c.threshold, "pass": c.passed}
                 for c in self.checks
             ],
-        }
+        })
+
+
+def _jsonable(v):
+    """JSON-ready copy of v: numpy scalars and arrays become Python values,
+    containers are converted recursively, and non-finite floats become None
+    (null), so the result serializes under json.dumps(..., allow_nan=False)."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
 
 
 def _try_integral(mu: LevyMeasure, f, region=None) -> float:

@@ -7,15 +7,15 @@ the characteristic functional comes out of one solve.  A solve can be
 continued from an earlier one's horizon (``solve_V(..., start=sol)``): the
 stationary transform extends its horizon by doubling that way, one solve
 continued from T to 2T, never restarted from 0.
-Every phi, psi, phi0, phi0_tilde and P value here comes from the model's
-one cached `Mechanisms` object (``params.mechanisms``), whose frozen jump
-rules either converged to 1e-10 or raised QuadratureError.
+Every phi and psi value here comes from the model's one cached `Mechanisms`
+object (``params.mechanisms``), whose frozen jump rules either converged to
+1e-10 or raised QuadratureError.
 
 vbar is obtained by inverting t = int_v^inf dz / phi0(z) rather than by
 integrating the ODE backwards from a cap: the initial condition sits at
 0+ with value +inf, and the integral inversion is the stable route.  That
-integral, and the closed stationary transform's int P/phi0_tilde, run on
-the package's one node-doubling loop (`measures._converge`): each
+integral, and the closed stationary transform's int psi(z, 0)/phi(z, 0),
+run on the package's one node-doubling loop (`measures._converge`): each
 converges or raises QuadratureError.
 """
 
@@ -42,6 +42,8 @@ from .mechanisms import UPoint, _inv_phi0_integral, _line_integral
 from .model import ModelParams
 
 _CLAMP_TOL = 1e-9
+_ODE_TOL = 1e-10  # DOP853 rtol; atol is 1e-4 times it
+_PSI_TAIL_TOL = 1e-10  # stationary transform: psi integral over the last doubling
 _TAIL_TOL = 1e-12  # vbar: the last doubling window adds less than this
 _MAX_WINDOWS = 200
 
@@ -82,7 +84,6 @@ def solve_V(
     params: ModelParams,
     u: UPoint,
     T: float,
-    tol: float = 1e-10,
     start: RiccatiSolution | None = None,
 ) -> RiccatiSolution:
     """Advance V1 and the accumulated psi integral to horizon T.
@@ -114,8 +115,8 @@ def solve_V(
         (t0, T),
         y0,
         method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-4,
+        rtol=_ODE_TOL,
+        atol=_ODE_TOL * 1e-4,
         dense_output=True,
         first_step=first_step,
     )
@@ -147,7 +148,6 @@ def char_fn(
     x: tuple[float, float],
     u: UPoint,
     sol: RiccatiSolution | None = None,
-    tol: float = 1e-10,
 ) -> complex:
     """E_x[exp(u1 Y_t + u2 Z_t)] via the Riccati representation."""
     x1, x2 = x
@@ -156,7 +156,7 @@ def char_fn(
     if t == 0.0:
         return complex(np.exp(x1 * u.u1 + x2 * u.u2))
     if sol is None or sol.T < t:
-        sol = solve_V(params, u, t, tol=tol)
+        sol = solve_V(params, u, t)
     return complex(np.exp(x1 * sol.V1(t) + x2 * sol.V2(t) + sol.psi_accum(t)))
 
 
@@ -274,12 +274,10 @@ class StationaryTransform(NamedTuple):
     clamped: bool
 
 
-def stationary_transform(
-    params: ModelParams, u: UPoint, tail_tol: float = 1e-10
-) -> StationaryTransform:
+def stationary_transform(params: ModelParams, u: UPoint) -> StationaryTransform:
     """exp{int_0^inf psi(V(s,u)) ds}: the psi integral is extended by horizon
     doubling, each doubling continuing the one solve from its last horizon,
-    until the increment over the last doubling is below tail_tol."""
+    until the increment over the last doubling is below _PSI_TAIL_TOL."""
     if params.a1 <= 0 or params.b2 <= 0:
         raise DomainError("stationary transform requires a1 > 0 and b2 > 0")
     T = 1.0 / min(params.a1, params.b2)
@@ -290,7 +288,7 @@ def stationary_transform(
         sol = solve_V(params, u, T, start=sol)
         nfev += sol.nfev
         acc = sol.psi_accum(T)
-        if prev is not None and abs(acc - prev) < tail_tol:
+        if prev is not None and abs(acc - prev) < _PSI_TAIL_TOL:
             return StationaryTransform(complex(np.exp(acc)), T, nfev, sol.clamped)
         prev = acc
         T *= 2.0
@@ -299,7 +297,7 @@ def stationary_transform(
 
 def stationary_transform_closed(params: ModelParams, u1: float) -> float:
     """Laplace transform of the stationary law along the Y axis,
-    exp{-int_0^{u1} P(z)/phi0_tilde(z) dz}.  The Gauss nodes never touch the
+    exp{-int_0^{u1} psi(z, 0)/phi(z, 0) dz}.  The Gauss nodes never touch the
     removable singularity at 0."""
     if u1 > 0:
         raise DomainError("u1 must be <= 0")
@@ -309,7 +307,7 @@ def stationary_transform_closed(params: ModelParams, u1: float) -> float:
         return 1.0
     mech = params.mechanisms
     if np.any(np.abs(np.real(mech.phi(np.linspace(u1, 0.0, 129)[1:-1], 0.0))) < 1e-14):
-        raise SingularIntegrand("phi0_tilde vanishes inside the integration range")
+        raise SingularIntegrand("phi(z, 0) vanishes inside the integration range")
     val = _line_integral(lambda z: np.real(mech.psi(z, 0.0) / mech.phi(z, 0.0)), u1, 0.0)
     return float(np.exp(val))
 

@@ -39,8 +39,8 @@ own independent increments, scaled by D:
   one for the W2 part, each drawn only when the model has that part;
 - DM_COUNT, DM_JUMP: branching jumps at D times the branching-jump rate.
 
-D is absorbed at 0 once it drops below coal_tol; after that the Z-difference
-decays deterministically at rate b2.
+D is absorbed at 0 once it drops below 1e-12*max(1, x1); after that the
+Z-difference decays deterministically at rate b2.
 
 Paths run in fixed-size chunks (`rng.CHUNK_SIZE`), one chunk after another
 on the calling thread.  A stream's normals are drawn BLOCK steps at a time
@@ -73,7 +73,6 @@ class SimConfig:
     seed: int
     record_times: tuple[float, ...] = ()
     eps_trunc: float = 0.0
-    coal_tol: float | None = None
     threads: int = 1
 
     def __post_init__(self):
@@ -83,8 +82,6 @@ class SimConfig:
             raise ConfigError("T must be >= dt")
         if self.eps_trunc < 0:
             raise ConfigError("eps_trunc must be >= 0")
-        if self.coal_tol is not None and self.coal_tol <= 0:
-            raise ConfigError("coal_tol must be > 0")
         if self.n_paths <= 0:
             raise ConfigError("n_paths must be > 0")
         if self.threads < 1:
@@ -197,7 +194,6 @@ class Ensemble(_RecordGrid):
     record_times: tuple[float, ...]
     Y: np.ndarray  # (n_times, n_paths)
     Z: np.ndarray
-    cfg: SimConfig
 
     @property
     def n_paths(self) -> int:
@@ -214,7 +210,6 @@ class CoupledEnsemble(_RecordGrid):
     varsigma: np.ndarray  # (n_paths,), inf if never coalesced
     threshold_absorbed: np.ndarray  # coalescence declared with D > 0 strictly
     swapped: bool
-    cfg: SimConfig
 
     @property
     def n_paths(self) -> int:
@@ -362,7 +357,7 @@ def _simulate_chunk(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
 
 
 def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
-                            x: tuple[float, float], y: tuple[float, float], coal_tol: float):
+                            x: tuple[float, float], y: tuple[float, float]):
     p, h = comp.p, comp.h
     g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(rng.N_USED)}
     xi = comp.normals(g, n, pool, coupled=True)
@@ -373,7 +368,8 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
     dZ = np.full(n, float(x[1]) - float(y[1]))
     varsigma = np.full(n, np.inf)
     thresh_abs = np.zeros(n, dtype=bool)
-    if float(x[0]) - float(y[0]) <= coal_tol:
+    tol = 1e-12 * max(1.0, x[0])  # D at or below it counts as coalesced
+    if float(x[0]) - float(y[0]) <= tol:
         varsigma[:] = 0.0
         thresh_abs[:] = float(x[0]) != float(y[0])
         D[:] = 0.0
@@ -416,7 +412,7 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
         _add(dZn, -comp.mjump.mean_z2, Dc, h, t)
         dZ = np.where(alive, dZn, dZ * decay)
 
-        newly = alive & (Dn <= coal_tol)
+        newly = alive & (Dn <= tol)
         varsigma[newly] = step * h
         thresh_abs |= newly & (Dn > 0.0)
         D = np.where(alive & ~newly, Dn, 0.0)
@@ -456,7 +452,7 @@ def simulate_paths(params: ModelParams, x: tuple[float, float], cfg: SimConfig) 
         raise ConfigError("x1 must be >= 0")
     comp = _Compiled(params, cfg)
     Y, Z = _run_chunks(cfg, lambda i, n, pool: _simulate_chunk(comp, cfg, i, n, pool, x))
-    return Ensemble(record_times=comp.times, Y=Y, Z=Z, cfg=cfg)
+    return Ensemble(record_times=comp.times, Y=Y, Z=Z)
 
 
 def simulate_coupled(
@@ -473,10 +469,9 @@ def simulate_coupled(
         swapped = True
     if y[0] < 0:
         raise ConfigError("starting Y-coordinates must be >= 0")
-    coal_tol = cfg.coal_tol if cfg.coal_tol is not None else 1e-12 * max(1.0, x[0])
     comp = _Compiled(params, cfg)
     Yx, Zx, Yy, Zy, varsigma, thr = _run_chunks(
-        cfg, lambda i, n, pool: _simulate_chunk_coupled(comp, cfg, i, n, pool, x, y, coal_tol)
+        cfg, lambda i, n, pool: _simulate_chunk_coupled(comp, cfg, i, n, pool, x, y)
     )
     return CoupledEnsemble(
         record_times=comp.times,
@@ -487,5 +482,4 @@ def simulate_coupled(
         varsigma=varsigma,
         threshold_absorbed=thr,
         swapped=swapped,
-        cfg=cfg,
     )

@@ -147,6 +147,26 @@ class TestOutputs:
         assert payload["transform_clamped"] is False
         assert payload["transform_re"] == pytest.approx(payload["transform_closed"], abs=1e-10)
 
+    def test_stationary_one_path_writes_strict_json(self, tmp_path):
+        # one path leaves the standard errors undefined: they must be null
+        rc = run("--model", "cir_ou", "--out", str(tmp_path), "stationary",
+                 "--paths", "1", "--dt", "0.05", "--horizon", "2")
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        payload = json.loads((tmp_path / "stationary.json").read_text(), parse_constant=reject)
+        assert payload["moments"]["D1_se"] is None
+
+    def test_manifest_flags_are_the_options_given(self, tmp_path):
+        rc = run("--model", "cir_ou", "--out", str(tmp_path), "simulate", "--paths", "4",
+                 "--dt", "0.05", "--t", "0.5", "--record", "0.25", "--record", "0.5")
+        assert rc == 0
+        man = json.loads((tmp_path / "manifest_simulate.json").read_text())
+        assert man["flags"] == {"x1": 1.0, "x2": 0.0, "t": 0.5, "dt": 0.05, "paths": 4,
+                                "eps_trunc": 0.0, "record": [0.25, 0.5]}
+
     def test_solve_riccati_csv(self, tmp_path):
         rc = run("--model", "cir_ou", "--out", str(tmp_path),
                  "solve-riccati", "--t", "1", "--u1", "-1", "--grid", "10")

@@ -17,7 +17,6 @@ from affine_ergo.measures import (
 )
 from affine_ergo.mechanisms import (
     ConditionReport,
-    P_mech,
     UPoint,
     check_A,
     check_B,
@@ -26,7 +25,6 @@ from affine_ergo.mechanisms import (
     check_D,
     phi,
     phi0,
-    phi0_tilde,
     psi,
     shift_tv_ratio,
 )
@@ -176,28 +174,22 @@ class TestPhi0:
         assert phi0(z, p) == pytest.approx(exact, rel=1e-13, abs=0.0)
         # n = (delta_0 + delta_0.5)/2 in z1 times the standard normal on [-5, 5] in z2
         exact = -p.a2 * z + 0.5 * math.expm1(-0.5 * z) * math.erf(5.0 / math.sqrt(2.0))
-        assert P_mech(-z, p) == pytest.approx(exact, rel=1e-13, abs=0.0)
-
-    @given(x=st.floats(0, 10, allow_nan=False))
-    @settings(max_examples=25, deadline=None)
-    def test_tilde_identity(self, x):
-        p = make_params(m=LevyMeasure.atomic([(0.5, 0.1, 1.0)]))
-        assert phi0_tilde(-x, p) == pytest.approx(phi0(x, p), abs=1e-10)
+        assert psi(UPoint(-z, 0), p).real == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 class TestPMech:
     def test_at_zero(self):
         p = make_params()
-        assert P_mech(0.0, p) == 0.0
-        assert phi0_tilde(0.0, p) == 0.0
+        assert psi(UPoint(0.0, 0), p).real == 0.0
+        assert phi(UPoint(0.0, 0), p).real == 0.0
 
     def test_drift(self):
         p = make_params(a2=1.0)
-        assert P_mech(-2.0, p) == pytest.approx(-2.0, abs=1e-12)
+        assert psi(UPoint(-2.0, 0), p).real == pytest.approx(-2.0, abs=1e-12)
 
     def test_tilde_arithmetic(self):
         p = make_params(a1=2.0, alpha=((1.0, 0.0), (0.0, 0.0)))
-        assert phi0_tilde(-1.0, p) == pytest.approx(3.0, abs=1e-12)
+        assert phi(UPoint(-1.0, 0), p).real == pytest.approx(3.0, abs=1e-12)
 
 
 class TestConditionA:

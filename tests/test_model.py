@@ -1,9 +1,10 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from affine_ergo.errors import DomainError
+from affine_ergo.errors import DomainError, UnsupportedMeasure
 from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model, save_model, validate
 
@@ -74,6 +75,22 @@ class TestIO:
             path = importlib.resources.files("affine_ergo") / "models" / f"{name}.json"
             p = load_model(str(path))
             assert validate(p).all_pass, name
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Model JSON schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        p = ModelParams.from_json(json.loads(block))
+        finite, mass = p.n.total_mass()
+        assert finite and mass > 0
+
+    @pytest.mark.parametrize("z2", [
+        {"kind": "density", "expr": "exp(-z)", "domain": [0.0, 1.0], "nodes": 8},
+        {"density": {"expr": "exp(-z)", "domain": [0.0, 1.0], "panels": 8}},
+    ])
+    def test_unknown_marginal_key_raises(self, z2):
+        d = {"kind": "product", "z1": {"atoms": [[0.5, 1.0]]}, "z2": z2}
+        with pytest.raises(UnsupportedMeasure):
+            LevyMeasure.from_json(d)
 
     def test_schema_fields(self, tmp_path):
         p = make_params()
