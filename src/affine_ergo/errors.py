@@ -29,6 +29,10 @@ class UnsupportedMeasure(AffineError):
     """An operation is not defined for this measure representation."""
 
 
+class ModelFormatError(AffineError):
+    """A model file's JSON object lacks a key or has one that is not read."""
+
+
 class SubcriticalityViolated(AffineError):
     """0 < 2*b2 < a1 is required but does not hold."""
 

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DomainError,
     InfiniteMass,
+    ModelFormatError,
     NonFiniteIntegrand,
     QuadratureError,
     UnsupportedMeasure,
@@ -510,15 +511,33 @@ class LevyMeasure:
 
     @staticmethod
     def from_json(d: dict) -> "LevyMeasure":
-        kind = d["kind"]
+        kind = check_keys(d, "measure", ("kind",), d)["kind"]  # the kind's keys are checked below
+        if not isinstance(kind, str) or kind not in _JSON_KEYS:
+            raise UnsupportedMeasure(f"unknown measure kind {kind!r} in JSON")
+        check_keys(d, f"{kind} measure", ("kind", *_JSON_KEYS[kind]))
         if kind == "atomic":
             return LevyMeasure.atomic(tuple(a) for a in d["atoms"])
         if kind == "density":
             fn = compile_density_expr(d["expr"], ("z1", "z2"))
             return LevyMeasure.from_density(fn, d["domain"], d["nodes"])
-        if kind == "product":
-            return LevyMeasure.product(_marginal_from_json(d["z1"]), _marginal_from_json(d["z2"]))
-        raise UnsupportedMeasure(f"unknown measure kind {kind!r} in JSON")
+        return LevyMeasure.product(_marginal_from_json(d["z1"]), _marginal_from_json(d["z2"]))
+
+
+_JSON_KEYS = {"atomic": ("atoms",), "density": ("expr", "domain", "nodes"), "product": ("z1", "z2")}
+
+
+def check_keys(d, name: str, required: Iterable[str], optional: Iterable[str] = ()) -> dict:
+    """d, after checking that it is a JSON object with every key in
+    `required` and no other key than those and `optional`; ModelFormatError
+    naming the missing and the unknown keys otherwise."""
+    if not isinstance(d, dict):
+        raise ModelFormatError(f"{name} must be a JSON object, not {type(d).__name__}")
+    missing = [k for k in required if k not in d]
+    unknown = sorted(set(d).difference(required, optional))
+    problems = [f"{what} keys {keys}" for what, keys in (("missing", missing), ("unknown", unknown)) if keys]
+    if problems:
+        raise ModelFormatError(f"{name}: {', '.join(problems)}")
+    return d
 
 
 def _axis_cells(lo: float, hi: float, panels: int, level: int, k: int = GAUSS_ORDER):
@@ -603,14 +622,12 @@ def _marginal_to_json(m: Marginal1D) -> dict:
 
 def _marginal_from_json(d: dict) -> Marginal1D:
     """A product's marginal {"atoms": [[z, w], ...], "density": {"expr",
-    "domain", "nodes"}}, each key optional; UnsupportedMeasure on any other."""
-    unknown = (set(d) - {"atoms", "density"}) | (set(d.get("density", ())) - {"expr", "domain", "nodes"})
-    if unknown:
-        raise UnsupportedMeasure(f"unknown marginal keys {sorted(unknown)}")
+    "domain", "nodes"}}, each key optional but "expr" and "domain"."""
+    check_keys(d, "marginal", (), ("atoms", "density"))
     atoms = tuple(tuple(a) for a in d.get("atoms", ()))
     pieces = ()
     if "density" in d:
-        dd = d["density"]
+        dd = check_keys(d["density"], "marginal density", ("expr", "domain"), ("nodes",))
         fn = compile_density_expr(dd["expr"], ("z",))
         pieces = (DensityPiece(dd["domain"][0], dd["domain"][1], fn, dd.get("nodes", 64)),)
     return Marginal1D(atoms=atoms, pieces=pieces)

@@ -368,7 +368,6 @@ def check_D(
     g: Callable[[np.ndarray], np.ndarray],
     domain: tuple[float, float],
     k_list: Sequence[float] = (1, 4, 16, 64, 256),
-    K: float = 1,
 ) -> ConditionReport:
     """Builds sigma_k = min(k g, rho0) dz2, reports masses, shift-TV ratios
     and first moments, and growth evidence for sigma_0(R) = inf."""
@@ -389,8 +388,6 @@ def check_D(
     masses = []
     extras_rows = []
     for k in sorted(k_list):
-        if k < K:
-            continue
         sk = sigma_k_marginal(rho0, g, float(k), domain)
         # rho0 may jump, so no node-doubling rule converges on sigma_k: mass
         # and moment come from the fixed grid of the shift-TV ratio
@@ -416,6 +413,6 @@ def check_D(
         "D",
         verdict,
         evidence=tuple(evidence),
-        inputs={"k_list": [float(k) for k in k_list], "K": float(K), "domain": list(domain)},
+        inputs={"k_list": [float(k) for k in k_list], "domain": list(domain)},
         extras={"rows": extras_rows, "sigma0_mass_unbounded_evidence": bool(unbounded)},
     )

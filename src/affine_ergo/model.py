@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .measures import LevyMeasure, levy_integral
+from .measures import LevyMeasure, check_keys, levy_integral
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,7 @@ class ModelParams:
 
     @staticmethod
     def from_json(d: dict) -> "ModelParams":
+        check_keys(d, "model", ("a1", "a2", "b0", "b1", "b2", "sigma", "alpha", "m", "n"))
         return ModelParams(
             a1=float(d["a1"]),
             a2=float(d["a2"]),

@@ -32,15 +32,16 @@ smaller start is the base copy and is advanced by the same `_step` as
 branching jumps exactly as a single path from its start does; its paths are
 bit-identical to `simulate_paths` from that start.  W0 is common noise, so
 both copies add the same G.  The difference process D = Y(x) - Y(y) is a
-continuous-state branching process without immigration and adds only its
-own independent increments, scaled by D:
+continuous-state branching process without immigration: (D, dZ), with dZ the
+Z-difference, is advanced by the same `_step` with a2 = b0 = 0 and no
+n-jumps (`_Compiled.difference`), on its own independent streams:
 
-- D_W: the normals that drive D and the Z-difference, one for the W1 part and
-  one for the W2 part, each drawn only when the model has that part;
+- D_W: one normal for the W1 part and one for the W2 part, each drawn only
+  when the model has that part;
 - DM_COUNT, DM_JUMP: branching jumps at D times the branching-jump rate.
 
-D is absorbed at 0 once it drops below 1e-12*max(1, x1); after that the
-Z-difference decays deterministically at rate b2.
+D is absorbed at 0 once it drops below 1e-12*max(1, x1); after that dZ
+decays deterministically at rate b2.
 
 Paths run in fixed-size chunks (`rng.CHUNK_SIZE`), one chunk after another
 on the calling thread.  A stream's normals are drawn BLOCK steps at a time
@@ -51,6 +52,7 @@ The draws do not depend on the thread count, so neither do the outputs.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -104,15 +106,15 @@ class SimConfig:
 
 
 class _JumpSpec:
-    """Frozen sampling table and moment set for one (truncated) measure."""
+    """Frozen sampling table and compensator means of one (truncated)
+    measure; no jumps when the measure is empty."""
 
     def __init__(self, mu: LevyMeasure, eps: float, label: str):
-        self.active = not mu.is_empty()
         self.sampler: LevySampler | None = None
         self.rate = 0.0
         self.mean_z1 = self.mean_z2 = 0.0
         self.drop_mean_z1 = 0.0
-        if not self.active:
+        if mu.is_empty():
             return
         if eps <= 0 and not mu.total_mass()[0]:
             raise ConfigError(f"measure {label} has infinite activity; eps_trunc > 0 required")
@@ -132,12 +134,13 @@ class _JumpSpec:
 
 
 class _Compiled:
-    """Model constants and the record grid, hoisted out of the step loop."""
+    """One Euler chain's coefficients, jump tables and stream ids, and the
+    record grid, hoisted out of the step loop."""
 
     def __init__(self, params: ModelParams, cfg: SimConfig):
         p = params
-        self.p = p
         self.h = cfg.dt
+        self.a1, self.a2, self.b0, self.b1, self.b2 = p.a1, p.a2, p.b0, p.b1, p.b2
         self.use_w0 = p.sigma > 0
         self.use_w1 = p.a11 > 0 or p.a21 > 0
         self.use_w2 = p.a12 > 0 or p.a22 > 0
@@ -146,6 +149,11 @@ class _Compiled:
         self.n_steps = cfg.n_steps
         self.njump = _JumpSpec(p.n, cfg.eps_trunc, "n")
         self.mjump = _JumpSpec(p.m, cfg.eps_trunc, "m")
+        # (stream id, normals per step) of W1 and W2; (count, jump) stream
+        # ids of the n- and m-jumps
+        self.w_streams = ((rng.W1, int(self.use_w1)), (rng.W2, int(self.use_w2)))
+        self.n_ids = (rng.N_COUNT, rng.N_JUMP)
+        self.m_ids = (rng.M_COUNT, rng.M_JUMP)
         rec = cfg.record_steps()
         steps = sorted(rec)
         self.times = tuple(rec[s] for s in steps)
@@ -158,14 +166,32 @@ class _Compiled:
             for d in np.diff(steps, prepend=0)
         ]
 
-    def normals(self, g: dict, n: int, pool, coupled: bool = False) -> dict:
-        """A `_Normals` for each per-step normal stream the model uses: W1
-        and W2 one normal per step, and in a coupled run D_W one for each of
-        the W1 and W2 parts.  W0 is drawn at record steps only (`with_ou`)."""
-        k = {rng.W1: self.use_w1, rng.W2: self.use_w2}
-        if coupled:
-            k[rng.D_W] = self.use_w1 + self.use_w2
-        return {sid: _Normals(g[sid], int(ks), n, self.n_steps, pool) for sid, ks in k.items() if ks}
+    def difference(self) -> _Compiled:
+        """The chain of a coupled run's (D, dZ): this one with a2 = b0 = 0
+        and no n-jumps, on the D_W stream (both normal parts, W1's first)
+        and the DM_COUNT, DM_JUMP streams."""
+        d = copy.copy(self)
+        d.a2 = d.b0 = 0.0
+        d.njump = _JumpSpec(LevyMeasure.zero(), 0.0, "n")
+        d.w_streams = ((rng.D_W, int(self.use_w1) + int(self.use_w2)),)
+        d.n_ids = None
+        d.m_ids = (rng.DM_COUNT, rng.DM_JUMP)
+        return d
+
+    def noise(self, g: dict, n: int, pool):
+        """The chain's noise in a chunk whose streams are g: a function that
+        returns the next step's (w1, w2) normals, None for a part the model
+        lacks, and the (count, jump) generators of the n- and m-jumps.  The
+        normals are drawn BLOCK steps at a time (`_Normals`); W0 is drawn at
+        record steps only (`with_ou`)."""
+        xi = [_Normals(g[sid], k, n, self.n_steps, pool) for sid, k in self.w_streams if k]
+
+        def normals():
+            parts = iter([row for src in xi for row in src.next()])
+            return next(parts) if self.use_w1 else None, next(parts) if self.use_w2 else None
+
+        gn = (g[self.n_ids[0]], g[self.n_ids[1]]) if self.n_ids else (None, None)
+        return normals, gn, (g[self.m_ids[0]], g[self.m_ids[1]])
 
     def with_ou(self, g0: np.random.Generator, G: np.ndarray, row: int, Z: np.ndarray) -> np.ndarray:
         """Z + G at record row `row`, after G, the W0 part of Z, has moved
@@ -289,78 +315,78 @@ def _add(acc: np.ndarray, c: float, x: np.ndarray, y, tmp: np.ndarray) -> None:
         acc += tmp
 
 
-def _step(comp: _Compiled, g: dict, xi: dict, Y: np.ndarray, Z: np.ndarray, buf: np.ndarray):
-    """One Euler step of a chunk's paths, in place on Y and on Z without its
-    W0 part.
+def _step(c: _Compiled, xi1, xi2, gn, gm, Y: np.ndarray, Z: np.ndarray, buf: np.ndarray):
+    """One Euler step of chain c on a chunk's paths, in place on Y and on Z
+    without its W0 part.
 
-    xi maps each normal stream the model uses to its `_Normals`, and buf is
-    (4, n) scratch.  The terms are added in the order of the scheme,
-    Y + (a2 - a1*Yc)*h + (sqrt(2*a11)*root)*xi1 + ...  A term whose
+    xi1 and xi2 are the step's W1 and W2 normals (None for a part the model
+    lacks), gn and gm the (count, jump) generators of the n- and m-jumps,
+    and buf is (4, n) scratch.  The terms are added in the order of the
+    scheme, Y + (a2 - a1*Yc)*h + (sqrt(2*a11)*root)*xi1 + ...  A term whose
     coefficient is 0 is skipped: adding it would change no sum, except in
     turning a sum of exactly -0.0 into +0.0."""
-    p, h, n = comp.p, comp.h, Y.size
+    h, n = c.h, Y.size
     Yc, root, t, u = buf
     np.maximum(Y, 0.0, out=Yc)
-    xi1 = xi[rng.W1].next()[0] if comp.use_w1 else None
-    xi2 = xi[rng.W2].next()[0] if comp.use_w2 else None
-    jn1, jn2 = _jump_sums(comp.njump, g[rng.N_COUNT], g[rng.N_JUMP], 1.0, h, n)
-    jm1, jm2 = _jump_sums(comp.mjump, g[rng.M_COUNT], g[rng.M_JUMP], Yc, h, n)
+    jn1, jn2 = _jump_sums(c.njump, *gn, 1.0, h, n)
+    jm1, jm2 = _jump_sums(c.mjump, *gm, Yc, h, n)
     np.sqrt(np.multiply(Yc, h, out=root), out=root)
 
-    np.multiply(Yc, p.a1, out=t)
-    np.subtract(p.a2, t, out=t)
+    np.multiply(Yc, c.a1, out=t)
+    np.subtract(c.a2, t, out=t)
     t *= h
     Y += t
-    _add(Y, comp.c11, root, xi1, t)
-    _add(Y, comp.c12, root, xi2, t)
+    _add(Y, c.c11, root, xi1, t)
+    _add(Y, c.c12, root, xi2, t)
     if np.ndim(jn1):
         Y += jn1
-    if comp.njump.drop_mean_z1:  # mean of dropped uncompensated small N-jumps
-        Y += comp.njump.drop_mean_z1 * h
+    if c.njump.drop_mean_z1:  # mean of dropped uncompensated small N-jumps
+        Y += c.njump.drop_mean_z1 * h
     if np.ndim(jm1):
         Y += jm1
-    _add(Y, -comp.mjump.mean_z1, Yc, h, t)
+    _add(Y, -c.mjump.mean_z1, Yc, h, t)
     np.maximum(Y, 0.0, out=Y)
 
     # Z - (b0 + b1*Yc + b2*Z)*h + (sqrt(2*a21)*root)*xi1 + ...; no W0 term
-    np.multiply(Yc, p.b1, out=t)
-    t += p.b0
-    t += np.multiply(Z, p.b2, out=u)
+    np.multiply(Yc, c.b1, out=t)
+    t += c.b0
+    t += np.multiply(Z, c.b2, out=u)
     t *= h
     Z -= t
-    _add(Z, comp.c21, root, xi1, t)
-    _add(Z, comp.c22, root, xi2, t)
+    _add(Z, c.c21, root, xi1, t)
+    _add(Z, c.c22, root, xi2, t)
     if np.ndim(jn2):
         Z += jn2
-    if comp.njump.mean_z2:
-        Z -= comp.njump.mean_z2 * h
+    if c.njump.mean_z2:
+        Z -= c.njump.mean_z2 * h
     if np.ndim(jm2):
         Z += jm2
-    _add(Z, -comp.mjump.mean_z2, Yc, h, t)
+    _add(Z, -c.mjump.mean_z2, Yc, h, t)
 
 
 def _simulate_chunk(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
                     x: tuple[float, float]):
     g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(rng.N_USED)}
-    xi = comp.normals(g, n, pool)
+    normals, gn, gm = comp.noise(g, n, pool)
     Y = np.full(n, float(x[0]))
     Z = np.full(n, float(x[1]))
     G = np.zeros(n)
     buf = np.empty((4, n))
     out = np.empty((2, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):
-        _step(comp, g, xi, Y, Z, buf)
+        _step(comp, *normals(), gn, gm, Y, Z, buf)
         if step in comp.rows:
             row = comp.rows[step]
             out[:, row] = Y, comp.with_ou(g[rng.W0], G, row, Z)
     return out[0], out[1]
 
 
-def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
-                            x: tuple[float, float], y: tuple[float, float]):
-    p, h = comp.p, comp.h
+def _simulate_chunk_coupled(comp: _Compiled, diff: _Compiled, cfg: SimConfig, chunk: int, n: int,
+                            pool, x: tuple[float, float], y: tuple[float, float]):
+    h = comp.h
     g = {sid: rng.stream(cfg.seed, chunk, sid) for sid in range(rng.N_USED)}
-    xi = comp.normals(g, n, pool, coupled=True)
+    normals, gn, gm = comp.noise(g, n, pool)
+    d_normals, d_gn, d_gm = diff.noise(g, n, pool)
     Yb = np.full(n, float(y[0]))  # base copy (smaller start)
     Zb = np.full(n, float(y[1]))
     G = np.zeros(n)  # W0 part of Z, common to both copies
@@ -373,49 +399,21 @@ def _simulate_chunk_coupled(comp: _Compiled, cfg: SimConfig, chunk: int, n: int,
         varsigma[:] = 0.0
         thresh_abs[:] = float(x[0]) != float(y[0])
         D[:] = 0.0
-    decay = math.exp(-p.b2 * h)
+    decay = math.exp(-comp.b2 * h)
     buf = np.empty((4, n))
-    Dc, rootd, Dn, dZn, t = np.empty((5, n))
+    dZ_absorbed = np.empty(n)
     out = np.empty((4, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):
-        np.maximum(D, 0.0, out=Dc)
-        alive = D > 0.0
-        _step(comp, g, xi, Yb, Zb, buf)
-        # difference-process noise: independent, scaled by D (branching property)
-        xd = xi[rng.D_W].next() if rng.D_W in xi else None
-        xd1 = xd[0] if comp.use_w1 else None
-        xd2 = xd[int(comp.use_w1)] if comp.use_w2 else None
-        jd1, jd2 = _jump_sums(comp.mjump, g[rng.DM_COUNT], g[rng.DM_JUMP], Dc, h, n)
-        np.sqrt(np.multiply(Dc, h, out=rootd), out=rootd)
-
-        # D - a1*Dc*h + (sqrt(2*a11)*rootd)*xd1 + ...
-        np.multiply(Dc, p.a1, out=t)
-        t *= h
-        np.subtract(D, t, out=Dn)
-        _add(Dn, comp.c11, rootd, xd1, t)
-        _add(Dn, comp.c12, rootd, xd2, t)
-        if np.ndim(jd1):
-            Dn += jd1
-        _add(Dn, -comp.mjump.mean_z1, Dc, h, t)
-        np.maximum(Dn, 0.0, out=Dn)
-
-        # dZ - (b1*Dc + b2*dZ)*h + ...; absorbed paths: deterministic decay
-        # of the accumulated Z-difference
-        np.multiply(Dc, p.b1, out=dZn)
-        dZn += np.multiply(dZ, p.b2, out=t)
-        dZn *= h
-        np.subtract(dZ, dZn, out=dZn)
-        _add(dZn, comp.c21, rootd, xd1, t)
-        _add(dZn, comp.c22, rootd, xd2, t)
-        if np.ndim(jd2):
-            dZn += jd2
-        _add(dZn, -comp.mjump.mean_z2, Dc, h, t)
-        dZ = np.where(alive, dZn, dZ * decay)
-
-        newly = alive & (Dn <= tol)
+        absorbed = D <= 0.0  # absorbed D is +0.0 and stays so in `_step`
+        np.multiply(dZ, decay, out=dZ_absorbed)
+        _step(comp, *normals(), gn, gm, Yb, Zb, buf)
+        _step(diff, *d_normals(), d_gn, d_gm, D, dZ, buf)
+        np.copyto(dZ, dZ_absorbed, where=absorbed)
+        newly = D <= tol
+        newly &= ~absorbed
         varsigma[newly] = step * h
-        thresh_abs |= newly & (Dn > 0.0)
-        D = np.where(alive & ~newly, Dn, 0.0)
+        thresh_abs |= newly & (D > 0.0)
+        D[newly] = 0.0
         if step in comp.rows:
             row = comp.rows[step]
             Zy = comp.with_ou(g[rng.W0], G, row, Zb)
@@ -470,8 +468,9 @@ def simulate_coupled(
     if y[0] < 0:
         raise ConfigError("starting Y-coordinates must be >= 0")
     comp = _Compiled(params, cfg)
+    diff = comp.difference()
     Yx, Zx, Yy, Zy, varsigma, thr = _run_chunks(
-        cfg, lambda i, n, pool: _simulate_chunk_coupled(comp, cfg, i, n, pool, x, y)
+        cfg, lambda i, n, pool: _simulate_chunk_coupled(comp, diff, cfg, i, n, pool, x, y)
     )
     return CoupledEnsemble(
         record_times=comp.times,

@@ -279,7 +279,7 @@ class TestConditionD:
         p = make_params(n=n)
         rho0 = lambda z: np.where((z > 0.04) & (z <= 1.0), 1.0 / np.maximum(z, 1e-9) ** 2, 0.0)
         g = lambda z: np.exp(-np.abs(z))
-        rep = check_D(p, rho0, g, domain=(-1.0, 1.0), k_list=(1, 4, 16, 64), K=1)
+        rep = check_D(p, rho0, g, domain=(-1.0, 1.0), k_list=(1, 4, 16, 64))
         masses = [row["mass"] for row in rep.extras["rows"]]
         # sigma_1 = min(e^{-|z|}, rho0) = e^{-z} on (0.04, 1]
         assert masses[0] == pytest.approx(math.exp(-0.04) - math.exp(-1.0), rel=1e-4)
@@ -290,7 +290,7 @@ class TestConditionD:
         p = make_params(n=normal_z2_measure(weight=10.0))
         rho0 = lambda z: np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
         g = lambda z: np.exp(-np.abs(z))
-        rep = check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(1, 4, 16, 64), K=1)
+        rep = check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(1, 4, 16, 64))
         masses = [row["mass"] for row in rep.extras["rows"]]
         assert masses[-1] == pytest.approx(1.0, rel=1e-3)
         assert not rep.extras["sigma0_mass_unbounded_evidence"]
@@ -300,14 +300,14 @@ class TestConditionD:
         rho0 = lambda z: np.full_like(z, 10.0)
         g = lambda z: np.exp(-np.abs(z))
         with pytest.raises(DominationViolated):
-            check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(1, 2), K=1)
+            check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(1, 2))
 
     def test_k_zero_rejected(self):
         p = make_params(n=normal_z2_measure())
         rho0 = lambda z: np.exp(-np.abs(z))
         g = lambda z: np.exp(-np.abs(z))
         with pytest.raises(DomainError):
-            check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(0, 1), K=1)
+            check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(0, 1))
 
 
 class TestReportSerialization:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from affine_ergo.errors import DomainError, UnsupportedMeasure
+from affine_ergo.cli import main
+from affine_ergo.errors import DomainError, ModelFormatError, UnsupportedMeasure
 from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model, save_model, validate
 
@@ -89,8 +90,48 @@ class TestIO:
     ])
     def test_unknown_marginal_key_raises(self, z2):
         d = {"kind": "product", "z1": {"atoms": [[0.5, 1.0]]}, "z2": z2}
-        with pytest.raises(UnsupportedMeasure):
+        with pytest.raises(ModelFormatError):
             LevyMeasure.from_json(d)
+
+    @pytest.mark.parametrize("kind", ["poisson", ["atomic"]])
+    def test_unknown_kind_raises(self, kind):
+        with pytest.raises(UnsupportedMeasure):
+            LevyMeasure.from_json({"kind": kind, "atoms": []})
+
+    # edits of the bundled jump_cbi_ou model (atomic m, product n with a z2 density)
+    BAD_KEYS = {
+        "no_sigma": lambda d: d.pop("sigma"),
+        "top_level_b3": lambda d: d.update(b3=1.0),
+        "atom_for_atoms": lambda d: d["m"].update(atom=d["m"].pop("atoms")),
+        "atomic_weights": lambda d: d["m"].update(weights=[1.0]),
+        "product_no_z2": lambda d: d["n"].pop("z2"),
+        "density_no_expr": lambda d: d["n"]["z2"]["density"].pop("expr"),
+        "measure_not_object": lambda d: d.update(m=[]),
+    }
+
+    @staticmethod
+    def bundled_json(name):
+        import importlib.resources
+
+        path = importlib.resources.files("affine_ergo") / "models" / f"{name}.json"
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("case", sorted(BAD_KEYS))
+    def test_missing_or_unknown_key_raises(self, case):
+        d = self.bundled_json("jump_cbi_ou")
+        self.BAD_KEYS[case](d)
+        with pytest.raises(ModelFormatError):
+            ModelParams.from_json(d)
+
+    @pytest.mark.parametrize("case", ["no_sigma", "atom_for_atoms"])
+    def test_cli_reports_bad_key(self, case, tmp_path, capsys):
+        d = self.bundled_json("jump_cbi_ou")
+        self.BAD_KEYS[case](d)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert main(["--model", str(path), "--out", str(tmp_path / "out"), "validate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_schema_fields(self, tmp_path):
         p = make_params()

@@ -53,10 +53,18 @@ def full_alpha_model():
                        n=LevyMeasure.atomic([(0.3, 0.4, 1.0)]))
 
 
+def no_immigration_model():
+    """a2 = b0 = 0 and no n-jumps: the coefficients of a coupled run's
+    difference chain, with all four alpha entries > 0 and m atoms."""
+    return make_params(a2=0.0, b0=0.0, alpha=((0.25, 0.1), (0.15, 0.2)),
+                       m=LevyMeasure.atomic([(0.5, 0.2, 0.8), (1.0, -0.3, 0.4)]))
+
+
 GOLDEN_MODELS = {
     "atom_in_box": atom_in_box_model,
     "full_alpha": full_alpha_model,
     "sigma_zero": lambda: make_params(sigma=0.0),
+    "no_immigration": no_immigration_model,
 }
 
 
@@ -188,6 +196,10 @@ class TestDeterminism:
             "8dee14c917e0fe14823ac26aa9caedda8f6c3ed345bcc6f8d94e533cbd471493",
             "d151763bac65b2f3b46b88f51b9efcfcd0e6bc879b01a7e4d88dfd620116f99c",
         ),
+        "no_immigration": (
+            "9d7ed998c7c6a5f22852a99cf53d67969ea08a005d0f4938e981ce1e5cb3f430",
+            "656d387f32fb66eb5a54c50a126608cf6bb14c24943f7213b5957867e0729201",
+        ),
     }
     # Y of simulate_paths; Yx, Yy, varsigma and threshold_absorbed of
     # simulate_coupled.  Unchanged since 0.2.0: the draws of Y and of the
@@ -217,6 +229,10 @@ class TestDeterminism:
             "70b6afde1f0938232c8cfabae694af4027b8d7a67de8f4305191e343d2b96ed6",
             "39d6e74b1ca59d2924ac76d9222cba154fabdacbcc98c1c7570ede8ba77131b1",
         ),
+        "no_immigration": (
+            "a64a5ac5fd85d1786c1f768c7c3fffb61d7806b6f576b4c22c9abea7a217ffcd",
+            "acc6cb546f626c477810b0f73a95df395d59796934c7299da8edf933c21ac208",
+        ),
     }
 
     def test_golden_version(self):
@@ -225,7 +241,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("name,eps", [("cir_ou", 0.0), ("jump_cbi_ou", 0.6),
                                           ("gamma_imm", 1e-2), ("atom_in_box", 0.5),
-                                          ("full_alpha", 0.0), ("sigma_zero", 0.0)])
+                                          ("full_alpha", 0.0), ("sigma_zero", 0.0),
+                                          ("no_immigration", 0.0)])
     def test_golden_digests(self, name, eps, threads):
         # 9,000 paths are two chunks; atom_in_box has an m atom inside the eps box
         p = GOLDEN_MODELS[name]() if name in GOLDEN_MODELS else bundled(name)
