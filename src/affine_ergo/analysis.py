@@ -300,14 +300,6 @@ def stationary_proxy(
     return EmpiricalDistribution.from_samples(ens.Y[0], ens.Z[0])
 
 
-def noise_floor(params: ModelParams, cfg: SimConfig, horizon: float) -> float:
-    """Calibrated TV estimator floor: 2 tv_hat of two independent
-    same-law ensembles."""
-    p1 = stationary_proxy(params, cfg, horizon, seed_tag=1)
-    p2 = stationary_proxy(params, cfg, horizon, seed_tag=2)
-    return 2.0 * tv_hat(p1, p2)
-
-
 def ergodicity_curve(
     params: ModelParams,
     x: tuple[float, float],
@@ -320,7 +312,7 @@ def ergodicity_curve(
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     horizon = 4.0 * float(t_grid[-1])
     pi_hat = stationary_proxy(params, cfg, horizon, seed_tag=1)
-    # noise_floor(params, cfg, horizon), reusing the seed_tag=1 proxy
+    # estimator noise floor: 2 tv_hat of two independent proxies
     floor = 2.0 * tv_hat(pi_hat, stationary_proxy(params, cfg, horizon, seed_tag=2))
     run = replace(cfg, T=float(t_grid[-1]), record_times=tuple(t_grid))
     ens = simulate_paths(params, x, run)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, analysis, rng as rngmod
+from . import __version__, analysis
 from .errors import AffineError
 from .mechanisms import UPoint, check_A, check_B, check_Cprime
 from .model import ModelParams, _jsonable, load_model, validate
@@ -60,16 +61,21 @@ class Run:
             raise click.UsageError("--model is required for this subcommand")
         return self.params
 
-    def write_manifest(self, subcommand: str, outputs: list[str]):
-        """Write the manifest; its flags are the running subcommand's options
-        as click parsed them, in declaration order."""
-        self.out.mkdir(parents=True, exist_ok=True)
+    def sim(self, dt, T, paths, eps_trunc=0.0, record=()) -> SimConfig:
+        return SimConfig(
+            dt=dt, T=T, n_paths=paths, seed=self.seed, record_times=tuple(record),
+            eps_trunc=eps_trunc, threads=self.threads,
+        )
+
+    def write_manifest(self, outputs: list[str]):
+        """Write the running subcommand's manifest; its flags are the
+        subcommand's options as click parsed them, in declaration order."""
         digest = None
         if self.model_path is not None:
             digest = hashlib.sha256(self.model_path.read_bytes()).hexdigest()
         ctx = click.get_current_context()
         manifest = {
-            "subcommand": subcommand,
+            "subcommand": ctx.info_name,
             "model_file": str(self.model_path) if self.model_path else None,
             "model_sha256": digest,
             "flags": {p.name: ctx.params[p.name] for p in ctx.command.params},
@@ -80,19 +86,19 @@ class Run:
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": outputs,
         }
-        path = self.out / f"manifest_{subcommand}.json"
-        path.write_text(json.dumps(manifest, indent=2) + "\n")
+        self.write_json(f"manifest_{ctx.info_name}.json", manifest, sort_keys=False)
 
-    def write_json(self, name: str, payload: dict) -> str:
+    def _path(self, name: str) -> Path:
         self.out.mkdir(parents=True, exist_ok=True)
-        path = self.out / name
-        path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n")
+        return self.out / name
+
+    def write_json(self, name: str, payload: dict, sort_keys: bool = True) -> str:
+        text = json.dumps(_jsonable(payload), indent=2, sort_keys=sort_keys, allow_nan=False)
+        self._path(name).write_text(text + "\n")
         return name
 
     def write_csv(self, name: str, rows) -> str:
-        self.out.mkdir(parents=True, exist_ok=True)
-        path = self.out / name
-        with open(path, "w", newline="") as fh:
+        with open(self._path(name), "w", newline="") as fh:
             w = csv.writer(fh)
             for row in rows:
                 w.writerow(row)
@@ -114,24 +120,40 @@ def cli(ctx, model, seed, threads, out, strict):
     ctx.obj = Run(model, seed, threads, out, strict)
 
 
-@cli.command("validate")
-@click.pass_obj
+def subcommand(name: str):
+    """Register `body(run, **options)` as subcommand `name`.  The body writes
+    its outputs and returns (output names, failed); the manifest is written
+    after them, and a failed run exits 2 under --strict."""
+
+    def register(body):
+        @cli.command(name)
+        @click.pass_obj
+        @functools.wraps(body)
+        def command(run: Run, **options):
+            outputs, failed = body(run, **options)
+            run.write_manifest(outputs)
+            if failed and run.strict:
+                sys.exit(2)
+
+        return command
+
+    return register
+
+
+@subcommand("validate")
 def cmd_validate(run: Run):
     """Check the standing integrability and sign assumptions."""
     params = run.require_model()
     rep = validate(params)
     out = run.write_json("validate.json", rep.to_json())
-    run.write_manifest("validate", [out])
     for c in rep.checks:
         click.echo(f"{'PASS' if c.passed else 'FAIL'}  {c.name}  ({c.threshold})")
-    if not rep.all_pass and run.strict:
-        sys.exit(2)
+    return [out], not rep.all_pass
 
 
-@cli.command("check-conditions")
+@subcommand("check-conditions")
 @click.option("--eps", default=0.1, show_default=True)
 @click.option("--eta", default=0.5, show_default=True)
-@click.pass_obj
 def cmd_check_conditions(run: Run, eps, eta):
     """Probe the regularity conditions on the jump measures."""
     params = run.require_model()
@@ -146,19 +168,16 @@ def cmd_check_conditions(run: Run, eps, eta):
         except AffineError as exc:
             reports[name] = {"condition": name, "verdict": "fails", "note": str(exc)}
     out = run.write_json("conditions.json", reports)
-    run.write_manifest("check-conditions", [out])
     for name, rep in reports.items():
         click.echo(f"{name}: {rep['verdict']}")
-    if run.strict and any(r["verdict"] == "fails" for r in reports.values()):
-        sys.exit(2)
+    return [out], any(r["verdict"] == "fails" for r in reports.values())
 
 
-@cli.command("solve-riccati")
+@subcommand("solve-riccati")
 @click.option("--t", default=1.0, show_default=True)
 @click.option("--u1", default=-1.0, show_default=True, help="Real u1 <= 0.")
 @click.option("--u2i", default=0.0, show_default=True, help="Imaginary part of u2.")
 @click.option("--grid", default=50, show_default=True)
-@click.pass_obj
 def cmd_solve_riccati(run: Run, t, u1, u2i, grid):
     """Integrate the transform ODE system and dump V on a time grid."""
     params = run.require_model()
@@ -168,17 +187,16 @@ def cmd_solve_riccati(run: Run, t, u1, u2i, grid):
         v1, v2, ps = sol.V1(s), sol.V2(s), sol.psi_accum(s)
         rows.append(tuple(f"{v:.12g}" for v in (s, v1.real, v1.imag, v2.real, v2.imag, ps.real, ps.imag)))
     out = run.write_csv("riccati.csv", rows)
-    run.write_manifest("solve-riccati", [out])
     click.echo(f"V1({t}) = {sol.V1(t)}")
+    return [out], False
 
 
-@cli.command("charfn")
+@subcommand("charfn")
 @click.option("--t", default=1.0, show_default=True)
 @click.option("--u1", default=-1.0, show_default=True)
 @click.option("--u2i", default=0.0, show_default=True)
 @click.option("--x1", default=1.0, show_default=True)
 @click.option("--x2", default=0.0, show_default=True)
-@click.pass_obj
 def cmd_charfn(run: Run, t, u1, u2i, x1, x2):
     """Exact transform value E_x exp(u1 Y_t + u2 Z_t)."""
     params = run.require_model()
@@ -187,31 +205,29 @@ def cmd_charfn(run: Run, t, u1, u2i, x1, x2):
         "charfn.json",
         {"t": t, "u1": u1, "u2i": u2i, "x": [x1, x2], "re": val.real, "im": val.imag},
     )
-    run.write_manifest("charfn", [out])
     click.echo(f"{val.real:.12g}{val.imag:+.12g}j")
+    return [out], False
 
 
-@cli.command("vbar")
+@subcommand("vbar")
 @click.option("--tmin", default=0.01, show_default=True)
 @click.option("--tmax", default=10.0, show_default=True)
 @click.option("--n", default=41, show_default=True)
-@click.pass_obj
 def cmd_vbar(run: Run, tmin, tmax, n):
     """Tabulate the coupling decay function on a log time grid."""
     params = run.require_model()
     table = build_vbar_table(params, tmin, tmax, n)
     rows = [("t", "vbar")] + [(f"{t:.12g}", f"{v:.12g}") for t, v in zip(table.times, table.values)]
     out = run.write_csv("vbar.csv", rows)
-    run.write_manifest("vbar", [out])
     click.echo(f"vbar({tmax}) = {params.vbar(tmax):.6g}")
+    return [out], False
 
 
-@cli.command("stationary")
+@subcommand("stationary")
 @click.option("--u1", default=-1.0, show_default=True)
 @click.option("--dt", default=0.01, show_default=True)
 @click.option("--paths", default=20000, show_default=True)
 @click.option("--horizon", default=None, type=float)
-@click.pass_obj
 def cmd_stationary(run: Run, u1, dt, paths, horizon):
     """Stationary transform values and long-horizon moment estimates."""
     params = run.require_model()
@@ -229,8 +245,7 @@ def cmd_stationary(run: Run, u1, dt, paths, horizon):
         payload["transform_closed"] = stationary_transform_closed(params, u1)
     except AffineError as exc:
         payload["transform_closed_error"] = str(exc)
-    cfg = SimConfig(dt=dt, T=max(dt, 1.0), n_paths=paths, seed=run.seed, threads=run.threads)
-    mom = analysis.stationary_moments(params, cfg, horizon)
+    mom = analysis.stationary_moments(params, run.sim(dt, max(dt, 1.0), paths), horizon)
     payload["moments"] = mom
     out = run.write_json("stationary.json", payload)
     rows = [("t", "empirical", "se", "bound", "violation")]
@@ -242,29 +257,14 @@ def cmd_stationary(run: Run, u1, dt, paths, horizon):
         int(not mom["delta1_within_3se"]),
     ))
     out2 = run.write_csv("stationary.csv", rows)
-    run.write_manifest("stationary", [out, out2])
     click.echo(
         f"transform({u1}) = {tr.value.real:.8g}; D1_hat = {mom['D1_hat']:.6g} "
         f"(delta1 = {delta1(params):.6g})"
     )
-    if run.strict and not mom["delta1_within_3se"]:
-        sys.exit(2)
+    return [out, out2], not mom["delta1_within_3se"]
 
 
-def _sim_cfg(run: Run, dt, t, paths, eps_trunc, record):
-    times = tuple(record) if record else (t,)
-    return SimConfig(
-        dt=dt,
-        T=max(times),
-        n_paths=paths,
-        seed=run.seed,
-        record_times=times,
-        eps_trunc=eps_trunc,
-        threads=run.threads,
-    )
-
-
-@cli.command("simulate")
+@subcommand("simulate")
 @click.option("--x1", default=1.0, show_default=True)
 @click.option("--x2", default=0.0, show_default=True)
 @click.option("--t", default=1.0, show_default=True)
@@ -272,23 +272,23 @@ def _sim_cfg(run: Run, dt, t, paths, eps_trunc, record):
 @click.option("--paths", default=1000, show_default=True)
 @click.option("--eps-trunc", default=0.0, show_default=True)
 @click.option("--record", multiple=True, type=float)
-@click.pass_obj
 def cmd_simulate(run: Run, x1, x2, t, dt, paths, eps_trunc, record):
     """Simulate an ensemble and dump the recorded states."""
     params = run.require_model()
-    cfg = _sim_cfg(run, dt, t, paths, eps_trunc, record)
+    times = record or (t,)
+    cfg = run.sim(dt, max(times), paths, eps_trunc, times)
     ens = simulate_paths(params, (x1, x2), cfg)
     rows = [("path_id", "t", "Y", "Z")]
     for pid in range(ens.n_paths):
         for k, rt in enumerate(ens.record_times):
             rows.append((pid, f"{rt:.12g}", f"{ens.Y[k, pid]:.12g}", f"{ens.Z[k, pid]:.12g}"))
     out = run.write_csv("paths.csv", rows)
-    run.write_manifest("simulate", [out])
-    k = ens.index_of(max(cfg.record_times))
-    click.echo(f"mean Y({max(cfg.record_times)}) = {ens.Y[k].mean():.6g}, mean Z = {ens.Z[k].mean():.6g}")
+    k = ens.index_of(cfg.T)
+    click.echo(f"mean Y({cfg.T}) = {ens.Y[k].mean():.6g}, mean Z = {ens.Z[k].mean():.6g}")
+    return [out], False
 
 
-@cli.command("couple")
+@subcommand("couple")
 @click.option("--x1", default=2.0, show_default=True)
 @click.option("--x2", default=1.0, show_default=True)
 @click.option("--y1", default=1.0, show_default=True)
@@ -298,12 +298,12 @@ def cmd_simulate(run: Run, x1, x2, t, dt, paths, eps_trunc, record):
 @click.option("--paths", default=1000, show_default=True)
 @click.option("--eps-trunc", default=0.0, show_default=True)
 @click.option("--record", multiple=True, type=float)
-@click.pass_obj
 def cmd_couple(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc, record):
     """Simulate the shared-noise coupled pair and dump states plus
     coalescence times."""
     params = run.require_model()
-    cfg = _sim_cfg(run, dt, t, paths, eps_trunc, record)
+    times = record or (t,)
+    cfg = run.sim(dt, max(times), paths, eps_trunc, times)
     ce = simulate_coupled(params, (x1, x2), (y1, y2), cfg)
     rows = [("path_id", "t", "Yx", "Zx", "Yy", "Zy", "coalesce_time")]
     for pid in range(ce.n_paths):
@@ -316,11 +316,11 @@ def cmd_couple(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc, record):
                 f"{ce.Yy[k, pid]:.12g}", f"{ce.Zy[k, pid]:.12g}", vs_s,
             ))
     out = run.write_csv("coupled.csv", rows)
-    run.write_manifest("couple", [out])
     click.echo(f"coalesced by T: {ce.coalesced_by(cfg.T).mean():.4f}")
+    return [out], False
 
 
-@cli.command("tv-curve")
+@subcommand("tv-curve")
 @click.option("--x1", default=3.0, show_default=True)
 @click.option("--x2", default=2.0, show_default=True)
 @click.option("--t", multiple=True, type=float, default=(1.0, 2.0, 4.0, 8.0), show_default=True)
@@ -328,23 +328,19 @@ def cmd_couple(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc, record):
 @click.option("--paths", default=20000, show_default=True)
 @click.option("--eps-trunc", default=0.0, show_default=True)
 @click.option("--eps", default=None, type=float, help="Tail cut for the exponential bound overlay.")
-@click.pass_obj
 def cmd_tv_curve(run: Run, x1, x2, t, dt, paths, eps_trunc, eps):
     """TV distance to the long-horizon stationary proxy over a time grid."""
     params = run.require_model()
-    cfg = SimConfig(
-        dt=dt, T=max(t), n_paths=paths, seed=run.seed, eps_trunc=eps_trunc, threads=run.threads
-    )
-    rep = analysis.ergodicity_curve(params, (x1, x2), t, cfg, eps=eps)
+    rep = analysis.ergodicity_curve(params, (x1, x2), t, run.sim(dt, max(t), paths, eps_trunc), eps=eps)
     out = run.write_csv("tv_curve.csv", rep.csv_rows())
     out2 = run.write_json("tv_curve.json", rep.to_json())
-    run.write_manifest("tv-curve", [out, out2])
     for s, e in zip(rep.t_grid, rep.empirical):
         click.echo(f"t={s:g}  2*tv_hat={e:.4f}")
     click.echo(f"noise floor {rep.constants['noise_floor']:.4f}, fitted rate {rep.constants['fitted_decay_rate']:.4f}")
+    return [out, out2], False
 
 
-@cli.command("verify-bounds")
+@subcommand("verify-bounds")
 @click.option("--x1", default=2.0, show_default=True)
 @click.option("--x2", default=1.0, show_default=True)
 @click.option("--y1", default=1.0, show_default=True)
@@ -353,14 +349,11 @@ def cmd_tv_curve(run: Run, x1, x2, t, dt, paths, eps_trunc, eps):
 @click.option("--dt", default=0.01, show_default=True)
 @click.option("--paths", default=20000, show_default=True)
 @click.option("--eps-trunc", default=0.0, show_default=True)
-@click.pass_obj
 def cmd_verify_bounds(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc):
     """Coupled-MC checks of the Z-difference moment bound and the
     non-coalescence probability bound."""
     params = run.require_model()
-    cfg = SimConfig(
-        dt=dt, T=max(t), n_paths=paths, seed=run.seed, eps_trunc=eps_trunc, threads=run.threads
-    )
+    cfg = run.sim(dt, max(t), paths, eps_trunc)
     rep1 = analysis.lemma31_check(params, (x1, x2), (y1, y2), t, cfg)
     rep2 = analysis.coalescence_curve(params, x1, y1, t, cfg)
     outs = [
@@ -369,14 +362,11 @@ def cmd_verify_bounds(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc):
         run.write_csv("coalescence_bound.csv", rep2.csv_rows()),
         run.write_json("coalescence_bound.json", rep2.to_json()),
     ]
-    run.write_manifest("verify-bounds", outs)
-    bad = rep1.any_violation or rep2.any_violation
     click.echo(f"zdiff violations: {int(rep1.violations.sum())}; coalescence violations: {int(rep2.violations.sum())}")
-    if run.strict and bad:
-        sys.exit(2)
+    return outs, rep1.any_violation or rep2.any_violation
 
 
-@cli.command("strong-feller")
+@subcommand("strong-feller")
 @click.option("--x1", default=1.0, show_default=True)
 @click.option("--x2", default=0.0, show_default=True)
 @click.option("--t", default=1.0, show_default=True)
@@ -386,13 +376,12 @@ def cmd_verify_bounds(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc):
 @click.option("--eps-trunc", default=0.0, show_default=True)
 @click.option("--sigma-k-mass", default=None, type=float)
 @click.option("--lambda-k", default=None, type=float)
-@click.pass_obj
 def cmd_strong_feller(run: Run, x1, x2, t, radius, dt, paths, eps_trunc, sigma_k_mass, lambda_k):
     """TV continuity in the initial state over shrinking radii."""
     params = run.require_model()
-    cfg = SimConfig(dt=dt, T=t, n_paths=paths, seed=run.seed, eps_trunc=eps_trunc, threads=run.threads)
     rows = analysis.strong_feller_probe(
-        params, (x1, x2), t, radius, cfg, sigma_k_mass=sigma_k_mass, Lambda_k=lambda_k
+        params, (x1, x2), t, radius, run.sim(dt, t, paths, eps_trunc),
+        sigma_k_mass=sigma_k_mass, Lambda_k=lambda_k,
     )
     csv_rows = [("t", "empirical", "se", "bound", "violation")]
     for r in rows:
@@ -404,15 +393,14 @@ def cmd_strong_feller(run: Run, x1, x2, t, radius, dt, paths, eps_trunc, sigma_k
         ))
     out = run.write_csv("strong_feller.csv", csv_rows)
     out2 = run.write_json("strong_feller.json", {"rows": rows})
-    run.write_manifest("strong-feller", [out, out2])
     for r in rows:
         click.echo(f"radius={r['radius']:g}  2*tv_hat={r['tv2']:.4f}")
+    return [out, out2], False
 
 
-@cli.command("suite")
+@subcommand("suite")
 @click.option("--dt", default=0.02, show_default=True)
 @click.option("--paths", default=4000, show_default=True)
-@click.pass_obj
 def cmd_suite(run: Run, dt, paths):
     """Reduced verification battery over the bundled reference models."""
     outs = []
@@ -426,14 +414,8 @@ def cmd_suite(run: Run, dt, paths):
         cf = char_fn(params, 1.0, (1.0, 0.0), u)
         entry["charfn"] = [cf.real, cf.imag]
         eps_trunc = 1e-3 if name == "gamma_imm" else 0.0
-        cfg = SimConfig(
-            dt=dt, T=2.0, n_paths=paths, seed=run.seed,
-            eps_trunc=eps_trunc, threads=run.threads,
-        )
-        ens = simulate_paths(params, (1.0, 0.0), SimConfig(
-            dt=dt, T=2.0, n_paths=paths, seed=run.seed, record_times=(1.0, 2.0),
-            eps_trunc=eps_trunc, threads=run.threads,
-        ))
+        cfg = run.sim(dt, 2.0, paths, eps_trunc)
+        ens = simulate_paths(params, (1.0, 0.0), run.sim(dt, 2.0, paths, eps_trunc, (1.0, 2.0)))
         vals = np.exp(u.u1 * ens.Y[0] + u.u2 * ens.Z[0])
         mc = complex(vals.mean())
         entry["charfn_mc"] = [mc.real, mc.imag]
@@ -446,11 +428,9 @@ def cmd_suite(run: Run, dt, paths):
         summary[name] = entry
         outs.append(run.write_json(f"suite_{name}.json", entry))
     outs.append(run.write_json("suite_summary.json", summary))
-    run.write_manifest("suite", outs)
     for name, entry in summary.items():
         click.echo(f"{name}: validate={'PASS' if entry['validate_all_pass'] else 'FAIL'}")
-    if run.strict and not all(e["validate_all_pass"] for e in summary.values()):
-        sys.exit(2)
+    return outs, not all(e["validate_all_pass"] for e in summary.values())
 
 
 def main(argv=None) -> int:

@@ -30,7 +30,8 @@ class UnsupportedMeasure(AffineError):
 
 
 class ModelFormatError(AffineError):
-    """A model file's JSON object lacks a key or has one that is not read."""
+    """A model file is not JSON, lacks a key, has one that is not read, or
+    holds a value of the wrong shape or type."""
 
 
 class SubcriticalityViolated(AffineError):

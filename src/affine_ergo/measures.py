@@ -21,6 +21,7 @@ beyond the declared rectangle are the caller's responsibility.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -260,10 +261,7 @@ class LevyMeasure:
             if n1 <= 0 or n2 <= 0:
                 raise DomainError("node counts must be positive")
         elif self.kind == "product":
-            lo, _ = self.m1.support_bounds()
-            if self.m1.atoms and min(a for a, _ in self.m1.atoms) < 0:
-                raise DomainError("z1 marginal must live on R+")
-            if any(p.lo < 0 for p in self.m1.pieces):
+            if self.m1.support_bounds()[0] < 0:
                 raise DomainError("z1 marginal must live on R+")
         elif self.kind == "union":
             pass
@@ -459,10 +457,13 @@ class LevyMeasure:
 
             def marg(z2, _x1=x1, _w1=w1, _rho=self.density):
                 z2 = np.asarray(z2, dtype=float)
-                out = np.empty_like(z2)
-                for i, v in enumerate(z2.ravel()):
-                    out.ravel()[i] = float(np.sum(_rho(_x1, np.full_like(_x1, v)) * _w1))
-                return out
+                flat = z2.ravel()
+                out = np.empty(flat.size)
+                for i in range(0, flat.size, 1024):  # one density call per 1,024 z2 points
+                    block = flat[i:i + 1024, None]
+                    vals = np.broadcast_to(_rho(_x1, block), (block.size, _x1.size))
+                    out[i:i + 1024] = np.sum(vals * _w1, axis=-1)
+                return out.reshape(z2.shape)
 
             return Marginal1D(pieces=(DensityPiece(z2lo, z2hi, marg, self.nodes[1]),))
         if self.kind == "product":
@@ -516,10 +517,14 @@ class LevyMeasure:
             raise UnsupportedMeasure(f"unknown measure kind {kind!r} in JSON")
         check_keys(d, f"{kind} measure", ("kind", *_JSON_KEYS[kind]))
         if kind == "atomic":
-            return LevyMeasure.atomic(tuple(a) for a in d["atoms"])
+            with reading("atomic measure atoms"):
+                atoms = tuple((float(z1), float(z2), float(w)) for z1, z2, w in d["atoms"])
+            return LevyMeasure.atomic(atoms)
         if kind == "density":
-            fn = compile_density_expr(d["expr"], ("z1", "z2"))
-            return LevyMeasure.from_density(fn, d["domain"], d["nodes"])
+            with reading("density measure expr"):
+                fn = compile_density_expr(d["expr"], ("z1", "z2"))
+            with reading("density measure domain and nodes"):
+                return LevyMeasure.from_density(fn, d["domain"], d["nodes"])
         return LevyMeasure.product(_marginal_from_json(d["z1"]), _marginal_from_json(d["z2"]))
 
 
@@ -538,6 +543,16 @@ def check_keys(d, name: str, required: Iterable[str], optional: Iterable[str] = 
     if problems:
         raise ModelFormatError(f"{name}: {', '.join(problems)}")
     return d
+
+
+@contextlib.contextmanager
+def reading(key: str):
+    """Re-raises the error of converting a model file's value as a
+    ModelFormatError naming the key it was read from."""
+    try:
+        yield
+    except (IndexError, SyntaxError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{key}: {exc}") from exc
 
 
 def _axis_cells(lo: float, hi: float, panels: int, level: int, k: int = GAUSS_ORDER):
@@ -624,12 +639,16 @@ def _marginal_from_json(d: dict) -> Marginal1D:
     """A product's marginal {"atoms": [[z, w], ...], "density": {"expr",
     "domain", "nodes"}}, each key optional but "expr" and "domain"."""
     check_keys(d, "marginal", (), ("atoms", "density"))
-    atoms = tuple(tuple(a) for a in d.get("atoms", ()))
+    with reading("marginal atoms"):
+        atoms = tuple((float(z), float(w)) for z, w in d.get("atoms", ()))
     pieces = ()
     if "density" in d:
         dd = check_keys(d["density"], "marginal density", ("expr", "domain"), ("nodes",))
-        fn = compile_density_expr(dd["expr"], ("z",))
-        pieces = (DensityPiece(dd["domain"][0], dd["domain"][1], fn, dd.get("nodes", 64)),)
+        with reading("marginal density expr"):
+            fn = compile_density_expr(dd["expr"], ("z",))
+        with reading("marginal density domain and nodes"):
+            lo, hi = dd["domain"]
+            pieces = (DensityPiece(float(lo), float(hi), fn, int(dd.get("nodes", 64))),)
     return Marginal1D(atoms=atoms, pieces=pieces)
 
 

@@ -11,7 +11,6 @@ non-monotone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -192,10 +191,6 @@ class ConditionReport:
     extras: dict = field(default_factory=dict, compare=False)
     note: str = ""
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
-
     def to_json(self) -> dict:
         out = {
             "condition": self.condition,
@@ -207,9 +202,6 @@ class ConditionReport:
         if self.note:
             out["note"] = self.note
         return _jsonable(out)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def check_A(params: ModelParams) -> ConditionReport:

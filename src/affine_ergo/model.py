@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .measures import LevyMeasure, check_keys, levy_integral
+from .measures import LevyMeasure, check_keys, levy_integral, reading
 
 
 @dataclass(frozen=True)
@@ -98,26 +98,24 @@ class ModelParams:
 
     @staticmethod
     def from_json(d: dict) -> "ModelParams":
-        check_keys(d, "model", ("a1", "a2", "b0", "b1", "b2", "sigma", "alpha", "m", "n"))
+        scalars = ("a1", "a2", "b0", "b1", "b2", "sigma")
+        check_keys(d, "model", (*scalars, "alpha", "m", "n"))
+        values = {}
+        for key in scalars:
+            with reading(f"model {key}"):
+                values[key] = float(d[key])
+        with reading("model alpha"):
+            (a11, a12), (a21, a22) = d["alpha"]
+            alpha = ((float(a11), float(a12)), (float(a21), float(a22)))
         return ModelParams(
-            a1=float(d["a1"]),
-            a2=float(d["a2"]),
-            b0=float(d["b0"]),
-            b1=float(d["b1"]),
-            b2=float(d["b2"]),
-            sigma=float(d["sigma"]),
-            alpha=(
-                (float(d["alpha"][0][0]), float(d["alpha"][0][1])),
-                (float(d["alpha"][1][0]), float(d["alpha"][1][1])),
-            ),
-            m=LevyMeasure.from_json(d["m"]),
-            n=LevyMeasure.from_json(d["n"]),
+            **values, alpha=alpha, m=LevyMeasure.from_json(d["m"]), n=LevyMeasure.from_json(d["n"])
         )
 
 
 def load_model(path: str | Path) -> ModelParams:
-    with open(path) as fh:
-        return ModelParams.from_json(json.load(fh))
+    with open(path) as fh, reading(f"model file {path}"):
+        d = json.load(fh)
+    return ModelParams.from_json(d)
 
 
 def save_model(params: ModelParams, path: str | Path) -> None:

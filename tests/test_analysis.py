@@ -18,7 +18,6 @@ from affine_ergo.analysis import (
     lemma31_check,
     lemma31_constants,
     lemma51_constants,
-    noise_floor,
     prop33_bound,
     prop42_bound,
     prop42_constants,
@@ -307,9 +306,8 @@ class TestErgodicityCurve:
     def test_start_at_proxy_is_flat(self):
         p = make_params()
         cfg = SimConfig(dt=0.02, T=1.0, n_paths=20_000, seed=41)
-        floor = noise_floor(p, cfg, 16.0)
         rep = ergodicity_curve(p, (delta1(p), -p.b0 / p.b2), (1.0, 2.0, 4.0), cfg)
-        assert np.all(rep.empirical <= 2.5 * floor)
+        assert np.all(rep.empirical <= 2.5 * rep.constants["noise_floor"])
 
 
 class TestStrongFeller:

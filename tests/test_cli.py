@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import affine_ergo
-from affine_ergo.cli import main
+from affine_ergo.cli import cli, main
 from affine_ergo.model import ModelParams, save_model
 
 
@@ -201,3 +201,49 @@ class TestDeterminism:
                        "--out", str(d), "simulate",
                        "--paths", "300", "--dt", "0.02", "--t", "0.5") == 0
         assert self._hash_outputs(d1) == self._hash_outputs(d2)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+# every subcommand with options that keep it small
+SMALL_RUNS = {
+    "validate": [],
+    "check-conditions": [],
+    "solve-riccati": ["--grid", "5"],
+    "charfn": [],
+    "vbar": ["--n", "5"],
+    "stationary": ["--paths", "300", "--dt", "0.05"],
+    "simulate": ["--paths", "300", "--dt", "0.05"],
+    "couple": ["--paths", "300", "--dt", "0.05"],
+    "tv-curve": ["--paths", "300", "--dt", "0.05", "--t", "0.5", "--t", "1"],
+    "verify-bounds": ["--paths", "300", "--dt", "0.05"],
+    "strong-feller": ["--paths", "300", "--dt", "0.05"],
+    "suite": ["--paths", "300", "--dt", "0.05"],
+}
+
+
+class TestEverySubcommand:
+    def test_all_subcommands_listed(self):
+        assert set(SMALL_RUNS) == set(cli.commands)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+    def test_manifest_lists_written_outputs(self, name, tmp_path):
+        assert run("--model", "jump_cbi_ou", "--out", str(tmp_path), name, *SMALL_RUNS[name]) == 0
+        man = json.loads((tmp_path / f"manifest_{name}.json").read_text(), parse_constant=_reject_constant)
+        assert man["subcommand"] == name
+        assert man["outputs"]
+        assert all((tmp_path / f).is_file() for f in man["outputs"])
+
+    def test_strict_failure_still_writes_manifest(self, bad_model, tmp_path):
+        assert run("--model", bad_model, "--out", str(tmp_path), "--strict", "validate") == 2
+        man = json.loads((tmp_path / "manifest_validate.json").read_text())
+        assert man["outputs"] == ["validate.json"]
+
+    def test_non_finite_flag_is_null(self, tmp_path):
+        rc = run("--model", "cir_ou", "--out", str(tmp_path), "strong-feller", "--paths", "300",
+                 "--dt", "0.05", "--sigma-k-mass", "nan", "--lambda-k", "1")
+        assert rc == 0
+        man = json.loads((tmp_path / "manifest_strong-feller.json").read_text(), parse_constant=_reject_constant)
+        assert man["flags"]["sigma_k_mass"] is None

@@ -129,6 +129,53 @@ class TestRestrictTail:
         assert all(a >= b - 1e-9 for a, b in zip(masses, masses[1:]))
 
 
+class TestDensity2D:
+    """The 2-D `density` kind: exp(-z1 - z2^2) on [0, 2] x [-2, 2]."""
+
+    MU = LevyMeasure.from_density(
+        compile_density_expr("exp(-z1-z2*z2)", ("z1", "z2")), ((0.0, 2.0), (-2.0, 2.0)), (4, 16)
+    )
+
+    @staticmethod
+    def z2_mass(lo, hi):
+        """int_lo^hi exp(-z2^2) dz2."""
+        return 0.5 * math.sqrt(math.pi) * (math.erf(hi) - math.erf(lo))
+
+    def test_z2_marginal_matches_point_loop(self):
+        from affine_ergo.measures import GAUSS_ORDER, _axis_cells
+
+        # the z1 rule of z2_marginal, summed one z2 point at a time
+        x1, w1, _ = _axis_cells(0.0, 2.0, (4 << 6) // GAUSS_ORDER, 0)
+        z2 = np.linspace(-2.0, 2.0, 2501)
+        loop = np.array([np.sum(self.MU.density(x1, np.full_like(x1, v)) * w1) for v in z2])
+        (piece,) = self.MU.z2_marginal().pieces
+        assert np.array_equal(piece.fn(z2), loop)
+        assert np.array_equal(piece.fn(z2[:7].reshape(7, 1)), loop[:7].reshape(7, 1))
+
+    def test_z2_marginal_closed_form(self):
+        marg = self.MU.z2_marginal()
+        z2 = np.linspace(-2.0, 2.0, 41)
+        closed = (1.0 - math.exp(-2.0)) * np.exp(-z2 * z2)
+        assert np.allclose(marg.density_at(z2), closed, rtol=1e-12, atol=0.0)
+        assert marg.mass() == pytest.approx((1.0 - math.exp(-2.0)) * self.z2_mass(-2.0, 2.0), rel=1e-8)
+
+    def test_restrict_mass(self):
+        total = levy_integral(self.MU, lambda z1, z2: np.ones_like(z1))
+        assert total == pytest.approx((1.0 - math.exp(-2.0)) * self.z2_mass(-2.0, 2.0), rel=1e-8)
+        left = levy_integral(self.MU.restrict(((0.0, 1.0), (-np.inf, np.inf))), lambda z1, z2: np.ones_like(z1))
+        assert left == pytest.approx((1.0 - math.exp(-1.0)) * self.z2_mass(-2.0, 2.0), rel=1e-8)
+        right = levy_integral(self.MU.restrict(((1.0, 5.0), (-2.0, 2.0))), lambda z1, z2: np.ones_like(z1))
+        assert left + right == pytest.approx(total, rel=1e-8)
+        assert self.MU.restrict(((3.0, 4.0), (-1.0, 1.0))).is_empty()
+
+    def test_truncate_small_mass(self):
+        eps = 0.5
+        total = levy_integral(self.MU, lambda z1, z2: np.ones_like(z1))
+        box = (1.0 - math.exp(-eps)) * self.z2_mass(-eps, eps)
+        kept = levy_integral(self.MU.truncate_small(eps), lambda z1, z2: np.ones_like(z1))
+        assert kept == pytest.approx(total - box, rel=1e-8)
+
+
 class TestSampler:
     def test_atom_frequencies(self):
         mu = atomic((1.0, 0.0, 1.0), (2.0, 0.0, 3.0))

@@ -335,4 +335,3 @@ class TestReportSerialization:
         assert d["inputs"] == {"k_list": [0, 1]}
         assert d["Lambda"] is None and d["rate"] is None
         assert d["rows"] == [{"mass": None, "tail": {"moment": None, "ok": True}}]
-        assert json.loads(rep.dumps()) == d

@@ -123,12 +123,26 @@ class TestIO:
         with pytest.raises(ModelFormatError):
             ModelParams.from_json(d)
 
-    @pytest.mark.parametrize("case", ["no_sigma", "atom_for_atoms"])
+    # edits of the same model whose keys are right but whose values are not
+    BAD_VALUES = {
+        "alpha_one_entry": lambda d: d.update(alpha=[[0.1]]),
+        "atom_of_two": lambda d: d["m"]["atoms"].append([0.5, 0.2]),
+        "a1_string": lambda d: d.update(a1="abc"),
+        "a2_null": lambda d: d.update(a2=None),
+        "domain_of_one": lambda d: d["n"]["z2"]["density"].update(domain=[1.0]),
+        "expr_syntax": lambda d: d["n"]["z2"]["density"].update(expr="exp("),
+        "expr_open": lambda d: d["n"]["z2"]["density"].update(expr="open(z)"),
+    }
+
+    @pytest.mark.parametrize("case", ["no_sigma", "atom_for_atoms", *sorted(BAD_VALUES), "not_json"])
     def test_cli_reports_bad_key(self, case, tmp_path, capsys):
-        d = self.bundled_json("jump_cbi_ou")
-        self.BAD_KEYS[case](d)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(d))
+        if case == "not_json":
+            path.write_text("{")
+        else:
+            d = self.bundled_json("jump_cbi_ou")
+            {**self.BAD_KEYS, **self.BAD_VALUES}[case](d)
+            path.write_text(json.dumps(d))
         assert main(["--model", str(path), "--out", str(tmp_path / "out"), "validate"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
