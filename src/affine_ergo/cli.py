@@ -187,8 +187,9 @@ def cmd_solve_riccati(run: Run, t, u1, u2i, grid):
         v1, v2, ps = sol.V1(s), sol.V2(s), sol.psi_accum(s)
         rows.append(tuple(f"{v:.12g}" for v in (s, v1.real, v1.imag, v2.real, v2.imag, ps.real, ps.imag)))
     out = run.write_csv("riccati.csv", rows)
+    out2 = run.write_json("riccati.json", {"nfev": sol.nfev, "nsteps": sol.nsteps, "clamped": sol.clamped})
     click.echo(f"V1({t}) = {sol.V1(t)}")
-    return [out], False
+    return [out, out2], False
 
 
 @subcommand("charfn")
@@ -383,7 +384,7 @@ def cmd_strong_feller(run: Run, x1, x2, t, radius, dt, paths, eps_trunc, sigma_k
         params, (x1, x2), t, radius, run.sim(dt, t, paths, eps_trunc),
         sigma_k_mass=sigma_k_mass, Lambda_k=lambda_k,
     )
-    csv_rows = [("t", "empirical", "se", "bound", "violation")]
+    csv_rows = [("radius", "empirical", "se", "bound", "violation")]
     for r in rows:
         bound = r.get("bound", float("inf"))
         csv_rows.append((

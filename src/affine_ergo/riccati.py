@@ -24,11 +24,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     ConditionAViolated,
@@ -40,6 +38,9 @@ from .errors import (
 from .measures import levy_integral
 from .mechanisms import UPoint, _inv_phi0_integral, _line_integral
 from .model import ModelParams
+
+if TYPE_CHECKING:
+    from scipy.integrate import OdeSolution
 
 _CLAMP_TOL = 1e-9
 _ODE_TOL = 1e-10  # DOP853 rtol; atol is 1e-4 times it
@@ -95,6 +96,9 @@ def solve_V(
         raise DomainError("T must be > 0")
     if start is not None and (start.u != u or not start.T < T):
         raise DomainError("a continued solve needs the same u and T > start.T")
+    # imported here, not at module level: scipy.integrate costs ~0.5 s to import
+    from scipy.integrate import OdeSolution, solve_ivp
+
     mech = params.mechanisms
     b2 = params.b2
     u2_0 = u.u2
@@ -240,6 +244,9 @@ class Vbar:
             if not self._phi0_finite(2.0 ** (j + 2)):
                 raise NoConvergence(f"vbar({t:g}): phi0 overflows below 2^{j + 2}")
         # time_from(2^(j+1)) < t <= time_from(2^j): one root-find in [2^j, 2^(j+1)]
+        # imported here, not at module level: scipy.optimize costs ~0.5 s to import
+        from scipy.optimize import brentq
+
         v = brentq(lambda w: self.time_from(w) - t, 2.0**j, 2.0 ** (j + 1), xtol=1e-300, rtol=1e-12)
         return float(v)
 

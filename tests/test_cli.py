@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -175,6 +179,12 @@ class TestOutputs:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "t"
         assert len(rows) == 11
+        diag = json.loads((tmp_path / "riccati.json").read_text())
+        assert 0 < diag["nfev"] < 1500
+        assert 0 < diag["nsteps"] <= diag["nfev"]
+        assert diag["clamped"] is False
+        man = json.loads((tmp_path / "manifest_solve-riccati.json").read_text())
+        assert man["outputs"] == ["riccati.csv", "riccati.json"]
 
 
 class TestDeterminism:
@@ -247,3 +257,46 @@ class TestEverySubcommand:
         assert rc == 0
         man = json.loads((tmp_path / "manifest_strong-feller.json").read_text(), parse_constant=_reject_constant)
         assert man["flags"]["sigma_k_mass"] is None
+        with open(tmp_path / "strong_feller.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["radius", "empirical", "se", "bound", "violation"]
+        assert [float(r[0]) for r in rows[1:]] == [0.5, 0.25, 0.1, 0.05]
+
+
+# Runs in a fresh interpreter: pytest's filterwarnings entry for
+# scipy.integrate.IntegrationWarning imports scipy into this process.
+STARTUP_SCRIPT = textwrap.dedent('''
+    import math, sys
+    from affine_ergo import cli
+    from affine_ergo.mechanisms import UPoint
+    from affine_ergo.model import load_model, validate
+    from affine_ergo.riccati import char_fn
+
+    out = sys.argv[1]
+    models = {name: load_model(cli._resolve_model(name)) for name in cli.BUNDLED}
+    assert all(validate(p).all_pass for p in models.values())
+    for argv in (["--help"], ["validate"], ["check-conditions"],
+                 ["simulate", "--paths", "10", "--dt", "0.1", "--t", "0.2"]):
+        assert cli.main(["--model", "jump_cbi_ou", "--out", out, *argv]) == 0, argv
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{len(loaded)} scipy modules loaded, e.g. {loaded[:3]}"
+
+    # the deferred imports: a Riccati solve and a vbar root-find
+    p = models["cir_ou"]
+    a1, a2, alpha = p.a1, p.a2, p.alpha[0][0]
+    e = math.exp(-a1)
+    q = 1.0 + alpha * (1.0 - e) / a1  # u1 = -1, t = 1, x = (1, 0)
+    assert math.isclose(char_fn(p, 1.0, (1.0, 0.0), UPoint(-1.0, 0.0)).real,
+                        math.exp(-e / q - a2 / alpha * math.log(q)), rel_tol=1e-7)
+    assert math.isclose(p.vbar(1.0), a1 / (alpha * math.expm1(a1)), rel_tol=1e-8)
+''')
+
+
+def test_startup_never_imports_scipy(tmp_path):
+    # the package, the CLI and the subcommands that never solve the Riccati
+    # flow or root-find vbar load no scipy module; the two that do still work
+    src = str(Path(affine_ergo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
