@@ -1,12 +1,12 @@
 """Generalized Riccati flow, transition/stationary transforms and vbar.
 
 V2 is explicit (exp(-b2 t) u2); V1 solves V1' = phi((V1, V2(t))) with the
-8th-order Dormand-Prince pair (DOP853, Hairer, Norsett & Wanner, Solving
-ODEs I, sec. II.10), and the psi integral is carried as an extra state so
-the characteristic functional comes out of one solve.  A solve can be
-continued from an earlier one's horizon (``solve_V(..., start=sol)``): the
-stationary transform extends its horizon by doubling that way, one solve
-continued from T to 2T, never restarted from 0.
+8th-order Dormand-Prince pair (`dop853.solve`), and the psi integral is
+carried as an extra state so the characteristic functional comes out of one
+solve.  A solve can be continued from an earlier one's horizon
+(``solve_V(..., start=sol)``): the stationary transform extends its horizon
+by doubling that way, one solve continued from T to 2T, never restarted
+from 0.
 Every phi and psi value here comes from the model's one cached `Mechanisms`
 object (``params.mechanisms``), whose frozen jump rules either converged to
 1e-10 or raised QuadratureError.
@@ -24,23 +24,20 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import dop853
 from .errors import (
     ConditionAViolated,
     DomainError,
     NoConvergence,
     SingularIntegrand,
-    StiffnessFailure,
 )
 from .measures import levy_integral
 from .mechanisms import UPoint, _inv_phi0_integral, _line_integral
 from .model import ModelParams
-
-if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
 
 _CLAMP_TOL = 1e-9
 _ODE_TOL = 1e-10  # DOP853 rtol; atol is 1e-4 times it
@@ -56,8 +53,7 @@ class RiccatiSolution:
     u: UPoint
     T: float
     b2: float
-    _sol: OdeSolution
-    _y_T: np.ndarray  # (V1, psi integral) at T, where a continuation starts
+    _sol: dop853.Dense  # its last state is where a continuation starts
     clamped: bool
     nfev: int  # RHS evaluations of the last segment solved
     nsteps: int
@@ -96,9 +92,6 @@ def solve_V(
         raise DomainError("T must be > 0")
     if start is not None and (start.u != u or not start.T < T):
         raise DomainError("a continued solve needs the same u and T > start.T")
-    # imported here, not at module level: scipy.integrate costs ~0.5 s to import
-    from scipy.integrate import OdeSolution, solve_ivp
-
     mech = params.mechanisms
     b2 = params.b2
     u2_0 = u.u2
@@ -113,37 +106,14 @@ def solve_V(
     if start is None:
         t0, y0, first_step = 0.0, np.array([u.u1, 0.0], dtype=complex), min(1e-3, T / 10)
     else:
-        t0, y0, first_step = start.T, start._y_T, None
-    sol = solve_ivp(
-        rhs,
-        (t0, T),
-        y0,
-        method="DOP853",
-        rtol=_ODE_TOL,
-        atol=_ODE_TOL * 1e-4,
-        dense_output=True,
-        first_step=first_step,
-    )
-    if not sol.success:
-        raise StiffnessFailure(f"ODE solver failed: {sol.message}")
-    dense = sol.sol
-    clamped = bool(np.any(sol.y[0].real > _CLAMP_TOL))
+        t0, y0, first_step = start.T, start._sol.y[:, -1], None
+    dense, nfev = dop853.solve(rhs, t0, y0, T, rtol=_ODE_TOL, atol=_ODE_TOL * 1e-4, first_step=first_step)
+    clamped = bool(np.any(dense.y[0].real > _CLAMP_TOL))
+    nsteps = len(dense.t)
     if start is not None:
-        dense = OdeSolution(
-            np.concatenate([start._sol.ts, dense.ts[1:]]),
-            start._sol.interpolants + dense.interpolants,
-        )
+        dense = start._sol.extended(dense)
         clamped = clamped or start.clamped
-    return RiccatiSolution(
-        u=u,
-        T=T,
-        b2=b2,
-        _sol=dense,
-        _y_T=sol.y[:, -1],
-        clamped=clamped,
-        nfev=int(sol.nfev),
-        nsteps=len(sol.t),
-    )
+    return RiccatiSolution(u=u, T=T, b2=b2, _sol=dense, clamped=clamped, nfev=nfev, nsteps=nsteps)
 
 
 def char_fn(
@@ -219,7 +189,7 @@ class Vbar:
         return self._tail(j + 1) + _inv_phi0_integral(self._mech, v, 2.0 ** (j + 1))
 
     def _edge(self, j: int) -> float:
-        """time_from(2^j), the function brentq sees, read from the table
+        """time_from(2^j), the function _brentq sees, read from the table
         below its top.  Above it time_from adds the real window to the
         geometric T(2^(j+1)) and differs from the geometric T(2^j)."""
         return self._tail(j) if j < self._top else self.time_from(2.0**j)
@@ -244,11 +214,55 @@ class Vbar:
             if not self._phi0_finite(2.0 ** (j + 2)):
                 raise NoConvergence(f"vbar({t:g}): phi0 overflows below 2^{j + 2}")
         # time_from(2^(j+1)) < t <= time_from(2^j): one root-find in [2^j, 2^(j+1)]
-        # imported here, not at module level: scipy.optimize costs ~0.5 s to import
-        from scipy.optimize import brentq
+        return _brentq(lambda w: self.time_from(w) - t, 2.0**j, 2.0 ** (j + 1))
 
-        v = brentq(lambda w: self.time_from(w) - t, 2.0**j, 2.0 ** (j + 1), xtol=1e-300, rtol=1e-12)
-        return float(v)
+
+def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4), to
+    xtol 1e-300 and rtol 1e-12 within 100 iterations: scipy's BSD-3 brentq.c
+    line for line, so the same root after the same evaluations.  f(a) and f(b)
+    must differ in sign; NoConvergence where scipy raises."""
+    xtol, rtol = 1e-300, 1e-12
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoConvergence(f"no sign change of f on [{a:g}, {b:g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoConvergence(f"Brent's method did not converge in 100 iterations on [{a:g}, {b:g}]")
 
 
 @dataclass(frozen=True)

@@ -265,38 +265,45 @@ class TestEverySubcommand:
 
 # Runs in a fresh interpreter: pytest's filterwarnings entry for
 # scipy.integrate.IntegrationWarning imports scipy into this process.
-STARTUP_SCRIPT = textwrap.dedent('''
+NO_SCIPY_SCRIPT = textwrap.dedent('''
     import math, sys
     from affine_ergo import cli
     from affine_ergo.mechanisms import UPoint
     from affine_ergo.model import load_model, validate
-    from affine_ergo.riccati import char_fn
+    from affine_ergo.riccati import build_vbar_table, char_fn, stationary_transform
 
     out = sys.argv[1]
     models = {name: load_model(cli._resolve_model(name)) for name in cli.BUNDLED}
     assert all(validate(p).all_pass for p in models.values())
     for argv in (["--help"], ["validate"], ["check-conditions"],
-                 ["simulate", "--paths", "10", "--dt", "0.1", "--t", "0.2"]):
+                 ["simulate", "--paths", "10", "--dt", "0.1", "--t", "0.2"],
+                 ["charfn", "--t", "1"], ["vbar", "--n", "5"], ["solve-riccati", "--grid", "5"]):
         assert cli.main(["--model", "jump_cbi_ou", "--out", out, *argv]) == 0, argv
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    assert not loaded, f"{len(loaded)} scipy modules loaded, e.g. {loaded[:3]}"
 
-    # the deferred imports: a Riccati solve and a vbar root-find
+    # a Riccati solve, a continued one and vbar root-finds, checked against closed forms
     p = models["cir_ou"]
     a1, a2, alpha = p.a1, p.a2, p.alpha[0][0]
     e = math.exp(-a1)
     q = 1.0 + alpha * (1.0 - e) / a1  # u1 = -1, t = 1, x = (1, 0)
     assert math.isclose(char_fn(p, 1.0, (1.0, 0.0), UPoint(-1.0, 0.0)).real,
                         math.exp(-e / q - a2 / alpha * math.log(q)), rel_tol=1e-7)
-    assert math.isclose(p.vbar(1.0), a1 / (alpha * math.expm1(a1)), rel_tol=1e-8)
+    q = 1.0 + 2.0 * alpha / a1  # u1 = -2; the stationary Y law is Gamma(a2 / alpha, rate a1 / alpha)
+    assert math.isclose(stationary_transform(p, UPoint(-2.0, 0.0)).value.real,
+                        q ** (-a2 / alpha), rel_tol=1e-7)
+    table = build_vbar_table(p, n=5)
+    for t, v in zip(table.times, table.values):
+        assert math.isclose(v, a1 / (alpha * math.expm1(a1 * t)), rel_tol=1e-8)
+
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{len(loaded)} scipy modules loaded, e.g. {loaded[:3]}"
 ''')
 
 
 def test_startup_never_imports_scipy(tmp_path):
-    # the package, the CLI and the subcommands that never solve the Riccati
-    # flow or root-find vbar load no scipy module; the two that do still work
+    # the package, its CLI and the subcommands that solve the Riccati flow or
+    # root-find vbar load no scipy module, and their values hold
     src = str(Path(affine_ergo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
-from affine_ergo.errors import ConditionAViolated, DomainError, NoConvergence, QuadratureError
+from affine_ergo import dop853, riccati
+from affine_ergo.errors import (
+    AffineError,
+    ConditionAViolated,
+    DomainError,
+    NoConvergence,
+    QuadratureError,
+    StiffnessFailure,
+)
 from affine_ergo.measures import DensityPiece, LevyMeasure, Marginal1D, compile_density_expr
 from affine_ergo.mechanisms import UPoint, phi0
 from affine_ergo.model import ModelParams, load_model
@@ -149,6 +158,69 @@ class TestContinuation:
             solve_V(p, UPoint(-1.0, 0.0), 1.0, start=first)
         with pytest.raises(DomainError):
             solve_V(p, UPoint(-2.0, 0.0), 2.0, start=first)
+
+
+# criterion 2's u-points
+U_POINTS = (UPoint(-0.5, 0.0), UPoint(-1.0, 0.5j), UPoint(-2.0, 0.0),
+            UPoint(0.0, 0.8j), UPoint(0.4j, 0.6j), UPoint(-1.5, -0.7j))
+
+
+class TestDop853:
+    """The package's DOP853 against scipy's, which it reproduces operation
+    for operation: equality is exact, not within a tolerance."""
+
+    @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou", "gamma_imm"])
+    def test_bit_identical_to_solve_ivp(self, name):
+        p = bundled(name)
+        mech = p.mechanisms
+        for u in U_POINTS:
+            def rhs(t, y):  # solve_V's right-hand side
+                v1 = y[0] if y[0].real <= 0.0 else 1j * y[0].imag
+                u2 = np.exp(-p.b2 * t) * u.u2
+                return np.array([mech.phi(v1, u2), mech.psi(v1, u2)], dtype=complex)
+
+            opts = dict(method="DOP853", rtol=riccati._ODE_TOL, atol=riccati._ODE_TOL * 1e-4, dense_output=True)
+            ref = solve_ivp(rhs, (0.0, 1.0), np.array([u.u1, 0.0], dtype=complex), first_step=1e-3, **opts)
+            # the continued segment picks its own first step
+            ref2 = solve_ivp(rhs, (1.0, 2.0), ref.y[:, -1], **opts)
+            sol = solve_V(p, u, 1.0)
+            assert np.array_equal(sol._sol.t, ref.t) and np.array_equal(sol._sol.y, ref.y)
+            assert (sol.nfev, sol.nsteps) == (ref.nfev, len(ref.t))
+            cont = solve_V(p, u, 2.0, start=sol)
+            assert np.array_equal(cont._sol.t, np.concatenate([ref.t, ref2.t[1:]]))
+            assert np.array_equal(cont._sol.y[:, len(ref.t) - 1:], ref2.y)
+            assert (cont.nfev, cont.nsteps) == (ref2.nfev, len(ref2.t))
+            for t in np.concatenate([np.linspace(0.0, 2.0, 37), ref.t, ref2.t]):
+                assert np.array_equal(cont._sol(t), ref.sol(t) if t <= 1.0 else ref2.sol(t)), (u, t)
+
+    def test_blow_up_raises(self):
+        # y' = y^2, y(0) = 1 has y = 1 / (1 - t): the step underflows at t = 1
+        with pytest.raises(StiffnessFailure):
+            dop853.solve(lambda t, y: y**2, 0.0, np.array([1.0, 0.0], dtype=complex), 2.0,
+                         rtol=1e-10, atol=1e-14)
+
+
+class TestBrent:
+    @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou", "gamma_imm"])
+    def test_same_root_and_evaluations_as_scipy(self, name, monkeypatch):
+        brackets = []
+        monkeypatch.setattr(riccati, "_brentq", lambda f, a, b: brackets.append((f, a, b)) or 1.0)
+        vb = bundled(name).vbar
+        for t in np.geomspace(1e-3, 30.0, 61):
+            vb(t)
+        assert len(brackets) == 61
+        monkeypatch.undo()
+        for f, a, b in brackets:
+            calls = []
+            counted = lambda w: calls.append(w) or f(w)
+            root = riccati._brentq(counted, a, b)
+            ours = len(calls)
+            ref, info = brentq(counted, a, b, xtol=1e-300, rtol=1e-12, full_output=True)
+            assert root == ref and ours == len(calls) - ours == info.function_calls
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(AffineError):
+            riccati._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestCharFn:
