@@ -18,6 +18,7 @@ from . import rng as rngmod
 from .errors import (
     ConditionAViolated,
     ConditionCViolated,
+    DomainError,
     EmptyDistribution,
     QuadratureError,
     SubcriticalityViolated,
@@ -226,7 +227,7 @@ def prop33_bound(
     + sqrt(|dx1|) + |dx2|) / sqrt(t).  C_hat is user-supplied or fitted;
     the underlying constant is existential."""
     if t <= 0:
-        raise ValueError("t must be > 0")
+        raise DomainError("t must be > 0")
     k = kappa_coeff(params)
     d1 = abs(x[0] - y[0])
     d2 = abs(x[1] - y[1])
@@ -397,7 +398,7 @@ def stationary_moments(params: ModelParams, cfg: SimConfig, horizon: float | Non
     """Long-horizon estimates of the stationary mean of Y and of E|Z|,
     with a horizon-doubling stability check and the closed-form Y-mean."""
     if params.a1 <= 0 or params.b2 <= 0:
-        raise ValueError("requires a1 > 0 and b2 > 0")
+        raise DomainError("requires a1 > 0 and b2 > 0")
     if horizon is None:
         horizon = 40.0 / min(params.a1, params.b2)
     horizon = round(horizon / cfg.dt) * cfg.dt
@@ -447,7 +448,7 @@ def lemma51_constants(
     r2 = b2 - a1
     C2t = abs(b1) * t if r2 == 0 else abs(b1) * (math.exp(r2 * t) - 1.0) / r2
     if sigma_k_mass <= 0:
-        raise ValueError("sigma_k mass must be > 0")
+        raise DomainError("sigma_k mass must be > 0")
     return {
         "c_bar": cb,
         "C1_t": C1t,

@@ -14,8 +14,9 @@ Density quadrature is a tensor rule of GAUSS_ORDER-point Gauss-Legendre
 nodes on each of ``nodes << level`` equal panels per axis.  One
 node-doubling loop (`_converge`) serves every integral: it doubles the
 panel count until two successive levels agree and raises QuadratureError
-at NODE_CAP, never returning an unconverged grid.  With one node per panel
-the cells are the midpoint cells that LevySampler jitters within.  Tails
+at NODE_CAP, never returning an unconverged grid; 1-D marginals are
+compared between the edges of their pieces.  With one node per panel the
+cells are the midpoint cells that LevySampler jitters within.  Tails
 beyond the declared rectangle are the caller's responsibility.
 """
 
@@ -42,7 +43,8 @@ from .errors import (
 NODE_CAP = 1 << 20
 _MAX_LEVELS = 24
 GAUSS_ORDER = 8
-_GRID = 1 << 16  # cells of the fixed overlap/TV grid
+_Z1_TOL = 1e-10  # z2_marginal: the z1 rule at the z2 level-0 nodes
+_OVERLAP_TOL = 1e-8  # overlap_stats
 _SAMPLER_TOL = 1e-6  # LevySampler: relative change of rate and mean between levels
 
 _SAFE_FUNCS = {
@@ -448,12 +450,9 @@ class LevyMeasure:
             return Marginal1D(atoms=tuple(sorted(agg.items())))
         if self.kind == "density":
             (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            # z1 on (nodes << 6) Gauss nodes in all
-            panels = max(1, (self.nodes[0] << 6) // GAUSS_ORDER)
-            x1, w1, _ = _axis_cells(z1lo, z1hi, panels, 0)
+            x1, w1, at_nodes = _z1_rule(self)
             if z2hi == z2lo:
-                w = float(np.sum(self.density(x1, np.full_like(x1, z2lo)) * w1))
-                return Marginal1D(atoms=((z2lo, w),))
+                return Marginal1D(atoms=((z2lo, float(at_nodes[0])),))
 
             def marg(z2, _x1=x1, _w1=w1, _rho=self.density):
                 z2 = np.asarray(z2, dtype=float)
@@ -566,6 +565,23 @@ def _axis_cells(lo: float, hi: float, panels: int, level: int, k: int = GAUSS_OR
     t, wt = _gauss_legendre(k)
     x = lo + h * (np.arange(n)[:, None] + t)
     return x.ravel(), np.tile(h * wt, n), h
+
+
+def _z1_rule(mu: LevyMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The z1 nodes and weights that z2_marginal freezes for a density
+    measure, converged to _Z1_TOL at every z2 level-0 node, and the
+    marginal at those nodes; QuadratureError past NODE_CAP density values."""
+    (z1lo, z1hi), (z2lo, z2hi) = mu.domain
+    x2 = _axis_cells(z2lo, z2hi, mu.nodes[1], 0)[0][:, None]
+    line = LevyMeasure.from_density(lambda z1, z2: np.ones_like(z1), ((z1lo, z1hi), (0.0, 0.0)), (mu.nodes[0], 1))
+
+    def at_nodes(z1, _):
+        if z1.size * x2.size > NODE_CAP:
+            raise QuadratureError(f"z1 rule of the z2-marginal needs more than {NODE_CAP} density values")
+        return np.broadcast_to(mu.density(z1, x2), (x2.size, z1.size))
+
+    (x1, _, _, _, w1), marg = _converge(line, at_nodes, _Z1_TOL)
+    return x1, w1, marg
 
 
 @functools.lru_cache(maxsize=None)
@@ -784,26 +800,23 @@ class LevySampler:
 
 
 def overlap_stats(mu: Marginal1D, nu: Marginal1D) -> tuple[float, float, float, float]:
-    """(overlap, tv, mass_mu, mass_nu) computed on one common grid of
-    _GRID midpoint cells.
+    """(overlap, tv, mass_mu, mass_nu) with overlap = (mu ^ nu)(R) and
+    tv = |mu - nu|(R).
 
-    overlap = (mu ^ nu)(R), tv = |mu - nu|(R).  Atoms match exactly
-    (position tolerance 1e-12); atom-vs-density pairs never overlap.
-    All four numbers come from the same discretization, so the identity
-    overlap = (mass_mu + mass_nu - tv) / 2 holds by construction.
+    The densities are integrated in one `_converge` call to _OVERLAP_TOL
+    between the piece edges of both marginals (`on_cut`), so a density may
+    jump at its edges; QuadratureError if they do not converge.  Atoms match
+    exactly (position tolerance 1e-12); atom-vs-density pairs never overlap.
     """
-    lo1, hi1 = mu.support_bounds()
-    lo2, hi2 = nu.support_bounds()
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
     overlap = tv = mass_mu = mass_nu = 0.0
-    if (mu.pieces or nu.pieces) and hi > lo:
-        x, h = _grid(lo, hi)
-        p = mu.density_at(x) * h
-        q = nu.density_at(x) * h
-        overlap += float(np.sum(np.minimum(p, q)))
-        tv += float(np.sum(np.abs(p - q)))
-        mass_mu += float(np.sum(p))
-        mass_nu += float(np.sum(q))
+    if mu.pieces or nu.pieces:
+
+        def stack(_, x):
+            p, q = mu.density_at(x), nu.density_at(x)
+            return np.stack([np.minimum(p, q), np.abs(p - q), p, q])
+
+        on_axis = LevyMeasure.product(_const_marginal(0.0), on_cut(np.ones_like, mu, nu))
+        overlap, tv, mass_mu, mass_nu = map(float, _converge(on_axis, stack, _OVERLAP_TOL)[1])
     mu_atoms = dict(_merge_atoms(mu.atoms))
     nu_atoms = dict(_merge_atoms(nu.atoms))
     keys = sorted(set(mu_atoms) | set(nu_atoms))
@@ -828,20 +841,16 @@ def overlap_stats(mu: Marginal1D, nu: Marginal1D) -> tuple[float, float, float, 
     return overlap, tv, mass_mu, mass_nu
 
 
-def grid_integral(mu: Marginal1D, f: Callable) -> float:
-    """Integral of f against mu on overlap_stats' fixed midpoint grid
-    over mu's support (atoms exact).  No refinement: for densities with
-    jumps, on which node doubling cannot converge."""
-    val = sum(w * float(f(np.asarray(a))) for a, w in mu.atoms)
-    lo, hi = mu.support_bounds()
-    if mu.pieces and hi > lo:
-        x, h = _grid(lo, hi)
-        val += float(np.sum(f(x) * (mu.density_at(x) * h)))
-    return val
-
-
-def _grid(lo: float, hi: float) -> tuple[np.ndarray, float]:
-    return lo + (hi - lo) * (np.arange(_GRID) + 0.5) / _GRID, (hi - lo) / _GRID
+def on_cut(fn: Callable, *margs: Marginal1D) -> Marginal1D:
+    """The density fn on the pieces of margs cut at every piece edge of all
+    of them: disjoint pieces, each with the largest node count of the pieces
+    that cover it."""
+    edges = [e for m in margs for p in m.pieces for e in (p.lo, p.hi)]
+    cut: dict[tuple[float, float], int] = {}
+    pieces = [p for m in margs for p in m.split_at(edges).pieces if p.hi > p.lo]
+    for p in pieces:
+        cut[p.lo, p.hi] = max(p.nodes, cut.get((p.lo, p.hi), 0))
+    return Marginal1D(pieces=tuple(DensityPiece(lo, hi, fn, n) for (lo, hi), n in cut.items()))
 
 
 def _merge_atoms(atoms):

@@ -1,12 +1,12 @@
 """Affine mechanisms and numeric checkers for the jump-activity conditions.
 
-Integrals of 1/phi0 (condition (A), vbar) and the closed stationary
-integrand run on the package's one node-doubling loop
-(`measures._converge`): each converges to _LINE_TOL or raises
-QuadratureError.  Condition (A) reads the decay of those integrals over
-doubling windows, and the shift total-variation ratios of (B)-(D) are probed
-on finite grids; verdicts may be "inconclusive" when the evidence is
-non-monotone.
+Every integral runs on the package's one node-doubling loop
+(`measures._converge`) and meets its tolerance or raises QuadratureError:
+1/phi0 (condition (A), vbar) and the closed stationary integrand, and the
+masses, overlaps and shift total variations of (B)-(D).  Condition (A)
+reads the decay of the 1/phi0 integrals over doubling windows, and (C),
+(D) probe the shift ratios at finitely many shifts; verdicts may be
+"inconclusive" when the evidence is non-monotone.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .measures import (
     Marginal1D,
     _converge,
     _is_atomic_only,
-    grid_integral,
     levy_restrict_tail,
+    on_cut,
     overlap_stats,
 )
 from .model import ModelParams, _jsonable, _try_integral
@@ -39,7 +39,6 @@ _A_Z_MAX = 64.0
 _A_DOUBLINGS = 6
 _C_RHOS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)  # conditions (C), (C'): decreasing shifts rho
 _D_RHO = 1e-2  # condition (D): the shift of sigma_k's TV ratio
-_D_NODES = 512  # condition (D): base panel count of sigma_k
 
 
 @dataclass(frozen=True)
@@ -278,7 +277,7 @@ def check_B(
         evidence=tuple(evidence),
         inputs={"eps": eps, "eta": eta},
         extras={
-            "C_eps": float(overlap_stats(marg, marg)[2]),
+            "C_eps": marg.mass(),
             "min_overlap": float(min_overlap),
             "abs_z2_moment": moment,
         },
@@ -309,7 +308,7 @@ def check_C(params: ModelParams, eps: float, second_moment: bool = False) -> Con
     under-estimates the true sup)."""
     n_eps = levy_restrict_tail(params.n, eps)
     marg = n_eps.m2
-    C_eps = overlap_stats(marg, marg)[2]
+    C_eps = marg.mass()
     values = [float(shift_tv_ratio(marg, rho)) for rho in _C_RHOS]
     Lambda = max(values)
     tail = values[-3:]
@@ -340,37 +339,24 @@ def check_Cprime(params: ModelParams, eps: float) -> ConditionReport:
     return check_C(params, eps, second_moment=True)
 
 
-def sigma_k_marginal(
-    rho0: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    k: float,
-    domain: tuple[float, float],
-) -> Marginal1D:
-    """The density min(k*g, rho0) on the given interval."""
-
-    def fn(x, _k=k):
-        return np.minimum(_k * np.asarray(g(x)), np.asarray(rho0(x)))
-
-    return Marginal1D(pieces=(DensityPiece(domain[0], domain[1], fn, _D_NODES),))
-
-
 def check_D(
     params: ModelParams,
-    rho0: Callable[[np.ndarray], np.ndarray],
+    rho0: Marginal1D,
     g: Callable[[np.ndarray], np.ndarray],
-    domain: tuple[float, float],
     k_list: Sequence[float] = (1, 4, 16, 64, 256),
 ) -> ConditionReport:
     """Builds sigma_k = min(k g, rho0) dz2, reports masses, shift-TV ratios
-    and first moments, and growth evidence for sigma_0(R) = inf."""
+    and first moments, and growth evidence for sigma_0(R) = inf.  rho0's
+    piece edges are where it may jump, so sigma_k is continuous between
+    them when g is."""
     if any(k < 1 for k in k_list):
         raise DomainError("k_list entries must be >= 1")
     # domination probe: rho0 must sit below the z2-marginal density of n
-    probe = np.linspace(domain[0], domain[1], 257)
+    lo, hi = rho0.support_bounds()
+    probe = np.linspace(lo, hi, 257)
     probe = probe[(probe != 0.0)]
-    n_marg = params.n.z2_marginal()
-    n_dens = n_marg.density_at(probe)
-    r_vals = np.asarray(rho0(probe), dtype=float)
+    n_dens = params.n.z2_marginal().density_at(probe)
+    r_vals = rho0.density_at(probe)
     if np.any(r_vals > n_dens + 1e-9):
         worst = float(np.max(r_vals - n_dens))
         raise DominationViolated(
@@ -380,16 +366,12 @@ def check_D(
     masses = []
     extras_rows = []
     for k in sorted(k_list):
-        sk = sigma_k_marginal(rho0, g, float(k), domain)
-        # rho0 may jump, so no node-doubling rule converges on sigma_k: mass
-        # and moment come from the fixed grid of the shift-TV ratio
-        mass = overlap_stats(sk, sk)[2]
-        Lam_k = shift_tv_ratio(sk, _D_RHO)
-        mom1 = grid_integral(sk, np.abs)
+        sk = on_cut(lambda x, k=float(k): np.minimum(k * np.asarray(g(x)), rho0.density_at(x)), rho0)
+        mass = sk.mass()
         masses.append(mass)
-        evidence.append((float(k), float(mass)))
+        evidence.append((float(k), mass))
         extras_rows.append(
-            {"k": float(k), "mass": float(mass), "Lambda_k": float(Lam_k), "abs_moment": float(mom1)}
+            {"k": float(k), "mass": mass, "Lambda_k": shift_tv_ratio(sk, _D_RHO), "abs_moment": sk.integrate(np.abs)}
         )
     increasing = all(masses[i + 1] >= masses[i] - 1e-12 for i in range(len(masses) - 1))
     finite = all(math.isfinite(r["mass"]) and math.isfinite(r["Lambda_k"]) and math.isfinite(r["abs_moment"]) for r in extras_rows)
@@ -405,6 +387,6 @@ def check_D(
         "D",
         verdict,
         evidence=tuple(evidence),
-        inputs={"k_list": [float(k) for k in k_list], "domain": list(domain)},
+        inputs={"k_list": [float(k) for k in k_list], "domain": [lo, hi]},
         extras={"rows": extras_rows, "sigma0_mass_unbounded_evidence": bool(unbounded)},
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from affine_ergo.errors import EmptyDistribution, SubcriticalityViolated
+from affine_ergo.errors import DomainError, EmptyDistribution, SubcriticalityViolated
 from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model
 from affine_ergo.riccati import delta1
@@ -203,6 +203,16 @@ class TestLemma51:
     def test_ck8(self):
         c = lemma51_constants(make_params(), 1.0, sigma_k_mass=4.0, Lambda_k=1.0)
         assert c["C_k8"] == pytest.approx(0.25)
+
+
+def test_inputs_outside_the_domain_raise_domain_error():
+    p = make_params()
+    with pytest.raises(DomainError):
+        prop33_bound(p, (1.0, 0.0), (2.0, 0.0), 0.0, C_hat=1.0)
+    with pytest.raises(DomainError):
+        lemma51_constants(p, 1.0, sigma_k_mass=0.0, Lambda_k=1.0)
+    with pytest.raises(DomainError):
+        stationary_moments(make_params(b2=0.0), SimConfig(dt=0.02, T=1.0, n_paths=10, seed=1))
 
 
 class TestLemma31Check:

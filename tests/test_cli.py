@@ -262,6 +262,12 @@ class TestEverySubcommand:
         assert rows[0] == ["radius", "empirical", "se", "bound", "violation"]
         assert [float(r[0]) for r in rows[1:]] == [0.5, 0.25, 0.1, 0.05]
 
+    def test_zero_sigma_k_mass_is_an_error(self, tmp_path, capsys):
+        rc = run("--model", "cir_ou", "--out", str(tmp_path), "strong-feller", "--paths", "300",
+                 "--dt", "0.05", "--sigma-k-mass", "0", "--lambda-k", "1")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: sigma_k mass must be > 0")
+
 
 # Runs in a fresh interpreter: pytest's filterwarnings entry for
 # scipy.integrate.IntegrationWarning imports scipy into this process.

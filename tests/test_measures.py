@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_ergo.errors import DomainError, EmptyDistribution, QuadratureError, ZeroMass
+from affine_ergo.errors import DomainError, EmptyDistribution, InfiniteMass, QuadratureError, ZeroMass
 from affine_ergo.measures import (
     DensityPiece,
     LevyMeasure,
@@ -142,10 +142,10 @@ class TestDensity2D:
         return 0.5 * math.sqrt(math.pi) * (math.erf(hi) - math.erf(lo))
 
     def test_z2_marginal_matches_point_loop(self):
-        from affine_ergo.measures import GAUSS_ORDER, _axis_cells
+        from affine_ergo.measures import _z1_rule
 
-        # the z1 rule of z2_marginal, summed one z2 point at a time
-        x1, w1, _ = _axis_cells(0.0, 2.0, (4 << 6) // GAUSS_ORDER, 0)
+        # the frozen z1 rule of z2_marginal, summed one z2 point at a time
+        x1, w1, _ = _z1_rule(self.MU)
         z2 = np.linspace(-2.0, 2.0, 2501)
         loop = np.array([np.sum(self.MU.density(x1, np.full_like(x1, v)) * w1) for v in z2])
         (piece,) = self.MU.z2_marginal().pieces
@@ -158,6 +158,19 @@ class TestDensity2D:
         closed = (1.0 - math.exp(-2.0)) * np.exp(-z2 * z2)
         assert np.allclose(marg.density_at(z2), closed, rtol=1e-12, atol=0.0)
         assert marg.mass() == pytest.approx((1.0 - math.exp(-2.0)) * self.z2_mass(-2.0, 2.0), rel=1e-8)
+
+    # 1/z1^2 on (0, 1] x [-1, 1]: no z1 rule converges on it
+    DIVERGENT = LevyMeasure.from_density(
+        compile_density_expr("1/(z1*z1)", ("z1", "z2")), ((0.0, 1.0), (-1.0, 1.0)), (16, 16)
+    )
+
+    def test_divergent_z2_marginal_raises(self):
+        with pytest.raises(QuadratureError):
+            self.DIVERGENT.z2_marginal()
+
+    def test_divergent_restrict_tail_raises(self):
+        with pytest.raises(InfiniteMass):
+            levy_restrict_tail(self.DIVERGENT, 0.1)
 
     def test_restrict_mass(self):
         total = levy_integral(self.MU, lambda z1, z2: np.ones_like(z1))
@@ -257,6 +270,19 @@ class TestOverlap:
         nu = mu.shift(0.8)
         ov, tv, mm, mn = overlap_stats(mu, nu)
         assert ov == pytest.approx(0.5 * (mm + mn - tv), abs=1e-8)
+
+    def test_step_inside_a_piece_raises(self):
+        # the density steps at 0.3, which is not an edge of its piece
+        fn = compile_density_expr("where(z < 0.3, 1.0, 0.0)", ("z",))
+        mu = Marginal1D(pieces=(DensityPiece(0.0, 1.0, fn, 64),))
+        with pytest.raises(QuadratureError):
+            overlap_stats(mu, mu.shift(0.01))
+
+    def test_step_at_piece_edges_converges(self):
+        # the same density with its step at a piece edge: exact to the tolerance
+        mu = Marginal1D(pieces=(DensityPiece(0.0, 0.3, np.ones_like, 64),))
+        ov, tv, mm, mn = overlap_stats(mu, mu.shift(0.01))
+        assert (ov, tv, mm, mn) == pytest.approx((0.29, 0.02, 0.3, 0.3), rel=1e-12)
 
     def test_atom_vs_density_no_overlap(self):
         from affine_ergo.measures import DensityPiece

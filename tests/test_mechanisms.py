@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from affine_ergo.analysis import prop42_constants
 from affine_ergo.errors import DomainError, DominationViolated, QuadratureError
 from affine_ergo.measures import (
     DensityPiece,
@@ -14,6 +15,8 @@ from affine_ergo.measures import (
     Marginal1D,
     compile_density_expr,
     levy_integral,
+    levy_restrict_tail,
+    overlap_stats,
 )
 from affine_ergo.mechanisms import (
     ConditionReport,
@@ -259,6 +262,25 @@ class TestConditionC:
         assert rep.verdict == "holds"
         assert "z2_sq_tail_moment" in rep.extras
 
+    @pytest.mark.parametrize("a", [0.8, 1e-3, 5e-4])
+    def test_shift_tv_closed_form(self, a):
+        # n_eps of jump_cbi_ou is N(0, 1) on [-5, 5]; the truncation takes
+        # from |rho - rho(. - a)| what it adds past the edges, so
+        # |n_eps - shift_a n_eps|(R) = 2 (2 Phi(a/2) - 1) = 2 erf(a / 2^1.5)
+        marg = levy_restrict_tail(bundled("jump_cbi_ou").n, 0.1).m2
+        tv = overlap_stats(marg, marg.shift(a))[1]
+        assert tv == pytest.approx(2.0 * math.erf(a / 2**1.5), rel=1e-9, abs=0.0)
+
+    def test_lambda_closed_form(self):
+        # the sup of the ratios is at the smallest shift, rho/2 with rho = 1e-3
+        a = 5e-4
+        rep = check_C(bundled("jump_cbi_ou"), eps=0.1)
+        assert rep.extras["Lambda"] == pytest.approx(2.0 * math.erf(a / 2**1.5) / a, rel=1e-9, abs=0.0)
+
+    def test_one_C_eps(self):
+        p = bundled("jump_cbi_ou")
+        assert check_C(p, 0.1).extras["C_eps"] == prop42_constants(p, 0.1)["C_eps"]
+
     def test_lambda_dominates_probes_and_mass_cap(self):
         p = make_params(n=normal_z2_measure())
         rep = check_C(p, eps=0.1)
@@ -277,37 +299,38 @@ class TestConditionD:
             Marginal1D(pieces=(DensityPiece(-1.0, 0.0, fn, 256), DensityPiece(0.0, 1.0, fn, 256))),
         )
         p = make_params(n=n)
-        rho0 = lambda z: np.where((z > 0.04) & (z <= 1.0), 1.0 / np.maximum(z, 1e-9) ** 2, 0.0)
+        # rho0 jumps from 0 to 1/z^2 at 0.04, an edge of its one piece
+        rho0 = Marginal1D(pieces=(DensityPiece(0.04, 1.0, lambda z: 1.0 / z**2, 256),))
         g = lambda z: np.exp(-np.abs(z))
-        rep = check_D(p, rho0, g, domain=(-1.0, 1.0), k_list=(1, 4, 16, 64))
+        rep = check_D(p, rho0, g, k_list=(1, 4, 16, 64))
         masses = [row["mass"] for row in rep.extras["rows"]]
         # sigma_1 = min(e^{-|z|}, rho0) = e^{-z} on (0.04, 1]
-        assert masses[0] == pytest.approx(math.exp(-0.04) - math.exp(-1.0), rel=1e-4)
+        assert masses[0] == pytest.approx(math.exp(-0.04) - math.exp(-1.0), rel=1e-8)
         assert all(b > a for a, b in zip(masses, masses[1:]))
         assert rep.extras["sigma0_mass_unbounded_evidence"]
 
     def test_bounded_rho0_plateaus(self):
         p = make_params(n=normal_z2_measure(weight=10.0))
-        rho0 = lambda z: np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        rho0 = Marginal1D(pieces=(DensityPiece(-6.0, 6.0, lambda z: np.exp(-z * z / 2) / math.sqrt(2 * math.pi), 128),))
         g = lambda z: np.exp(-np.abs(z))
-        rep = check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(1, 4, 16, 64))
+        rep = check_D(p, rho0, g, k_list=(1, 4, 16, 64))
         masses = [row["mass"] for row in rep.extras["rows"]]
         assert masses[-1] == pytest.approx(1.0, rel=1e-3)
         assert not rep.extras["sigma0_mass_unbounded_evidence"]
 
     def test_domination_violated(self):
         p = make_params(n=normal_z2_measure())
-        rho0 = lambda z: np.full_like(z, 10.0)
+        rho0 = Marginal1D(pieces=(DensityPiece(-6.0, 6.0, lambda z: np.full_like(z, 10.0)),))
         g = lambda z: np.exp(-np.abs(z))
         with pytest.raises(DominationViolated):
-            check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(1, 2))
+            check_D(p, rho0, g, k_list=(1, 2))
 
     def test_k_zero_rejected(self):
         p = make_params(n=normal_z2_measure())
-        rho0 = lambda z: np.exp(-np.abs(z))
+        rho0 = Marginal1D(pieces=(DensityPiece(-6.0, 6.0, lambda z: np.exp(-np.abs(z))),))
         g = lambda z: np.exp(-np.abs(z))
         with pytest.raises(DomainError):
-            check_D(p, rho0, g, domain=(-6.0, 6.0), k_list=(0, 1))
+            check_D(p, rho0, g, k_list=(0, 1))
 
 
 class TestReportSerialization:
