@@ -1,9 +1,10 @@
-"""Counter-based RNG streams for reproducible parallel Monte Carlo.
+"""Keyed RNG streams for reproducible parallel Monte Carlo.
 
 Paths are processed in fixed-size chunks; each (seed, chunk, stream) triple
-keys an independent Philox stream, so results are bit-identical for any
-worker-thread count: worker threads only change *when* a stream's values
-are drawn, never which values a chunk consumes.
+keys an independent SFC64 stream through the spawn key of a SeedSequence,
+so results are bit-identical for any worker-thread count: worker threads
+only change *when* a stream's values are drawn, never which values a chunk
+consumes.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ N_COUNT, N_JUMP = 3, 4
 M_COUNT, M_JUMP = 5, 6
 D_W, DM_COUNT, DM_JUMP = 7, 8, 9
 N_USED = 10  # ids 0..9 above
-_N_STREAMS = 16  # key slots per chunk
 
 
 def stream(seed: int, chunk: int, stream_id: int) -> np.random.Generator:
-    key = (int(seed) << 64) | (int(chunk) * _N_STREAMS + int(stream_id))
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.random.SeedSequence(int(seed), spawn_key=(int(chunk), int(stream_id)))
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def derive_seed(seed: int, tag: int) -> int:

@@ -4,16 +4,17 @@ Scheme: full-truncation Euler for the square-root diffusion part (coefficients
 evaluated at max(Y,0), state clamped to 0 after the step) and compound-Poisson
 jumps with the intensity frozen at the left endpoint: immigration jumps at
 the rate of n, branching jumps at Y times the rate of m.  A step's jumps of
-one kind on a chunk's paths are drawn as one Poisson total, each jump placed
-on a path with probability proportional to its intensity; this is exactly
-the law of independent per-path counts (superposition).  So per step a count
-stream (N_COUNT, M_COUNT, DM_COUNT) carries that total and then one path
-index per jump (an integer for n's constant intensity, a uniform for the Y-
-or D-proportional ones), and a jump stream (N_JUMP, M_JUMP, DM_JUMP) the
-sampler's three uniforms per jump.  Jumps in the box max(z1, |z2|) <
-eps_trunc are dropped, and the mean z1 of the dropped immigration jumps is
-restored as drift; the other jump terms are compensated, so their dropped
-part has mean zero.
+one kind on a chunk's paths are drawn as one Poisson total of candidate
+jumps at the largest intensity, each on a uniform path and kept with
+probability intensity/max (Poisson thinning, Lewis & Shedler 1979); this is
+exactly the law of independent per-path counts, and a path of intensity 0
+never jumps.  So per step a count stream (N_COUNT, M_COUNT, DM_COUNT)
+carries that total and then one path index per candidate (and, for the Y-
+or D-proportional jumps, one uniform per candidate to accept it), and a
+jump stream (N_JUMP, M_JUMP, DM_JUMP) the sampler's three uniforms per kept
+jump.  Jumps in the box max(z1, |z2|) < eps_trunc are dropped, and the mean
+z1 of the dropped immigration jumps is restored as drift; the other jump
+terms are compensated, so their dropped part has mean zero.
 
 Z's W0 part is drawn at record steps only.  The Euler chain for Z is linear
 and sigma*dW0 has a constant coefficient, so Z_k = Z'_k + G_k, where Z' is
@@ -134,21 +135,31 @@ class _JumpSpec:
 
 
 class _Compiled:
-    """One Euler chain's coefficients, jump tables and stream ids, and the
-    record grid, hoisted out of the step loop."""
+    """One Euler chain's folded coefficients, jump tables and stream ids,
+    and the record grid, hoisted out of the step loop.
+
+    Per step, Y gains y0 - y1*Yc and Z becomes z_keep*Z - z0 - z1*Yc, with
+    y0 = (a2 + dropped n mean z1)*h, y1 = (a1 + m mean z1)*h, z_keep =
+    1 - b2*h, z0 = (b0 + n mean z2)*h and z1 = (b1 + m mean z2)*h: the drift
+    and the jump compensators in one term each.  The diffusion terms are
+    (sqrt(2*a_ij)*sqrt(h))*sqrt(Yc)*xi_j."""
 
     def __init__(self, params: ModelParams, cfg: SimConfig):
         p = params
-        self.h = cfg.dt
-        self.a1, self.a2, self.b0, self.b1, self.b2 = p.a1, p.a2, p.b0, p.b1, p.b2
+        h = self.h = cfg.dt
+        self.b2 = p.b2
         self.use_w0 = p.sigma > 0
         self.use_w1 = p.a11 > 0 or p.a21 > 0
         self.use_w2 = p.a12 > 0 or p.a22 > 0
-        self.c11, self.c12 = math.sqrt(2 * p.a11), math.sqrt(2 * p.a12)
-        self.c21, self.c22 = math.sqrt(2 * p.a21), math.sqrt(2 * p.a22)
         self.n_steps = cfg.n_steps
         self.njump = _JumpSpec(p.n, cfg.eps_trunc, "n")
         self.mjump = _JumpSpec(p.m, cfg.eps_trunc, "m")
+        n, m = self.njump, self.mjump
+        self.y0, self.y1 = (p.a2 + n.drop_mean_z1) * h, (p.a1 + m.mean_z1) * h
+        self.z_keep = 1.0 - p.b2 * h
+        self.z0, self.z1 = (p.b0 + n.mean_z2) * h, (p.b1 + m.mean_z2) * h
+        self.s11, self.s12 = (math.sqrt(2 * a * h) for a in (p.a11, p.a12))
+        self.s21, self.s22 = (math.sqrt(2 * a * h) for a in (p.a21, p.a22))
         # (stream id, normals per step) of W1 and W2; (count, jump) stream
         # ids of the n- and m-jumps
         self.w_streams = ((rng.W1, int(self.use_w1)), (rng.W2, int(self.use_w2)))
@@ -171,8 +182,8 @@ class _Compiled:
         and no n-jumps, on the D_W stream (both normal parts, W1's first)
         and the DM_COUNT, DM_JUMP streams."""
         d = copy.copy(self)
-        d.a2 = d.b0 = 0.0
         d.njump = _JumpSpec(LevyMeasure.zero(), 0.0, "n")
+        d.y0 = d.z0 = 0.0  # a2 = b0 = 0 and no n-jumps to compensate
         d.w_streams = ((rng.D_W, int(self.use_w1) + int(self.use_w2)),)
         d.n_ids = None
         d.m_ids = (rng.DM_COUNT, rng.DM_JUMP)
@@ -279,32 +290,29 @@ class _Normals:
         return self._block[self._i - 1]
 
 
-def _jump_sums(spec: _JumpSpec, g_count, g_jump, intensity, h: float, n: int):
-    """Per-path sums of z1 and z2 over one step's jumps, with
-    Poisson(intensity * rate * h) jumps on each path; (0.0, 0.0) when the
-    step has none.
+def _jumps(spec: _JumpSpec, g_count, g_jump, intensity, h: float, n: int):
+    """One step's jumps on n paths, with Poisson(intensity * rate * h) jumps
+    on each path: (paths, z1, z2), one entry per jump, or None when the step
+    has none.
 
-    Independent Poisson counts on the paths are one Poisson total placed
-    path by path with probability proportional to the intensity
-    (superposition), so g_count draws the total and then the paths: uniform
-    for a constant intensity, by inverse CDF over the intensities otherwise,
-    where a path of intensity 0 is never chosen."""
+    Independent Poisson counts on the paths are one Poisson total placed on
+    uniform paths (superposition).  For an array intensity g_count draws
+    the total at the largest intensity and keeps a candidate on path i when
+    u * max < intensity[i] for a uniform u (thinning), so a path of
+    intensity 0 never jumps."""
     if spec.sampler is None:
-        return 0.0, 0.0
-    if np.ndim(intensity) == 0:
-        k = g_count.poisson(intensity * spec.rate * h * n)
-        idx = g_count.integers(0, n, k)
-    else:
-        cum = np.cumsum(intensity)
-        total = cum[-1]
-        k = g_count.poisson(total * spec.rate * h)
-        idx = np.searchsorted(cum, g_count.random(k) * total, side="right")
-        # u * total can round up to total: the last path of positive intensity
-        idx = np.minimum(idx, np.searchsorted(cum, total))
+        return None
+    thin = np.ndim(intensity) > 0
+    top = float(intensity.max()) if thin else intensity
+    k = g_count.poisson(top * spec.rate * h * n)
     if k == 0:
-        return 0.0, 0.0
-    z1j, z2j = spec.sampler.draw(g_jump, k)
-    return np.bincount(idx, weights=z1j, minlength=n), np.bincount(idx, weights=z2j, minlength=n)
+        return None
+    idx = g_count.integers(0, n, k)
+    if thin:
+        idx = idx[g_count.random(k) * top < intensity[idx]]
+        if idx.size == 0:
+            return None
+    return idx, *spec.sampler.draw(g_jump, idx.size)
 
 
 def _add(acc: np.ndarray, c: float, x: np.ndarray, y, tmp: np.ndarray) -> None:
@@ -321,47 +329,39 @@ def _step(c: _Compiled, xi1, xi2, gn, gm, Y: np.ndarray, Z: np.ndarray, buf: np.
 
     xi1 and xi2 are the step's W1 and W2 normals (None for a part the model
     lacks), gn and gm the (count, jump) generators of the n- and m-jumps,
-    and buf is (4, n) scratch.  The terms are added in the order of the
-    scheme, Y + (a2 - a1*Yc)*h + (sqrt(2*a11)*root)*xi1 + ...  A term whose
-    coefficient is 0 is skipped: adding it would change no sum, except in
-    turning a sum of exactly -0.0 into +0.0."""
+    and buf is (3, n) scratch.  Y + y0 - y1*Yc, then its diffusion terms
+    and its jumps; Z*z_keep - z0 - z1*Yc, then the same (see `_Compiled`).
+    A term whose coefficient is 0 is skipped.  An absorbed D of +0.0 stays
+    +0.0: every term added to it is a signed zero, and +0.0 plus either
+    zero is +0.0."""
     h, n = c.h, Y.size
-    Yc, root, t, u = buf
+    Yc, root, t = buf
     np.maximum(Y, 0.0, out=Yc)
-    jn1, jn2 = _jump_sums(c.njump, *gn, 1.0, h, n)
-    jm1, jm2 = _jump_sums(c.mjump, *gm, Yc, h, n)
-    np.sqrt(np.multiply(Yc, h, out=root), out=root)
+    jn = _jumps(c.njump, *gn, 1.0, h, n)
+    jm = _jumps(c.mjump, *gm, Yc, h, n)
+    np.sqrt(Yc, out=root)
 
-    np.multiply(Yc, c.a1, out=t)
-    np.subtract(c.a2, t, out=t)
-    t *= h
-    Y += t
-    _add(Y, c.c11, root, xi1, t)
-    _add(Y, c.c12, root, xi2, t)
-    if np.ndim(jn1):
-        Y += jn1
-    if c.njump.drop_mean_z1:  # mean of dropped uncompensated small N-jumps
-        Y += c.njump.drop_mean_z1 * h
-    if np.ndim(jm1):
-        Y += jm1
-    _add(Y, -c.mjump.mean_z1, Yc, h, t)
+    np.multiply(Yc, c.y1, out=t)
+    Y -= t
+    if c.y0:
+        Y += c.y0
+    _add(Y, c.s11, root, xi1, t)
+    _add(Y, c.s12, root, xi2, t)
+    for j in (jn, jm):
+        if j is not None:
+            np.add.at(Y, j[0], j[1])
     np.maximum(Y, 0.0, out=Y)
 
-    # Z - (b0 + b1*Yc + b2*Z)*h + (sqrt(2*a21)*root)*xi1 + ...; no W0 term
-    np.multiply(Yc, c.b1, out=t)
-    t += c.b0
-    t += np.multiply(Z, c.b2, out=u)
-    t *= h
+    Z *= c.z_keep
+    np.multiply(Yc, c.z1, out=t)
+    if c.z0:
+        t += c.z0
     Z -= t
-    _add(Z, c.c21, root, xi1, t)
-    _add(Z, c.c22, root, xi2, t)
-    if np.ndim(jn2):
-        Z += jn2
-    if c.njump.mean_z2:
-        Z -= c.njump.mean_z2 * h
-    if np.ndim(jm2):
-        Z += jm2
-    _add(Z, -c.mjump.mean_z2, Yc, h, t)
+    _add(Z, c.s21, root, xi1, t)
+    _add(Z, c.s22, root, xi2, t)
+    for j in (jn, jm):
+        if j is not None:
+            np.add.at(Z, j[0], j[2])
 
 
 def _simulate_chunk(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
@@ -371,7 +371,7 @@ def _simulate_chunk(comp: _Compiled, cfg: SimConfig, chunk: int, n: int, pool,
     Y = np.full(n, float(x[0]))
     Z = np.full(n, float(x[1]))
     G = np.zeros(n)
-    buf = np.empty((4, n))
+    buf = np.empty((3, n))
     out = np.empty((2, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):
         _step(comp, *normals(), gn, gm, Y, Z, buf)
@@ -400,7 +400,7 @@ def _simulate_chunk_coupled(comp: _Compiled, diff: _Compiled, cfg: SimConfig, ch
         thresh_abs[:] = float(x[0]) != float(y[0])
         D[:] = 0.0
     decay = math.exp(-comp.b2 * h)
-    buf = np.empty((4, n))
+    buf = np.empty((3, n))
     dZ_absorbed = np.empty(n)
     out = np.empty((4, len(comp.times), n))
     for step in range(1, cfg.n_steps + 1):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import affine_ergo
+from affine_ergo import rng
 from affine_ergo.errors import ConfigError, TimeNotRecorded
 from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model
@@ -15,8 +16,10 @@ from affine_ergo.mechanisms import UPoint
 from affine_ergo.simulator import (
     BLOCK,
     SimConfig,
-    _jump_sums,
+    _Compiled,
+    _jumps,
     _JumpSpec,
+    _step,
     _Normals,
     simulate_coupled,
     simulate_paths,
@@ -170,68 +173,68 @@ class TestDeterminism:
     # SHA-256 of the raw output bytes (signed zeros included).  A mismatch
     # means a seed's output changed: bump `__version__`, recompute GOLDEN and
     # set GOLDEN_VERSION to the new version.
-    GOLDEN_VERSION = "0.3.0"
+    GOLDEN_VERSION = "0.4.0"
     GOLDEN = {  # (Y, Z) of simulate_paths; all six arrays of simulate_coupled
         "cir_ou": (
-            "aceeb5b4a5fc0c22bc1f46d9204ee121d206a01f0fa320932cbe2fc143ce38b8",
-            "e2b6c7143447477b7eedd9a68af02fa2a9ad67ca8425cf21611fca834a78aded",
+            "3412107f2f9911eeab49a8535ad6dccf8f27f0b58af470399723a9f12f0fcbf0",
+            "f1b3c551795113811a272ac598f96e9c19052a4cd98cda79119e0e6f7ba8073f",
         ),
         "jump_cbi_ou": (
-            "51950e1977dd38549c8a51cb16eb91c4421474a0ba3134c17aacca3afb0fd228",
-            "af8c2315356c8e91ed1b137e54b48fbbdd2127477735469eb3dc6a51aee06f05",
+            "f0f7d9ece4c8788d5d2ac0ca64afa3e32ff24b763c6209cf401d6b21fd066b07",
+            "b9c367ceaa230294f3c62986d86c165226159048ff29ae0674f2347c32da081f",
         ),
         "gamma_imm": (
-            "74f15010f4c34f2384ac061dd3383a16f8d64fab197839012297a3e100c716d7",
-            "331d56411a8279c39905d256808584d0e37ce3d4f83f87e99c5f09e84da2f45d",
+            "19f0a0a877b6ebb51df06ed01f3ab711ca00e2004f1f6b3bbc7cffe2070f484d",
+            "11e8c84135c33c0e6a70e731c6bbf711997fd77877f0c1452798d405c0107aab",
         ),
         "atom_in_box": (
-            "c63ed219a3968b394d56e74f7e3daff3291dee097a448a889c436af6e66e4ea7",
-            "f382fef850d988e2b33dff7937db4d26a7eec5e7a83c994f5391a1dc2b6541f6",
+            "a1fa7b4bae4edf37a1cfe80893ed5eea8ab75c4c848af4084d5d3acc40759235",
+            "1bd495b0d2bc095a7d67cb28170f62f0c185c65dc8789354d05d2bf0e99cd6f4",
         ),
         "full_alpha": (
-            "0351794947bf1eb61a086365daa9bb0523ee2312d5de63bbe3194613e179afc5",
-            "4e6b4d9d7196966649f2c378afac62bd00ebc64673737149e8170c45fef3724e",
+            "a6e8bb8428d8c6c79416857f3b07e4921036849e7581caeb561300760aaf49f6",
+            "77583e0b26427d74e21b5012bc255a7d3763f266f026339790d12192250159d9",
         ),
         "sigma_zero": (
-            "8dee14c917e0fe14823ac26aa9caedda8f6c3ed345bcc6f8d94e533cbd471493",
-            "d151763bac65b2f3b46b88f51b9efcfcd0e6bc879b01a7e4d88dfd620116f99c",
+            "20067cf3cf1a73d64a3534ff95401d8cbd7ae028f4c1dfa1f6958b7bd81b5c80",
+            "81380c98f52443e7df2923030716a181bc1a54225899b31a1bdba56280f153ac",
         ),
         "no_immigration": (
-            "9d7ed998c7c6a5f22852a99cf53d67969ea08a005d0f4938e981ce1e5cb3f430",
-            "656d387f32fb66eb5a54c50a126608cf6bb14c24943f7213b5957867e0729201",
+            "be3136560e2fc9a9fb4fa13051d244d97eaa94de745fc804cd7380b9f7220549",
+            "7c7dd435d7cf1233b114c11eb50a6ac9d6cc4be8d600a772699c32a9d5ddceb7",
         ),
     }
     # Y of simulate_paths; Yx, Yy, varsigma and threshold_absorbed of
-    # simulate_coupled.  Unchanged since 0.2.0: the draws of Y and of the
-    # coalescence times have not changed since then.
+    # simulate_coupled.  A draw change that touches Z alone (as 0.3.0's
+    # did) leaves these; 0.4.0 changed every draw, so they were recomputed.
     GOLDEN_Y = {
         "cir_ou": (
-            "70b6afde1f0938232c8cfabae694af4027b8d7a67de8f4305191e343d2b96ed6",
-            "39d6e74b1ca59d2924ac76d9222cba154fabdacbcc98c1c7570ede8ba77131b1",
+            "0b78c6ecc2da9cf7b4dc2cb2e6f9478f11800fbdb9720b47bd0a6fcb11001820",
+            "7cf88c452db7405a5e9c37984f3829721de9302b1d60aa13ae90aecedcd3fd35",
         ),
         "jump_cbi_ou": (
-            "ab742e1c30cec7df43c8bff648356803ff178b1e194f24dd7141af8fffb1dd97",
-            "4994739690ee6092ce230516babf444084526fefae86fe2a8547f41707b5b14e",
+            "7805867c8ac6001eff458da3d16a0035ac9cfe2072b6ca9b3df433873fcce91d",
+            "f7d03c1ba89dadc0a5f0a3101ce65e2f2c8ccd52662594487916121242504891",
         ),
         "gamma_imm": (
-            "9ccaf2bfb19d78e660fe7a09beb9e18d658f5b425be26fa2ae572a8d73432573",
-            "8f1154c8c2d59b505b7d2fe1f981a19ee6f2952d4569e9e421482bf74a48dd71",
+            "538086214f221820740c79cacc8970b787d3f8973b423941e68a24ed0e30862f",
+            "b951fafc9207c38be1bfc59a645b2b7817258da755d4996980d336bd48e9f9c6",
         ),
         "atom_in_box": (
-            "5a5ec959a0be45c781ab786dc77879d9558c2d5d99d0a10dff8356ee0dfb8e4f",
-            "1113c9d731f459540cc2699d7d43447270a0305b0fc5c0194beea9a7bff5730c",
+            "ae76f02c0c95f46e5415bde4036846e12cd5812ce3e07a127e3cc74c0a273894",
+            "66d1cdf19ba89778b361fbc0b9c74eda16a8e1469696f9b0725549eb3c18c54f",
         ),
         "full_alpha": (
-            "0828291f092920fc552d003cd7c1193e933392e49aa93772a8cf7cae6168212a",
-            "9358d104fad3c6e264f61d4a66b093d65b05bfed4a3483d3499ac5207eaa4fe7",
+            "49d02f84010cbb2011b04fce72a166cfce99fa5b5bfba3628370dbc057dc0dad",
+            "2d263706997832d6c2782e33cd9ce2b9a474e2193558792e2e01f4eb44dbafdf",
         ),
         "sigma_zero": (  # sigma does not enter Y, so these are cir_ou's
-            "70b6afde1f0938232c8cfabae694af4027b8d7a67de8f4305191e343d2b96ed6",
-            "39d6e74b1ca59d2924ac76d9222cba154fabdacbcc98c1c7570ede8ba77131b1",
+            "0b78c6ecc2da9cf7b4dc2cb2e6f9478f11800fbdb9720b47bd0a6fcb11001820",
+            "7cf88c452db7405a5e9c37984f3829721de9302b1d60aa13ae90aecedcd3fd35",
         ),
         "no_immigration": (
-            "a64a5ac5fd85d1786c1f768c7c3fffb61d7806b6f576b4c22c9abea7a217ffcd",
-            "acc6cb546f626c477810b0f73a95df395d59796934c7299da8edf933c21ac208",
+            "1426d0ead3e8463d9be01948b8e68a5bba15d119e457208905f112ee4c01784a",
+            "65d73821008e15358eef9c2993a4e9521a1f2de8b360bb419008ab8ea2684378",
         ),
     }
 
@@ -321,8 +324,8 @@ class TestNormals:
 
 
 class TestJumpCounts:
-    """The superposed counts of `_jump_sums`: one Poisson total per step,
-    placed on the paths in proportion to their intensity."""
+    """The thinned counts of `_jumps`: one Poisson total of candidates per
+    step, on uniform paths, each kept with probability intensity / max."""
 
     @staticmethod
     def counts(intensity, n, steps, h, seed):
@@ -331,7 +334,10 @@ class TestJumpCounts:
         g_count, g_jump = np.random.default_rng(seed), np.random.default_rng(seed + 1)
         total = np.zeros(n)
         for _ in range(steps):
-            total += _jump_sums(spec, g_count, g_jump, intensity, h, n)[0]
+            j = _jumps(spec, g_count, g_jump, intensity, h, n)
+            if j is not None:
+                paths, z1, _ = j
+                np.add.at(total, paths, z1)
         return total
 
     def test_zero_intensity_never_jumps(self):
@@ -340,6 +346,9 @@ class TestJumpCounts:
         c = self.counts(intensity, intensity.size, 200, 0.01, 40)
         assert np.all(c[intensity == 0.0] == 0.0)
         assert np.all(c[intensity == 3.0] > 0.0)
+        spec = _JumpSpec(LevyMeasure.atomic([(1.0, 0.0, 2.0)]), 0.0, "m")
+        g = np.random.default_rng(43)
+        assert _jumps(spec, g, g, np.zeros(100), 10.0, 100) is None
 
     def test_zero_y_gets_no_branching_jump(self):
         # no immigration: paths at Y = 0 stay there although m has mass
@@ -348,7 +357,13 @@ class TestJumpCounts:
         assert np.all(simulate_paths(p, (0.0, 0.3), cfg).Y == 0.0)
         assert np.all(simulate_coupled(p, (1.0, 0.3), (0.0, 0.0), cfg).Yy == 0.0)
 
-    @pytest.mark.parametrize("intensity", [np.repeat([0.25, 1.0, 4.0], 4000), 1.0])
+    @pytest.mark.parametrize("intensity", [
+        np.repeat([0.25, 1.0, 4.0], 4000),
+        # ten paths hold most of the intensity (max / mean ~ 240): most
+        # candidates land on the other paths and are rejected
+        np.concatenate([np.full(10, 400.0), np.ones(11_990)]),
+        1.0,
+    ])
     def test_per_path_counts_are_poisson(self, intensity):
         # an array intensity (the Y- and D-driven jumps) and a constant one (immigration)
         n, steps, h, rate = 12_000, 100, 0.01, 2.0
@@ -361,6 +376,19 @@ class TestJumpCounts:
             assert abs(x.mean() - mu) < 3 * math.sqrt(mu / m)
             # Var(s^2) = (mu4 - sigma^4 (m-3)/(m-1)) / m with mu4 = mu + 3 mu^2
             assert abs(x.var(ddof=1) - mu) < 3 * math.sqrt((mu + 2 * mu**2 * m / (m - 1)) / m)
+
+
+class TestStreams:
+    def test_keyed_streams(self):
+        # distinct (seed, chunk, id) triples give distinct streams, among
+        # them triples whose parts are permuted or sum to the same key
+        triples = [(s, c, i) for s in (0, 1, 2) for c in (0, 1, 2) for i in (0, 1, 9)]
+        first = {t: tuple(rng.stream(*t).integers(0, 2**63, 4)) for t in triples}
+        assert len(set(first.values())) == len(triples)
+        for t in triples:
+            assert tuple(rng.stream(*t).integers(0, 2**63, 4)) == first[t], t
+        a, b = rng.stream(5, 3, rng.W1), rng.stream(5, 3, rng.W1)
+        assert np.array_equal(a.standard_normal(1000), b.standard_normal(1000))
 
 
 class TestCoupled:
@@ -419,6 +447,25 @@ class TestCoupled:
         assert np.array_equal(ce.Yy, ens.Y)
         assert np.array_equal(ce.Zy, ens.Z)
 
+    @pytest.mark.parametrize("model", [full_alpha_model, lambda: make_params(a1=-0.5)],
+                             ids=["full_alpha", "negative_a1"])
+    def test_absorbed_d_stays_positive_zero(self, model):
+        # on an absorbed path the folded drift subtracts y1*0 (a signed zero
+        # of either sign) and the diffusion terms add +-0.0; D stays +0.0
+        n = 1000
+        cfg = SimConfig(dt=0.01, T=0.2, n_paths=n, seed=0)
+        diff = _Compiled(model(), cfg).difference()
+        g = {sid: rng.stream(cfg.seed, 0, sid) for sid in range(rng.N_USED)}
+        normals, gn, gm = diff.noise(g, n, None)
+        D = np.where(np.arange(n) % 2, 0.0, 0.5)
+        dZ = np.ones(n)
+        buf = np.empty((3, n))
+        for _ in range(cfg.n_steps):
+            _step(diff, *normals(), gn, gm, D, dZ, buf)
+            absorbed = D[1::2]
+            assert np.all(absorbed == 0.0) and not np.any(np.signbit(absorbed))
+        assert np.any(D[::2] != 0.5)
+
     def test_post_coalescence_z_gap_decays(self):
         p = make_params()
         cfg = SimConfig(dt=0.01, T=2.0, n_paths=5_000, seed=15, record_times=(1.0, 2.0))
@@ -442,12 +489,22 @@ class TestEmpirical:
 
 class TestWeakOrder:
     def test_dt_halving_within_mc_error(self):
+        # Without jumps E[Y] of the Euler chain follows m <- m + (a2 - a1*m)*h
+        # as long as the clamp at 0 does not act, so after K = T/h steps
+        # m(h) = a2/a1 + (x1 - a2/a1)*(1 - a1*h)^K.  Each sample mean is
+        # checked against its own m(h), and m(h) against the exact mean for
+        # the bias of a weak-order-1 scheme, which halves with h.
         p = make_params()
-        means = []
+        x1, T = 1.0, 1.0
+        exact = cbi_mean(p, x1, T)
+        bias = {}
         for dt in (0.02, 0.01):
-            cfg = SimConfig(dt=dt, T=1.0, n_paths=100_000, seed=20)
-            ens = simulate_paths(p, (1.0, 0.0), cfg)
-            means.append(float(ens.Y[0].mean()))
+            cfg = SimConfig(dt=dt, T=T, n_paths=100_000, seed=20)
+            ens = simulate_paths(p, (x1, 0.0), cfg)
+            mean = float(ens.Y[0].mean())
             se = float(ens.Y[0].std(ddof=1) / math.sqrt(ens.n_paths))
-        assert abs(means[0] - means[1]) < 3 * se
-
+            m_h = p.a2 / p.a1 + (x1 - p.a2 / p.a1) * (1 - p.a1 * dt) ** cfg.n_steps
+            assert abs(mean - m_h) < 3 * se, dt
+            bias[dt] = m_h - exact
+        assert bias[0.02] == pytest.approx(2 * bias[0.01], rel=0.02)
+        assert abs(bias[0.01]) > 1e-3  # the check sees the Euler bias
