@@ -238,9 +238,8 @@ def prop33_bound(
 def prop42_constants(params: ModelParams, eps: float, Lambda: float | None = None) -> dict:
     """(C_eps, Lambda, kappa_tilde, C_tilde) of the exponential TV bound.
     Lambda defaults to the shift-TV probe estimate (probe-based)."""
-    n_eps = levy_restrict_tail(params.n, eps)
-    finite, C_eps = n_eps.total_mass()
-    if not finite or C_eps <= 0:
+    C_eps = levy_restrict_tail(params.n, eps).mass()
+    if C_eps <= 0:
         raise ConditionCViolated("n_eps must have positive finite mass")
     probe_based = Lambda is None
     if Lambda is None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -41,7 +42,6 @@ from .errors import (
 )
 
 NODE_CAP = 1 << 20
-_MAX_LEVELS = 24
 GAUSS_ORDER = 8
 _Z1_TOL = 1e-10  # z2_marginal: the z1 rule at the z2 level-0 nodes
 _OVERLAP_TOL = 1e-8  # overlap_stats
@@ -127,14 +127,9 @@ class Marginal1D:
             if p.hi == p.lo:
                 continue
             x, wq, h = _axis_cells(p.lo, p.hi, p.nodes, level, k)
-            val = np.broadcast_to(np.asarray(p.fn(x), dtype=float), x.shape)
-            if not np.all(np.isfinite(val)):
-                raise NonFiniteIntegrand("density evaluated to NaN/inf")
-            if np.any(val < -1e-12):
-                raise DomainError("density must be nonnegative")
             xs.append(x)
             dxs.append(np.full(x.size, h))
-            ws.append(np.clip(val, 0.0, None) * wq)
+            ws.append(_weights(p.fn(x), wq))
         if self.atoms:
             pos = np.array([a for a, _ in self.atoms])
             w = np.array([w for _, w in self.atoms])
@@ -164,28 +159,20 @@ class Marginal1D:
                 )
         return out
 
-    def restrict(self, lo: float, hi: float) -> "Marginal1D":
-        atoms = tuple((a, w) for a, w in self.atoms if lo <= a <= hi)
-        pieces = []
-        for p in self.pieces:
-            nlo, nhi = max(p.lo, lo), min(p.hi, hi)
-            if nhi > nlo:
-                pieces.append(replace(p, lo=nlo, hi=nhi))
-        return Marginal1D(atoms=atoms, pieces=tuple(pieces))
+    def where(self, keep: Callable[[float, float], bool]) -> "Marginal1D":
+        """The atoms a with keep(a, a) and the pieces with keep(lo, hi)."""
+        return Marginal1D(
+            atoms=tuple((a, w) for a, w in self.atoms if keep(a, a)),
+            pieces=tuple(p for p in self.pieces if keep(p.lo, p.hi)),
+        )
 
-    def split_at(self, points: Iterable[float]) -> "Marginal1D":
+    def restrict(self, lo: float, hi: float) -> "Marginal1D":
+        return self.split_at((lo, hi)).where(lambda a, b: lo <= a and b <= hi)
+
+    def split_at(self, points: Sequence[float]) -> "Marginal1D":
         """Refine piece boundaries so each piece lies on one side of each point."""
-        pieces = list(self.pieces)
-        for pt in points:
-            nxt = []
-            for p in pieces:
-                if p.lo < pt < p.hi:
-                    nxt.append(replace(p, hi=pt))
-                    nxt.append(replace(p, lo=pt))
-                else:
-                    nxt.append(p)
-            pieces = nxt
-        return Marginal1D(atoms=self.atoms, pieces=tuple(pieces))
+        pieces = tuple(replace(p, lo=a, hi=b) for p in self.pieces for a, b in _split_interval(p.lo, p.hi, points))
+        return Marginal1D(atoms=self.atoms, pieces=pieces)
 
     def shift(self, a: float) -> "Marginal1D":
         atoms = tuple((pos + a, w) for pos, w in self.atoms)
@@ -217,8 +204,19 @@ def _shifted(fn: Callable, a: float) -> Callable:
     return g
 
 
-def _const_marginal(atom: float, weight: float = 1.0) -> Marginal1D:
-    return Marginal1D(atoms=((atom, weight),))
+def _const_marginal(atom: float) -> Marginal1D:
+    return Marginal1D(atoms=((atom, 1.0),))
+
+
+def _weights(val, q: np.ndarray) -> np.ndarray:
+    """Density values val (broadcast to q's shape) times quadrature weights
+    q; NonFiniteIntegrand or DomainError for a NaN/inf or negative value."""
+    val = np.broadcast_to(np.asarray(val, dtype=float), q.shape)
+    if not np.all(np.isfinite(val)):
+        raise NonFiniteIntegrand("density evaluated to NaN/inf")
+    if np.any(val < -1e-12):
+        raise DomainError("density must be nonnegative")
+    return np.clip(val, 0.0, None) * q
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +344,7 @@ class LevyMeasure:
             x2, w2, h2 = _axis_cells(z2lo, z2hi, self.nodes[1], level, k)
             Z1, Z2 = np.meshgrid(x1, x2, indexing="ij")
             z1, z2 = Z1.ravel(), Z2.ravel()
-            val = np.broadcast_to(
-                np.asarray(self.density(z1, z2), dtype=float), z1.shape
-            )
-            if not np.all(np.isfinite(val)):
-                raise NonFiniteIntegrand("density evaluated to NaN/inf")
-            if np.any(val < -1e-12):
-                raise DomainError("density must be nonnegative")
-            w = np.clip(val, 0.0, None) * np.outer(w1, w2).ravel()
+            w = _weights(self.density(z1, z2), np.outer(w1, w2).ravel())
             d1 = np.full_like(z1, h1)
             d2 = np.full_like(z2, h2)
             return z1, z2, d1, d2, w
@@ -415,28 +406,13 @@ class LevyMeasure:
                     )
             return LevyMeasure.union(subs)
         if self.kind == "product":
+            # split at the box's edges, every piece lies inside or outside it
             m1 = self.m1.split_at((eps,))
-            m2 = self.m2.split_at((-eps, eps))
-            m1_in = m1.restrict(-np.inf, eps)
-            m1_in = Marginal1D(
-                atoms=tuple((a, w) for a, w in m1_in.atoms if a < eps),
-                pieces=m1_in.pieces,
-            )
-            m1_out = Marginal1D(
-                atoms=tuple((a, w) for a, w in m1.atoms if a >= eps),
-                pieces=tuple(p for p in m1.pieces if p.lo >= eps),
-            )
-            m2_in = Marginal1D(
-                atoms=tuple((a, w) for a, w in m2.atoms if abs(a) < eps),
-                pieces=tuple(p for p in m2.pieces if p.lo >= -eps and p.hi <= eps),
-            )
-            m2_out = Marginal1D(
-                atoms=tuple((a, w) for a, w in m2.atoms if abs(a) >= eps),
-                pieces=tuple(p for p in m2.pieces if not (p.lo >= -eps and p.hi <= eps)),
-            )
-            return LevyMeasure.union(
-                [LevyMeasure.product(m1_out, self.m2), LevyMeasure.product(m1_in, m2_out)]
-            )
+            m2_out = self.m2.split_at((-eps, eps)).where(lambda a, b: b <= -eps or a >= eps)
+            return LevyMeasure.union([
+                LevyMeasure.product(m1.where(lambda a, b: a >= eps), self.m2),
+                LevyMeasure.product(m1.where(lambda a, b: a < eps), m2_out),
+            ])
         return LevyMeasure.union(m.truncate_small(eps) for m in self.members)
 
     # -- marginals ----------------------------------------------------------
@@ -444,10 +420,7 @@ class LevyMeasure:
     def z2_marginal(self) -> Marginal1D:
         """The z2-marginal n(R+ x dz2) as a 1-D measure."""
         if self.kind == "atomic":
-            agg: dict[float, float] = {}
-            for _, z2, w in self.atoms:
-                agg[z2] = agg.get(z2, 0.0) + w
-            return Marginal1D(atoms=tuple(sorted(agg.items())))
+            return Marginal1D(atoms=tuple(sorted(_merge_atoms((z2, w) for _, z2, w in self.atoms))))
         if self.kind == "density":
             (z1lo, z1hi), (z2lo, z2hi) = self.domain
             x1, w1, at_nodes = _z1_rule(self)
@@ -466,10 +439,9 @@ class LevyMeasure:
 
             return Marginal1D(pieces=(DensityPiece(z2lo, z2hi, marg, self.nodes[1]),))
         if self.kind == "product":
-            if self.m2.n_cells(0) == 0 or self.m1.n_cells(0) == 0:
+            if self.is_empty():
                 return Marginal1D()
-            total = self.m1.mass()
-            return _scale_marginal(self.m2, total)
+            return _scale_marginal(self.m2, self.m1.mass())
         parts = [m.z2_marginal() for m in self.members]
         return Marginal1D(
             atoms=tuple(a for p in parts for a in p.atoms),
@@ -478,13 +450,9 @@ class LevyMeasure:
 
     # -- mass ---------------------------------------------------------------
 
-    def total_mass(self) -> tuple[bool, float]:
-        """(finite, value).  Divergence under node doubling reads as infinite."""
-        try:
-            val = levy_integral(self, lambda z1, z2: np.ones_like(z1))
-            return True, val
-        except QuadratureError:
-            return False, math.inf
+    def total_mass(self) -> float:
+        """mu(G), inf when it diverges under node doubling."""
+        return _try_integral(self, lambda z1, z2: np.ones_like(z1))
 
     # -- serialization ------------------------------------------------------
 
@@ -681,6 +649,14 @@ def levy_integral(mu: LevyMeasure, f: Callable, region=None, tol: float = 1e-8):
     return _converge(mu, f, tol)[1]
 
 
+def _try_integral(mu: LevyMeasure, f: Callable, region=None) -> float:
+    """Real part of levy_integral(mu, f, region); inf when it diverges."""
+    try:
+        return float(np.real(levy_integral(mu, f, region=region)))
+    except QuadratureError:
+        return math.inf
+
+
 def _converge(mu: LevyMeasure, f: Callable, tol: float, k: int = GAUSS_ORDER):
     """The node-doubling loop behind every integral and the jump sampler.
 
@@ -689,11 +665,12 @@ def _converge(mu: LevyMeasure, f: Callable, tol: float, k: int = GAUSS_ORDER):
     most tol * max(1, |value|), and that value.  f may return a stack of
     integrands (shape (..., n)); each must then meet the test.  Atomic
     measures are exact at level 0.  Raises QuadratureError once the next
-    level would exceed NODE_CAP nodes.
+    level would exceed NODE_CAP nodes, or for a non-finite sum, which
+    would not converge on a grid that has stopped growing.
     """
     exact = _is_atomic_only(mu)
     prev = None
-    for level in range(_MAX_LEVELS):
+    for level in itertools.count():
         if mu.n_cells(level, k) > NODE_CAP:
             raise QuadratureError(f"no convergence to tol {tol:g} within {NODE_CAP} nodes")
         cells = mu.cells(level, k)
@@ -708,8 +685,9 @@ def _converge(mu: LevyMeasure, f: Callable, tol: float, k: int = GAUSS_ORDER):
             prev is not None and np.all(np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
         ):
             return cells, (val.item() if val.ndim == 0 else val)
+        if not np.all(np.isfinite(val)):
+            raise QuadratureError("quadrature sum is not finite")
         prev = val
-    raise QuadratureError("quadrature did not converge under node doubling")
 
 
 def _is_atomic_only(mu: LevyMeasure) -> bool:
@@ -722,33 +700,25 @@ def _is_atomic_only(mu: LevyMeasure) -> bool:
     return False
 
 
-def levy_restrict_tail(n: LevyMeasure, eps: float) -> LevyMeasure:
-    """The paper-style finite measure on the z2 axis.
+def levy_restrict_tail(n: LevyMeasure, eps: float) -> Marginal1D:
+    """The paper-style finite measure n_eps on the z2 axis, as a 1-D law.
 
-    Full z2-marginal when n has finite total mass, else the marginal
-    restricted to {|z2| >= eps}.  Returned as a degenerate product measure
-    with the z1-marginal equal to a unit atom at 0.
+    The full z2-marginal when n has finite total mass, else the z2-marginal
+    of n restricted to {|z2| >= eps}.  InfiniteMass if that still has
+    non-finite mass.
     """
     if eps <= 0:
         raise DomainError("eps must be > 0")
-    finite, _ = n.total_mass()
     try:
-        if finite:
-            marg = n.z2_marginal()
-        else:
-            restricted = LevyMeasure.union(
-                [
-                    n.restrict(((0.0, np.inf), (-np.inf, -eps))),
-                    n.restrict(((0.0, np.inf), (eps, np.inf))),
-                ]
-            )
-            marg = restricted.z2_marginal()
+        if not math.isfinite(n.total_mass()):
+            n = LevyMeasure.union(n.restrict(((0.0, np.inf), band)) for band in ((-np.inf, -eps), (eps, np.inf)))
+        marg = n.z2_marginal()
         mass = marg.mass()
     except QuadratureError as exc:
         raise InfiniteMass("restricted z2-marginal still has non-finite mass") from exc
     if not math.isfinite(mass):
         raise InfiniteMass("restricted z2-marginal still has non-finite mass")
-    return LevyMeasure.product(_const_marginal(0.0, 1.0), marg)
+    return marg
 
 
 # ---------------------------------------------------------------------------
@@ -819,21 +789,15 @@ def overlap_stats(mu: Marginal1D, nu: Marginal1D) -> tuple[float, float, float, 
         overlap, tv, mass_mu, mass_nu = map(float, _converge(on_axis, stack, _OVERLAP_TOL)[1])
     mu_atoms = dict(_merge_atoms(mu.atoms))
     nu_atoms = dict(_merge_atoms(nu.atoms))
-    keys = sorted(set(mu_atoms) | set(nu_atoms))
     matched_nu = set()
-    for k in keys:
-        if k in mu_atoms:
-            wm = mu_atoms[k]
-            wn = 0.0
-            for kn, w in nu_atoms.items():
-                if abs(kn - k) <= 1e-12:
-                    wn = w
-                    matched_nu.add(kn)
-                    break
-            overlap += min(wm, wn)
-            tv += abs(wm - wn)
-            mass_mu += wm
-            mass_nu += wn
+    for k, wm in sorted(mu_atoms.items()):
+        kn = next((kn for kn in nu_atoms if abs(kn - k) <= 1e-12), None)
+        matched_nu.add(kn)
+        wn = nu_atoms.get(kn, 0.0)
+        overlap += min(wm, wn)
+        tv += abs(wm - wn)
+        mass_mu += wm
+        mass_nu += wn
     for kn, w in nu_atoms.items():
         if kn not in matched_nu:
             tv += w

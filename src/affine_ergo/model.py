@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .measures import LevyMeasure, check_keys, levy_integral, reading
+from .errors import DomainError
+from .measures import LevyMeasure, _try_integral, check_keys, reading
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,6 @@ class ValidationReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def __getitem__(self, name: str) -> ValidationCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         return _jsonable({
             "all_pass": self.all_pass,
@@ -171,13 +165,6 @@ def _jsonable(v):
     if isinstance(v, float) and not math.isfinite(v):
         return None
     return v
-
-
-def _try_integral(mu: LevyMeasure, f, region=None) -> float:
-    try:
-        return float(np.real(levy_integral(mu, f, region=region)))
-    except QuadratureError:
-        return math.inf
 
 
 def validate(params: ModelParams) -> ValidationReport:

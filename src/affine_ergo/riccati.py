@@ -121,7 +121,6 @@ def char_fn(
     t: float,
     x: tuple[float, float],
     u: UPoint,
-    sol: RiccatiSolution | None = None,
 ) -> complex:
     """E_x[exp(u1 Y_t + u2 Z_t)] via the Riccati representation."""
     x1, x2 = x
@@ -129,8 +128,7 @@ def char_fn(
         raise DomainError("x1 must be >= 0")
     if t == 0.0:
         return complex(np.exp(x1 * u.u1 + x2 * u.u2))
-    if sol is None or sol.T < t:
-        sol = solve_V(params, u, t)
+    sol = solve_V(params, u, t)
     return complex(np.exp(x1 * sol.V1(t) + x2 * sol.V2(t) + sol.psi_accum(t)))
 
 

@@ -117,7 +117,7 @@ class _JumpSpec:
         self.drop_mean_z1 = 0.0
         if mu.is_empty():
             return
-        if eps <= 0 and not mu.total_mass()[0]:
+        if eps <= 0 and math.isinf(mu.total_mass()):
             raise ConfigError(f"measure {label} has infinite activity; eps_trunc > 0 required")
         trunc = mu.truncate_small(eps) if eps > 0 else mu
         if not trunc.is_empty():

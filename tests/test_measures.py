@@ -1,3 +1,5 @@
+import hashlib
+import importlib.resources
 import math
 
 import numpy as np
@@ -16,6 +18,8 @@ from affine_ergo.measures import (
     levy_restrict_tail,
     overlap_stats,
 )
+from affine_ergo.mechanisms import Mechanisms
+from affine_ergo.model import load_model
 from affine_ergo.rng import M_JUMP, stream
 
 
@@ -54,6 +58,17 @@ class TestLevyIntegral:
         assert np.array_equal(d1, np.full(8, h))
         assert np.array_equal(w, np.exp(-z1) * h)
 
+    def test_overflowed_sum_on_a_grid_that_stops_growing_raises(self):
+        # a zero-width piece makes the measure non-atomic, but no level adds cells
+        mu = LevyMeasure.product(
+            Marginal1D(atoms=((1.0, 1e308),)),
+            Marginal1D(atoms=((0.5, 10.0),), pieces=(DensityPiece(0.5, 0.5, np.ones_like),)),
+        )
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError):
+            levy_integral(mu, lambda z1, z2: np.ones_like(z1))
+        with np.errstate(over="ignore"):
+            assert mu.total_mass() == math.inf
+
     def test_region_outside_cone_rejected(self):
         mu = atomic((1.0, 0.0, 1.0))
         with pytest.raises(DomainError):
@@ -90,10 +105,7 @@ class TestLevyIntegral:
 class TestRestrictTail:
     def test_finite_mass_full_marginal(self):
         mu = atomic((1.0, 0.5, 1.0), (2.0, -0.5, 2.0))
-        out = levy_restrict_tail(mu, 0.7)
-        finite, mass = out.total_mass()
-        assert finite
-        assert mass == pytest.approx(3.0, abs=1e-9)
+        assert levy_restrict_tail(mu, 0.7).mass() == pytest.approx(3.0, abs=1e-9)
 
     def _infinite_mass_measure(self):
         # z2-marginal density 1/z2^2 on 0 < |z2| <= 1 (infinite total mass)
@@ -111,21 +123,16 @@ class TestRestrictTail:
         return LevyMeasure.product(z1, z2)
 
     def test_infinite_mass_restricted(self):
-        out = levy_restrict_tail(self._infinite_mass_measure(), 0.5)
-        finite, mass = out.total_mass()
-        assert finite
+        assert math.isinf(self._infinite_mass_measure().total_mass())
         # 2 * (1/0.5 - 1/1) = 2
-        assert mass == pytest.approx(2.0, rel=1e-6)
+        assert levy_restrict_tail(self._infinite_mass_measure(), 0.5).mass() == pytest.approx(2.0, rel=1e-6)
 
     def test_eps_beyond_support_empty(self):
-        out = levy_restrict_tail(self._infinite_mass_measure(), 2.0)
-        finite, mass = out.total_mass()
-        assert finite
-        assert mass == pytest.approx(0.0, abs=1e-12)
+        assert levy_restrict_tail(self._infinite_mass_measure(), 2.0).mass() == pytest.approx(0.0, abs=1e-12)
 
     def test_mass_nonincreasing_in_eps(self):
         mu = self._infinite_mass_measure()
-        masses = [levy_restrict_tail(mu, e).total_mass()[1] for e in (0.2, 0.4, 0.6, 0.8)]
+        masses = [levy_restrict_tail(mu, e).mass() for e in (0.2, 0.4, 0.6, 0.8)]
         assert all(a >= b - 1e-9 for a, b in zip(masses, masses[1:]))
 
 
@@ -187,6 +194,60 @@ class TestDensity2D:
         box = (1.0 - math.exp(-eps)) * self.z2_mass(-eps, eps)
         kept = levy_integral(self.MU.truncate_small(eps), lambda z1, z2: np.ones_like(z1))
         assert kept == pytest.approx(total - box, rel=1e-8)
+
+
+def half(z):
+    return 0.5 * np.ones_like(z)
+
+
+# atoms at exactly z1 = 0.5 and z2 = +-0.5, constant pieces straddling both
+EDGE = LevyMeasure.product(
+    Marginal1D(atoms=((0.25, 0.5), (0.5, 1.0), (1.0, 0.5)), pieces=(DensityPiece(0.25, 1.0, np.ones_like, 2),)),
+    Marginal1D(atoms=((-0.5, 0.5), (0.0, 1.0), (0.5, 0.25), (2.0, 0.25)), pieces=(DensityPiece(-1.0, 1.0, half, 2),)),
+)
+
+
+class TestEdges:
+    """Truncation and restriction at the edges of their boxes."""
+
+    @staticmethod
+    def mass_where(mu, cond):
+        return levy_integral(mu, lambda z1, z2: np.where(cond(z1, z2), 1.0, 0.0))
+
+    def test_truncate_small_keeps_the_open_box_edges(self):
+        kept = EDGE.truncate_small(0.5)
+        # 2.75 * 3.0 in all, less (0.5 + 0.25) * (1.0 + 0.5) in {z1 < 0.5, |z2| < 0.5}
+        assert levy_integral(kept, lambda z1, z2: np.ones_like(z1)) == pytest.approx(7.125, rel=1e-14)
+        # the atom at z1 = 0.5 keeps all of its z2 mass, the atom at z1 = 0.25
+        # its z2 atoms at +-0.5 and 2.0 and the z2 piece beyond +-0.5
+        assert self.mass_where(kept, lambda z1, z2: z1 == 0.5) == pytest.approx(1.0 * 3.0, rel=1e-14)
+        assert self.mass_where(kept, lambda z1, z2: (z1 == 0.25) & (np.abs(z2) == 0.5)) == 0.5 * 0.75
+        assert self.mass_where(kept, lambda z1, z2: z1 == 0.25) == pytest.approx(0.5 * 1.5, rel=1e-14)
+        # the z1 piece below 0.5 keeps the same z2 mass as the atom at 0.25
+        assert self.mass_where(kept, lambda z1, z2: (z1 > 0.25) & (z1 < 0.5)) == pytest.approx(
+            0.25 * 1.5, rel=1e-14
+        )
+
+    def test_truncate_small_of_a_box_edge_atom(self):
+        kept = LevyMeasure.product(Marginal1D(atoms=((0.5, 1.0), (0.25, 2.0))), Marginal1D(atoms=((0.5, 3.0),)))
+        assert levy_integral(kept.truncate_small(0.5), lambda z1, z2: np.ones_like(z1)) == 9.0
+        assert levy_integral(kept.truncate_small(0.5000001), lambda z1, z2: np.ones_like(z1)) == 0.0
+
+    @pytest.mark.parametrize("lo,hi,atoms,piece,mass", [
+        (-np.inf, np.inf, (-1.0, 0.0, 1.0), (-2.0, 2.0), 10.0),
+        (-1.0, 1.0, (-1.0, 0.0, 1.0), (-1.0, 1.0), 8.0),
+        (-np.inf, 0.5, (-1.0, 0.0), (-2.0, 0.5), 5.5),
+        (0.0, np.inf, (0.0, 1.0), (0.0, 2.0), 7.0),
+        (-0.5, 0.5, (0.0,), (-0.5, 0.5), 3.0),
+        (3.0, np.inf, (), None, 0.0),
+    ])
+    def test_marginal_restrict(self, lo, hi, atoms, piece, mass):
+        # atoms of weight 1, 2, 3 at -1, 0, 1 and density 1 on [-2, 2]
+        m = Marginal1D(atoms=((-1.0, 1.0), (0.0, 2.0), (1.0, 3.0)), pieces=(DensityPiece(-2.0, 2.0, np.ones_like, 4),))
+        r = m.restrict(lo, hi)
+        assert tuple(a for a, _ in r.atoms) == atoms
+        assert [(p.lo, p.hi, p.nodes) for p in r.pieces] == ([] if piece is None else [(*piece, 4)])
+        assert r.mass() == pytest.approx(mass, rel=1e-14)
 
 
 class TestSampler:
@@ -284,6 +345,14 @@ class TestOverlap:
         ov, tv, mm, mn = overlap_stats(mu, mu.shift(0.01))
         assert (ov, tv, mm, mn) == pytest.approx((0.29, 0.02, 0.3, 0.3), rel=1e-12)
 
+    def test_float_shifted_atoms_match(self):
+        # 0.1 + 0.2 != 0.3 in floats, but within the 1e-12 matching tolerance
+        mu = Marginal1D(atoms=((0.3, 1.0), (2.0, 0.5)))
+        nu = Marginal1D(atoms=((0.1, 0.75), (-1.0, 0.25))).shift(0.2)
+        assert nu.atoms[0][0] != 0.3
+        assert overlap_stats(mu, nu) == (0.75, 1.0, 1.5, 1.0)
+        assert overlap_stats(nu, mu) == (0.75, 1.0, 1.0, 1.5)
+
     def test_atom_vs_density_no_overlap(self):
         from affine_ergo.measures import DensityPiece
 
@@ -317,4 +386,58 @@ class TestJsonRoundTrip:
             Marginal1D(pieces=(DensityPiece(-5.0, 5.0, fn, 64),)),
         )
         again = LevyMeasure.from_json(mu.to_json())
-        assert again.total_mass()[1] == pytest.approx(mu.total_mass()[1], rel=1e-12)
+        assert again.total_mass() == pytest.approx(mu.total_mass(), rel=1e-12)
+
+
+def bundled(name):
+    return load_model(str(importlib.resources.files("affine_ergo") / "models" / f"{name}.json"))
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestFrozenTables:
+    """The cells behind the sampler, the z2 tails and the phi/psi rules,
+    byte for byte: the simulator's draws only see the sampler, so a change
+    that reorders cells elsewhere fails here by name."""
+
+    @pytest.mark.parametrize("name,kind,eps,cells,expected", [
+        ("jump_cbi_ou", "n", 1e-3, 384, "a04efba0dd75016fe09442d47e402797d5c7d1518155e57f293b6295147d2331"),
+        ("jump_cbi_ou", "n", 0.6, 4096, "dbcb63f75e8c13c9fbc61e1f2a54de268c268bb63db7359ebc97e3ad1dc4e76d"),
+        ("jump_cbi_ou", "m", 1e-3, 2, "43f3fa774dbaf770f5cca0d1911c9743929ede61b0c32c4ca23ea00a9402eab1"),
+        ("jump_cbi_ou", "m", 0.6, 1, "f0cdbbe5f2f2f065a22e8b5c89fa6f51489abd469f8de96004ff0660c56e19fc"),
+        ("gamma_imm", "n", 1e-3, 7680, "d13336291f5997b9d2fc10a36311728d51a0563fefbe773b0ba02abca69b82fa"),
+        ("gamma_imm", "n", 0.6, 3072, "44e6b4446b52030256c9113f34db04a47b6f4617af4f95765bf3691b2a9cb6b3"),
+        ("edge", None, 0.5, 103, "51d853a58446e9d498bc2fb7a82c88bb9a0fedbdb9bfc64a09ce2d30e332cfdd"),
+    ])
+    def test_sampler_tables(self, name, kind, eps, cells, expected):
+        mu = EDGE if name == "edge" else getattr(bundled(name), kind)
+        s = LevySampler(mu.truncate_small(eps))
+        assert s.w.size == cells
+        assert digest(s.z1, s.z2, s.d1, s.d2, s.w) == expected
+
+    @pytest.mark.parametrize("name,expected", [
+        ("jump_cbi_ou", "c7aac1655909965b79220d2c1363f823336b86b169f30d73520479707e5847bb"),
+        ("gamma_imm", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),  # empty
+        ("edge", "9edc3b6359b2be4cb70691d36c90d95af450a8dd2d1776e03b323d272522cbea"),
+    ])
+    def test_restrict_tail_cells(self, name, expected):
+        marg = levy_restrict_tail(EDGE if name == "edge" else bundled(name).n, 0.1)
+        assert digest(*marg.cells(0), *marg.cells(3)) == expected
+
+    @pytest.mark.parametrize("name,expected", [
+        ("jump_cbi_ou", "3636baa4cdb3da931003bdfdc250629abbb996f2f56e8403532e9e9e098edec3"),
+        ("gamma_imm", "6bd8157b2e0c030d5aa8a54698873a712dee103941551cd1b52aea39a3268c99"),
+    ])
+    def test_mechanism_rules(self, name, expected):
+        mech = Mechanisms(bundled(name))
+        mech.phi(-3.0, 0.5j)
+        mech.psi(-0.5 + 2j, 3j)
+        mech.psi(np.array([-1.0, -5.0]), np.array([0.2j, 4j]))
+        keys = sorted(mech._rules, key=repr)
+        assert keys == [("m", None), ("n", (0, -1, 0)), ("n", (0, 1, 2)), ("n", (3, -1, 2))]
+        assert digest(*(a for k in keys for a in mech._rules[k])) == expected

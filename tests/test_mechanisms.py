@@ -237,6 +237,22 @@ class TestConditionB:
         rep = check_B(p, eps=0.1, eta=1.0, a_grid=(0.0,))
         assert rep.extras["min_overlap"] == pytest.approx(rep.extras["C_eps"], rel=1e-8)
 
+    @pytest.mark.parametrize("a_grid,noted", [
+        ((0.0,), False),  # no shift: full overlap
+        ((0.0, 1.0), False),  # -0.5 + 1.0 lands on the atom at 0.5
+        ((0.0, 0.3), True),  # no shifted atom meets an atom
+        ((1.0, -0.3), True),
+    ])
+    def test_note_exactly_when_a_shifted_atomic_n_eps_misses(self, a_grid, noted):
+        p = make_params(n=LevyMeasure.atomic([(0.5, -0.5, 1.0), (0.5, 0.5, 2.0)]))
+        rep = check_B(p, eps=0.1, eta=1.0, a_grid=a_grid)
+        zero = any(a != 0.0 and ov == 0.0 for a, ov in rep.evidence)
+        assert zero == noted
+        assert (rep.note != "") == noted
+
+    def test_no_note_for_a_density(self):
+        assert check_B(make_params(n=normal_z2_measure()), eps=0.1, eta=1.0).note == ""
+
 
 class TestConditionC:
     def test_normal_holds_with_derivative_limit(self):
@@ -267,7 +283,7 @@ class TestConditionC:
         # n_eps of jump_cbi_ou is N(0, 1) on [-5, 5]; the truncation takes
         # from |rho - rho(. - a)| what it adds past the edges, so
         # |n_eps - shift_a n_eps|(R) = 2 (2 Phi(a/2) - 1) = 2 erf(a / 2^1.5)
-        marg = levy_restrict_tail(bundled("jump_cbi_ou").n, 0.1).m2
+        marg = levy_restrict_tail(bundled("jump_cbi_ou").n, 0.1)
         tv = overlap_stats(marg, marg.shift(a))[1]
         assert tv == pytest.approx(2.0 * math.erf(a / 2**1.5), rel=1e-9, abs=0.0)
 

@@ -135,10 +135,6 @@ class TestContinuation:
         for t in (0.1 * T, T, 1.5 * T, 2 * T):
             assert abs(continued.V1(t) - fresh.V1(t)) <= 1e-10
             assert abs(continued.psi_accum(t) - fresh.psi_accum(t)) <= 1e-10
-            # char_fn reads the continued solution on the whole of [0, 2T]
-            assert char_fn(p, t, (1.0, 0.5), u, sol=continued) == pytest.approx(
-                char_fn(p, t, (1.0, 0.5), u, sol=fresh), rel=0.0, abs=1e-10
-            )
 
     def test_counts_and_clamp_flags(self):
         p = bundled("cir_ou")
