@@ -9,6 +9,7 @@ import functools
 import hashlib
 import importlib.resources
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,12 @@ def _resolve_model(name: str) -> Path:
     if stem in BUNDLED:
         return Path(str(importlib.resources.files("affine_ergo") / "models" / f"{stem}.json"))
     raise click.UsageError(f"model {name!r}: no such file and not a bundled model {BUNDLED}")
+
+
+def _eps_trunc(params: ModelParams) -> float:
+    """The small-jump truncation of the subcommands without --eps-trunc:
+    1e-3 when m or n has infinite activity, else none."""
+    return 1e-3 if math.isinf(params.m.total_mass()) or math.isinf(params.n.total_mass()) else 0.0
 
 
 class Run:
@@ -233,8 +240,10 @@ def cmd_stationary(run: Run, u1, dt, paths, horizon):
     """Stationary transform values and long-horizon moment estimates."""
     params = run.require_model()
     tr = stationary_transform(params, UPoint(u1, 0.0))
+    eps_trunc = _eps_trunc(params)
     payload = {
         "u1": u1,
+        "eps_trunc": eps_trunc,
         "transform_re": tr.value.real,
         "transform_im": tr.value.imag,
         "transform_horizon": tr.horizon,
@@ -246,7 +255,7 @@ def cmd_stationary(run: Run, u1, dt, paths, horizon):
         payload["transform_closed"] = stationary_transform_closed(params, u1)
     except AffineError as exc:
         payload["transform_closed_error"] = str(exc)
-    mom = analysis.stationary_moments(params, run.sim(dt, max(dt, 1.0), paths), horizon)
+    mom = analysis.stationary_moments(params, run.sim(dt, max(dt, 1.0), paths, eps_trunc), horizon)
     payload["moments"] = mom
     out = run.write_json("stationary.json", payload)
     rows = [("t", "empirical", "se", "bound", "violation")]
@@ -414,7 +423,7 @@ def cmd_suite(run: Run, dt, paths):
         u = UPoint(-1.0, 0.5j)
         cf = char_fn(params, 1.0, (1.0, 0.0), u)
         entry["charfn"] = [cf.real, cf.imag]
-        eps_trunc = 1e-3 if name == "gamma_imm" else 0.0
+        eps_trunc = _eps_trunc(params)
         cfg = run.sim(dt, 2.0, paths, eps_trunc)
         ens = simulate_paths(params, (1.0, 0.0), run.sim(dt, 2.0, paths, eps_trunc, (1.0, 2.0)))
         vals = np.exp(u.u1 * ens.Y[0] + u.u2 * ens.Z[0])

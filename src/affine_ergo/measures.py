@@ -1,23 +1,21 @@
 """Levy measures on G = R+ x R: quadrature, restriction, truncation, sampling.
 
-A measure is represented in one of four forms:
+A measure is represented in one of three forms:
 
 * ``atomic``  -- a finite list of weighted atoms (z1, z2, w);
-* ``density`` -- a density on a bounded rectangle (an axis may be collapsed
-  to a point, which models measures supported on a line);
-* ``product`` -- a product of two one-dimensional marginals, each of which
-  is a mix of atoms and density pieces;
+* ``product`` -- a product of two one-dimensional marginals, each a mix of
+  atoms and density pieces (a density on z2 = 0 pairs with a unit z2 atom);
 * ``union``   -- an internal form used to represent exact set differences
-  (e.g. a rectangle minus the small-jump box).
+  (e.g. a product minus the small-jump box).
 
-Density quadrature is a tensor rule of GAUSS_ORDER-point Gauss-Legendre
-nodes on each of ``nodes << level`` equal panels per axis.  One
-node-doubling loop (`_converge`) serves every integral: it doubles the
-panel count until two successive levels agree and raises QuadratureError
-at NODE_CAP, never returning an unconverged grid; 1-D marginals are
-compared between the edges of their pieces.  With one node per panel the
-cells are the midpoint cells that LevySampler jitters within.  Tails
-beyond the declared rectangle are the caller's responsibility.
+A density piece is integrated by GAUSS_ORDER-point Gauss-Legendre nodes on
+each of ``nodes << level`` equal panels, and a product by the tensor rule
+of its marginals' cells.  One node-doubling loop (`_converge`) serves every
+integral: it doubles the panel count until two successive levels agree and
+raises QuadratureError at NODE_CAP, never returning an unconverged grid;
+1-D marginals are compared between the edges of their pieces.  With one
+node per panel the cells are the midpoint cells that LevySampler jitters
+within.  Tails beyond the declared pieces are the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import contextlib
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -43,7 +42,6 @@ from .errors import (
 
 NODE_CAP = 1 << 20
 GAUSS_ORDER = 8
-_Z1_TOL = 1e-10  # z2_marginal: the z1 rule at the z2 level-0 nodes
 _OVERLAP_TOL = 1e-8  # overlap_stats
 _SAMPLER_TOL = 1e-6  # LevySampler: relative change of rate and mean between levels
 
@@ -61,21 +59,18 @@ _SAFE_FUNCS = {
 }
 
 
-def compile_density_expr(expr: str, variables: Sequence[str]) -> Callable:
-    """Compile an arithmetic expression into a vectorized callable.
+def compile_density_expr(expr: str) -> Callable:
+    """Compile an arithmetic expression in z into a vectorized callable.
 
-    Only the names in `variables` plus exp/log/pow/abs/sqrt/minimum/maximum/
-    where/pi/e are allowed.
+    Only z plus exp/log/pow/abs/sqrt/minimum/maximum/where/pi/e are allowed.
     """
     code = compile(expr, "<density-expr>", "eval")
     for name in code.co_names:
-        if name not in _SAFE_FUNCS and name not in variables:
+        if name not in _SAFE_FUNCS and name != "z":
             raise ValueError(f"name {name!r} not allowed in density expression")
 
-    def fn(*args):
-        ns = dict(_SAFE_FUNCS)
-        ns.update(zip(variables, args))
-        return eval(code, {"__builtins__": {}}, ns)
+    def fn(z):
+        return eval(code, {"__builtins__": {}}, {**_SAFE_FUNCS, "z": z})
 
     fn.expr = expr  # type: ignore[attr-defined]
     return fn
@@ -120,7 +115,8 @@ class Marginal1D:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes, panel widths and weights at the given refinement level.
 
-        Atoms appear as zero-width cells carrying their exact weight.
+        Atoms appear as zero-width cells carrying their exact weight; a NaN/inf
+        or negative density value raises NonFiniteIntegrand or DomainError.
         """
         xs, dxs, ws = [], [], []
         for p in self.pieces:
@@ -129,7 +125,12 @@ class Marginal1D:
             x, wq, h = _axis_cells(p.lo, p.hi, p.nodes, level, k)
             xs.append(x)
             dxs.append(np.full(x.size, h))
-            ws.append(_weights(p.fn(x), wq))
+            val = np.broadcast_to(np.asarray(p.fn(x), dtype=float), x.shape)
+            if not np.all(np.isfinite(val)):
+                raise NonFiniteIntegrand("density evaluated to NaN/inf")
+            if np.any(val < -1e-12):
+                raise DomainError("density must be nonnegative")
+            ws.append(np.clip(val, 0.0, None) * wq)
         if self.atoms:
             pos = np.array([a for a, _ in self.atoms])
             w = np.array([w for _, w in self.atoms])
@@ -208,17 +209,6 @@ def _const_marginal(atom: float) -> Marginal1D:
     return Marginal1D(atoms=((atom, 1.0),))
 
 
-def _weights(val, q: np.ndarray) -> np.ndarray:
-    """Density values val (broadcast to q's shape) times quadrature weights
-    q; NonFiniteIntegrand or DomainError for a NaN/inf or negative value."""
-    val = np.broadcast_to(np.asarray(val, dtype=float), q.shape)
-    if not np.all(np.isfinite(val)):
-        raise NonFiniteIntegrand("density evaluated to NaN/inf")
-    if np.any(val < -1e-12):
-        raise DomainError("density must be nonnegative")
-    return np.clip(val, 0.0, None) * q
-
-
 # ---------------------------------------------------------------------------
 # LevyMeasure
 # ---------------------------------------------------------------------------
@@ -231,11 +221,8 @@ class LevyMeasure:
     Exactly one of the payload groups is populated, per `kind`.
     """
 
-    kind: str  # "atomic" | "density" | "product" | "union"
+    kind: str  # "atomic" | "product" | "union"
     atoms: tuple[tuple[float, float, float], ...] = ()  # (z1, z2, w)
-    density: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    domain: tuple[tuple[float, float], tuple[float, float]] | None = None
-    nodes: tuple[int, int] | None = None
     m1: Marginal1D | None = None  # product: z1 marginal
     m2: Marginal1D | None = None  # product: z2 marginal
     members: tuple["LevyMeasure", ...] = ()
@@ -249,23 +236,10 @@ class LevyMeasure:
                     raise DomainError("atoms must avoid the origin")
                 if w < 0:
                     raise DomainError("atom weights must be >= 0")
-        elif self.kind == "density":
-            (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            if z1lo < 0:
-                raise DomainError("density domain must satisfy z1 >= 0")
-            if z1hi < z1lo or z2hi < z2lo:
-                raise DomainError("empty density domain")
-            if not all(map(math.isfinite, (z1lo, z1hi, z2lo, z2hi))):
-                raise DomainError("density domain must be bounded")
-            n1, n2 = self.nodes
-            if n1 <= 0 or n2 <= 0:
-                raise DomainError("node counts must be positive")
         elif self.kind == "product":
             if self.m1.support_bounds()[0] < 0:
                 raise DomainError("z1 marginal must live on R+")
-        elif self.kind == "union":
-            pass
-        else:
+        elif self.kind != "union":
             raise UnsupportedMeasure(f"unknown measure kind {self.kind!r}")
 
     # -- constructors -------------------------------------------------------
@@ -277,20 +251,6 @@ class LevyMeasure:
     @staticmethod
     def zero() -> "LevyMeasure":
         return LevyMeasure(kind="atomic", atoms=())
-
-    @staticmethod
-    def from_density(
-        fn: Callable,
-        domain: Sequence[Sequence[float]],
-        nodes: Sequence[int],
-    ) -> "LevyMeasure":
-        (z1lo, z1hi), (z2lo, z2hi) = domain
-        return LevyMeasure(
-            kind="density",
-            density=fn,
-            domain=((float(z1lo), float(z1hi)), (float(z2lo), float(z2hi))),
-            nodes=(int(nodes[0]), int(nodes[1])),
-        )
 
     @staticmethod
     def product(m1: Marginal1D, m2: Marginal1D) -> "LevyMeasure":
@@ -310,20 +270,13 @@ class LevyMeasure:
             return not self.atoms
         if self.kind == "union":
             return all(m.is_empty() for m in self.members)
-        if self.kind == "product":
-            return self.m1.n_cells(0) == 0 or self.m2.n_cells(0) == 0
-        return False
+        return self.m1.n_cells(0) == 0 or self.m2.n_cells(0) == 0
 
     # -- cells --------------------------------------------------------------
 
     def n_cells(self, level: int, k: int = GAUSS_ORDER) -> int:
         if self.kind == "atomic":
             return len(self.atoms)
-        if self.kind == "density":
-            (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            n1 = 1 if z1hi == z1lo else (self.nodes[0] << level) * k
-            n2 = 1 if z2hi == z2lo else (self.nodes[1] << level) * k
-            return n1 * n2
         if self.kind == "product":
             return self.m1.n_cells(level, k) * self.m2.n_cells(level, k)
         return sum(m.n_cells(level, k) for m in self.members)
@@ -338,16 +291,6 @@ class LevyMeasure:
             a = np.array(self.atoms, dtype=float)
             zero = np.zeros(len(self.atoms))
             return a[:, 0], a[:, 1], zero, zero.copy(), a[:, 2]
-        if self.kind == "density":
-            (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            x1, w1, h1 = _axis_cells(z1lo, z1hi, self.nodes[0], level, k)
-            x2, w2, h2 = _axis_cells(z2lo, z2hi, self.nodes[1], level, k)
-            Z1, Z2 = np.meshgrid(x1, x2, indexing="ij")
-            z1, z2 = Z1.ravel(), Z2.ravel()
-            w = _weights(self.density(z1, z2), np.outer(w1, w2).ravel())
-            d1 = np.full_like(z1, h1)
-            d2 = np.full_like(z2, h2)
-            return z1, z2, d1, d2, w
         if self.kind == "product":
             x1, d1, w1 = self.m1.cells(level, k)
             x2, d2, w2 = self.m2.cells(level, k)
@@ -371,13 +314,6 @@ class LevyMeasure:
                 for z1, z2, w in self.atoms
                 if r1lo <= z1 <= r1hi and r2lo <= z2 <= r2hi
             )
-        if self.kind == "density":
-            (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            n1lo, n1hi = max(z1lo, r1lo), min(z1hi, r1hi)
-            n2lo, n2hi = max(z2lo, r2lo), min(z2hi, r2hi)
-            if n1hi < n1lo or n2hi < n2lo:
-                return LevyMeasure.zero()
-            return LevyMeasure.from_density(self.density, ((n1lo, n1hi), (n2lo, n2hi)), self.nodes)
         if self.kind == "product":
             m1 = self.m1.restrict(r1lo, r1hi)
             m2 = self.m2.restrict(r2lo, r2hi)
@@ -392,19 +328,6 @@ class LevyMeasure:
             return LevyMeasure.atomic(
                 (z1, z2, w) for z1, z2, w in self.atoms if max(z1, abs(z2)) >= eps
             )
-        if self.kind == "density":
-            (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            subs = []
-            for a1lo, a1hi in _split_interval(z1lo, z1hi, (eps,)):
-                for a2lo, a2hi in _split_interval(z2lo, z2hi, (-eps, eps)):
-                    if a1hi <= eps and a2lo >= -eps and a2hi <= eps:  # inside the box
-                        continue
-                    subs.append(
-                        LevyMeasure.from_density(
-                            self.density, ((a1lo, a1hi), (a2lo, a2hi)), self.nodes
-                        )
-                    )
-            return LevyMeasure.union(subs)
         if self.kind == "product":
             # split at the box's edges, every piece lies inside or outside it
             m1 = self.m1.split_at((eps,))
@@ -421,23 +344,6 @@ class LevyMeasure:
         """The z2-marginal n(R+ x dz2) as a 1-D measure."""
         if self.kind == "atomic":
             return Marginal1D(atoms=tuple(sorted(_merge_atoms((z2, w) for _, z2, w in self.atoms))))
-        if self.kind == "density":
-            (z1lo, z1hi), (z2lo, z2hi) = self.domain
-            x1, w1, at_nodes = _z1_rule(self)
-            if z2hi == z2lo:
-                return Marginal1D(atoms=((z2lo, float(at_nodes[0])),))
-
-            def marg(z2, _x1=x1, _w1=w1, _rho=self.density):
-                z2 = np.asarray(z2, dtype=float)
-                flat = z2.ravel()
-                out = np.empty(flat.size)
-                for i in range(0, flat.size, 1024):  # one density call per 1,024 z2 points
-                    block = flat[i:i + 1024, None]
-                    vals = np.broadcast_to(_rho(_x1, block), (block.size, _x1.size))
-                    out[i:i + 1024] = np.sum(vals * _w1, axis=-1)
-                return out.reshape(z2.shape)
-
-            return Marginal1D(pieces=(DensityPiece(z2lo, z2hi, marg, self.nodes[1]),))
         if self.kind == "product":
             if self.is_empty():
                 return Marginal1D()
@@ -459,16 +365,6 @@ class LevyMeasure:
     def to_json(self) -> dict:
         if self.kind == "atomic":
             return {"kind": "atomic", "atoms": [list(a) for a in self.atoms]}
-        if self.kind == "density":
-            expr = getattr(self.density, "expr", None)
-            if expr is None:
-                raise UnsupportedMeasure("cannot serialize a callable density without expr")
-            return {
-                "kind": "density",
-                "expr": expr,
-                "domain": [list(self.domain[0]), list(self.domain[1])],
-                "nodes": list(self.nodes),
-            }
         if self.kind == "product":
             return {
                 "kind": "product",
@@ -481,21 +377,20 @@ class LevyMeasure:
     def from_json(d: dict) -> "LevyMeasure":
         kind = check_keys(d, "measure", ("kind",), d)["kind"]  # the kind's keys are checked below
         if not isinstance(kind, str) or kind not in _JSON_KEYS:
-            raise UnsupportedMeasure(f"unknown measure kind {kind!r} in JSON")
+            raise UnsupportedMeasure(
+                f"unknown measure kind {kind!r}: the kinds are {' and '.join(map(repr, _JSON_KEYS))}; "
+                "a separable density is a 'product' of two marginal densities"
+            )
         check_keys(d, f"{kind} measure", ("kind", *_JSON_KEYS[kind]))
         if kind == "atomic":
-            with reading("atomic measure atoms"):
-                atoms = tuple((float(z1), float(z2), float(w)) for z1, z2, w in d["atoms"])
+            key = "atomic measure atoms"
+            with reading(key):
+                atoms = tuple((number(z1, key), number(z2, key), number(w, key)) for z1, z2, w in d["atoms"])
             return LevyMeasure.atomic(atoms)
-        if kind == "density":
-            with reading("density measure expr"):
-                fn = compile_density_expr(d["expr"], ("z1", "z2"))
-            with reading("density measure domain and nodes"):
-                return LevyMeasure.from_density(fn, d["domain"], d["nodes"])
         return LevyMeasure.product(_marginal_from_json(d["z1"]), _marginal_from_json(d["z2"]))
 
 
-_JSON_KEYS = {"atomic": ("atoms",), "density": ("expr", "domain", "nodes"), "product": ("z1", "z2")}
+_JSON_KEYS = {"atomic": ("atoms",), "product": ("z1", "z2")}
 
 
 def check_keys(d, name: str, required: Iterable[str], optional: Iterable[str] = ()) -> dict:
@@ -512,6 +407,17 @@ def check_keys(d, name: str, required: Iterable[str], optional: Iterable[str] = 
     return d
 
 
+def number(v, key: str, count: bool = False):
+    """v as a float if it is a finite JSON number, or with `count` as an int
+    >= 1 (a bool or a string is neither); ModelFormatError naming the key it
+    was read from otherwise."""
+    if not isinstance(v, bool) and isinstance(v, int if count else (int, float)):
+        # abs(v) <= max is False for NaN, +-inf and ints beyond the float range
+        if v >= 1 if count else abs(v) <= sys.float_info.max:
+            return v if count else float(v)
+    raise ModelFormatError(f"{key}: {v!r} is not {'an integer >= 1' if count else 'a finite number'}")
+
+
 @contextlib.contextmanager
 def reading(key: str):
     """Re-raises the error of converting a model file's value as a
@@ -525,31 +431,12 @@ def reading(key: str):
 def _axis_cells(lo: float, hi: float, panels: int, level: int, k: int = GAUSS_ORDER):
     """Nodes, weights and panel width of the k-point Gauss-Legendre rule on
     each of the ``panels << level`` equal panels of [lo, hi] (k = 1: the
-    midpoint rule).  A collapsed axis is one node of weight 1 and width 0."""
-    if hi == lo:
-        return np.array([lo]), np.ones(1), 0.0
+    midpoint rule)."""
     n = panels << level
     h = (hi - lo) / n
     t, wt = _gauss_legendre(k)
     x = lo + h * (np.arange(n)[:, None] + t)
     return x.ravel(), np.tile(h * wt, n), h
-
-
-def _z1_rule(mu: LevyMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The z1 nodes and weights that z2_marginal freezes for a density
-    measure, converged to _Z1_TOL at every z2 level-0 node, and the
-    marginal at those nodes; QuadratureError past NODE_CAP density values."""
-    (z1lo, z1hi), (z2lo, z2hi) = mu.domain
-    x2 = _axis_cells(z2lo, z2hi, mu.nodes[1], 0)[0][:, None]
-    line = LevyMeasure.from_density(lambda z1, z2: np.ones_like(z1), ((z1lo, z1hi), (0.0, 0.0)), (mu.nodes[0], 1))
-
-    def at_nodes(z1, _):
-        if z1.size * x2.size > NODE_CAP:
-            raise QuadratureError(f"z1 rule of the z2-marginal needs more than {NODE_CAP} density values")
-        return np.broadcast_to(mu.density(z1, x2), (x2.size, z1.size))
-
-    (x1, _, _, _, w1), marg = _converge(line, at_nodes, _Z1_TOL)
-    return x1, w1, marg
 
 
 @functools.lru_cache(maxsize=None)
@@ -579,11 +466,6 @@ def _graded(mu: LevyMeasure) -> LevyMeasure:
     if mu.kind == "product":
         pieces = tuple(replace(p, lo=a, hi=b) for p in mu.m1.pieces for a, b in _octaves(p.lo, p.hi))
         return LevyMeasure.product(replace(mu.m1, pieces=pieces), mu.m2)
-    if mu.kind == "density":
-        (z1lo, z1hi), dom2 = mu.domain
-        return LevyMeasure.union(
-            LevyMeasure.from_density(mu.density, ((a, b), dom2), mu.nodes) for a, b in _octaves(z1lo, z1hi)
-        )
     if mu.kind == "union":
         return LevyMeasure.union(_graded(m) for m in mu.members)
     return mu
@@ -623,16 +505,19 @@ def _marginal_from_json(d: dict) -> Marginal1D:
     """A product's marginal {"atoms": [[z, w], ...], "density": {"expr",
     "domain", "nodes"}}, each key optional but "expr" and "domain"."""
     check_keys(d, "marginal", (), ("atoms", "density"))
-    with reading("marginal atoms"):
-        atoms = tuple((float(z), float(w)) for z, w in d.get("atoms", ()))
+    key = "marginal atoms"
+    with reading(key):
+        atoms = tuple((number(z, key), number(w, key)) for z, w in d.get("atoms", ()))
     pieces = ()
     if "density" in d:
         dd = check_keys(d["density"], "marginal density", ("expr", "domain"), ("nodes",))
         with reading("marginal density expr"):
-            fn = compile_density_expr(dd["expr"], ("z",))
-        with reading("marginal density domain and nodes"):
+            fn = compile_density_expr(dd["expr"])
+        key = "marginal density domain"
+        with reading(key):
             lo, hi = dd["domain"]
-            pieces = (DensityPiece(float(lo), float(hi), fn, int(dd.get("nodes", 64))),)
+        nodes = number(dd.get("nodes", 64), "marginal density nodes", count=True)
+        pieces = (DensityPiece(number(lo, key), number(hi, key), fn, nodes),)
     return Marginal1D(atoms=atoms, pieces=pieces)
 
 
@@ -691,13 +576,11 @@ def _converge(mu: LevyMeasure, f: Callable, tol: float, k: int = GAUSS_ORDER):
 
 
 def _is_atomic_only(mu: LevyMeasure) -> bool:
-    if mu.kind == "atomic":
-        return True
     if mu.kind == "product":
         return mu.m1.is_purely_atomic and mu.m2.is_purely_atomic
     if mu.kind == "union":
         return all(_is_atomic_only(m) for m in mu.members)
-    return False
+    return True
 
 
 def levy_restrict_tail(n: LevyMeasure, eps: float) -> Marginal1D:
@@ -729,9 +612,10 @@ def levy_restrict_tail(n: LevyMeasure, eps: float) -> Marginal1D:
 class LevySampler:
     """Draws i.i.d. points with law mu / mu(G).
 
-    Atoms are drawn by inverse CDF over weights; density cells (the
-    one-node-per-panel midpoint cells) by grid-cell inverse CDF with uniform
-    jitter within the selected cell.  Each z1 density piece [lo, hi] with
+    Atoms are drawn by inverse CDF over weights; the cells of a product's
+    marginal densities (the one-node-per-panel midpoint cells, crossed with
+    the other marginal's cells) by grid-cell inverse CDF with uniform jitter
+    within the selected cell.  Each z1 density piece [lo, hi] with
     lo > 0 is graded: cut at lo * 2^j, every octave gets the piece's base
     panel count, so the cells shrink towards a truncation edge where a
     density like exp(-z)/z is steep.  The cells are refined on `_converge`

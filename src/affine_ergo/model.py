@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .measures import LevyMeasure, _try_integral, check_keys, reading
+from .measures import LevyMeasure, _try_integral, check_keys, number, reading
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,11 @@ class ModelParams:
     def from_json(d: dict) -> "ModelParams":
         scalars = ("a1", "a2", "b0", "b1", "b2", "sigma")
         check_keys(d, "model", (*scalars, "alpha", "m", "n"))
-        values = {}
-        for key in scalars:
-            with reading(f"model {key}"):
-                values[key] = float(d[key])
-        with reading("model alpha"):
+        values = {key: number(d[key], f"model {key}") for key in scalars}
+        key = "model alpha"
+        with reading(key):
             (a11, a12), (a21, a22) = d["alpha"]
-            alpha = ((float(a11), float(a12)), (float(a21), float(a22)))
+        alpha = ((number(a11, key), number(a12, key)), (number(a21, key), number(a22, key)))
         return ModelParams(
             **values, alpha=alpha, m=LevyMeasure.from_json(d["m"]), n=LevyMeasure.from_json(d["n"])
         )

@@ -246,6 +246,11 @@ class TestEverySubcommand:
         assert man["outputs"]
         assert all((tmp_path / f).is_file() for f in man["outputs"])
 
+    def test_stationary_truncates_infinite_activity(self, tmp_path):
+        # gamma_imm's n has infinite activity: the moment estimate drops its jumps below 1e-3
+        assert run("--model", "gamma_imm", "--out", str(tmp_path), "stationary", *SMALL_RUNS["stationary"]) == 0
+        assert json.loads((tmp_path / "stationary.json").read_text())["eps_trunc"] == 1e-3
+
     def test_strict_failure_still_writes_manifest(self, bad_model, tmp_path):
         assert run("--model", bad_model, "--out", str(tmp_path), "--strict", "validate") == 2
         man = json.loads((tmp_path / "manifest_validate.json").read_text())

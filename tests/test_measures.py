@@ -27,6 +27,12 @@ def atomic(*atoms):
     return LevyMeasure.atomic(atoms)
 
 
+def on_z1_axis(expr, lo, hi, nodes):
+    """The density expr(z1) on [lo, hi] x {0}: a product with a unit z2 atom at 0."""
+    m1 = Marginal1D(pieces=(DensityPiece(lo, hi, compile_density_expr(expr), nodes),))
+    return LevyMeasure.product(m1, Marginal1D(atoms=((0.0, 1.0),)))
+
+
 class TestLevyIntegral:
     def test_single_atom_sum(self):
         mu = atomic((1.0, 0.0, 2.0))
@@ -37,21 +43,19 @@ class TestLevyIntegral:
 
     def test_gamma_integral_oracle(self):
         # int_0^40 z * e^{-z} dz = Gamma(2) = 1 up to the 1e-18 tail
-        fn = compile_density_expr("exp(-z1)", ("z1", "z2"))
-        mu = LevyMeasure.from_density(fn, ((0.0, 40.0), (0.0, 0.0)), (64, 1))
+        mu = on_z1_axis("exp(-z)", 0.0, 40.0, 64)
         val = levy_integral(mu, lambda z1, z2: z1)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_gauss_panels_exact_for_degree_15(self):
         from affine_ergo.measures import DensityPiece
 
-        fn = compile_density_expr("pow(z, 15)", ("z",))
+        fn = compile_density_expr("pow(z, 15)")
         mu = Marginal1D(pieces=(DensityPiece(0.0, 1.0, fn, 1),))
         assert mu.mass() == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     def test_one_point_rule_is_midpoint_cells(self):
-        fn = compile_density_expr("exp(-z1)", ("z1", "z2"))
-        mu = LevyMeasure.from_density(fn, ((0.0, 3.0), (0.0, 0.0)), (4, 1))
+        mu = on_z1_axis("exp(-z)", 0.0, 3.0, 4)
         z1, _, d1, _, w = mu.cells(1, k=1)
         h = 3.0 / 8
         assert np.array_equal(z1, 0.0 + h * (np.arange(8) + 0.5))
@@ -90,7 +94,7 @@ class TestLevyIntegral:
     def test_linearity_density(self):
         from affine_ergo.measures import DensityPiece
 
-        fn = compile_density_expr("exp(-abs(z))", ("z",))
+        fn = compile_density_expr("exp(-abs(z))")
         mu = LevyMeasure.product(
             Marginal1D(atoms=((1.0, 1.0),)),
             Marginal1D(pieces=(DensityPiece(-10.0, 10.0, fn, 64),)),
@@ -110,7 +114,7 @@ class TestRestrictTail:
     def _infinite_mass_measure(self):
         # z2-marginal density 1/z2^2 on 0 < |z2| <= 1 (infinite total mass)
         z1 = Marginal1D(atoms=((0.0, 1.0),))
-        fn = compile_density_expr("1/(z*z)", ("z",))
+        fn = compile_density_expr("1/(z*z)")
         z2 = Marginal1D(pieces=())
         from affine_ergo.measures import DensityPiece
 
@@ -137,27 +141,18 @@ class TestRestrictTail:
 
 
 class TestDensity2D:
-    """The 2-D `density` kind: exp(-z1 - z2^2) on [0, 2] x [-2, 2]."""
+    """A density on the plane, the product of exp(-z1) on [0, 2] and
+    exp(-z2^2) on [-2, 2]."""
 
-    MU = LevyMeasure.from_density(
-        compile_density_expr("exp(-z1-z2*z2)", ("z1", "z2")), ((0.0, 2.0), (-2.0, 2.0)), (4, 16)
+    MU = LevyMeasure.product(
+        Marginal1D(pieces=(DensityPiece(0.0, 2.0, compile_density_expr("exp(-z)"), 4),)),
+        Marginal1D(pieces=(DensityPiece(-2.0, 2.0, compile_density_expr("exp(-z*z)"), 16),)),
     )
 
     @staticmethod
     def z2_mass(lo, hi):
         """int_lo^hi exp(-z2^2) dz2."""
         return 0.5 * math.sqrt(math.pi) * (math.erf(hi) - math.erf(lo))
-
-    def test_z2_marginal_matches_point_loop(self):
-        from affine_ergo.measures import _z1_rule
-
-        # the frozen z1 rule of z2_marginal, summed one z2 point at a time
-        x1, w1, _ = _z1_rule(self.MU)
-        z2 = np.linspace(-2.0, 2.0, 2501)
-        loop = np.array([np.sum(self.MU.density(x1, np.full_like(x1, v)) * w1) for v in z2])
-        (piece,) = self.MU.z2_marginal().pieces
-        assert np.array_equal(piece.fn(z2), loop)
-        assert np.array_equal(piece.fn(z2[:7].reshape(7, 1)), loop[:7].reshape(7, 1))
 
     def test_z2_marginal_closed_form(self):
         marg = self.MU.z2_marginal()
@@ -166,9 +161,10 @@ class TestDensity2D:
         assert np.allclose(marg.density_at(z2), closed, rtol=1e-12, atol=0.0)
         assert marg.mass() == pytest.approx((1.0 - math.exp(-2.0)) * self.z2_mass(-2.0, 2.0), rel=1e-8)
 
-    # 1/z1^2 on (0, 1] x [-1, 1]: no z1 rule converges on it
-    DIVERGENT = LevyMeasure.from_density(
-        compile_density_expr("1/(z1*z1)", ("z1", "z2")), ((0.0, 1.0), (-1.0, 1.0)), (16, 16)
+    # 1/z1^2 on (0, 1] times 1 on [-1, 1]: no z1 rule converges on it
+    DIVERGENT = LevyMeasure.product(
+        Marginal1D(pieces=(DensityPiece(0.0, 1.0, compile_density_expr("1/(z*z)"), 16),)),
+        Marginal1D(pieces=(DensityPiece(-1.0, 1.0, np.ones_like, 16),)),
     )
 
     def test_divergent_z2_marginal_raises(self):
@@ -265,8 +261,10 @@ class TestSampler:
         assert np.all(z1 == 1.5) and np.all(z2 == -0.5)
 
     def test_uniform_density_mean(self):
-        fn = compile_density_expr("0.5 + 0*z1", ("z1", "z2"))
-        mu = LevyMeasure.from_density(fn, ((0.0, 1.0), (-1.0, 1.0)), (1, 128))
+        mu = LevyMeasure.product(
+            Marginal1D(pieces=(DensityPiece(0.0, 1.0, compile_density_expr("0.5 + 0*z"), 1),)),
+            Marginal1D(pieces=(DensityPiece(-1.0, 1.0, np.ones_like, 128),)),
+        )
         s = LevySampler(mu)
         _, z2 = s.draw(np.random.default_rng(7), 100_000)
         assert 0.48 <= float(np.mean(np.abs(z2))) <= 0.52
@@ -277,7 +275,7 @@ class TestSampler:
 
     def test_unconverged_grid_raises(self):
         # 1/z on (0, 1] has infinite mass: every doubling adds about log 2
-        m1 = Marginal1D(pieces=(DensityPiece(0.0, 1.0, compile_density_expr("1/z", ("z",)), 64),))
+        m1 = Marginal1D(pieces=(DensityPiece(0.0, 1.0, compile_density_expr("1/z"), 64),))
         mu = LevyMeasure.product(m1, Marginal1D(atoms=((0.0, 1.0),)))
         with pytest.raises(QuadratureError):
             LevySampler(mu)
@@ -296,8 +294,10 @@ class TestSampler:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 7, 164, 1001])
     def test_draw_matches_three_calls(self, k):
         # one (3, k) draw holds the values of three calls of k in their order
-        fn = compile_density_expr("exp(-z1)", ("z1", "z2"))
-        s = LevySampler(LevyMeasure.from_density(fn, ((0.0, 5.0), (-1.0, 1.0)), (16, 4)))
+        s = LevySampler(LevyMeasure.product(
+            Marginal1D(pieces=(DensityPiece(0.0, 5.0, compile_density_expr("exp(-z)"), 16),)),
+            Marginal1D(pieces=(DensityPiece(-1.0, 1.0, np.ones_like, 4),)),
+        ))
         ref_g, g = stream(5, 1, M_JUMP), stream(5, 1, M_JUMP)
         z1, z2 = s.draw(g, k)
         u, j1, j2 = ref_g.random(k), ref_g.random(k), ref_g.random(k)
@@ -308,9 +308,7 @@ class TestSampler:
         assert g.random() == ref_g.random()
 
     def test_ks_distance_exponential_marginal(self):
-        fn = compile_density_expr("exp(-z1)", ("z1", "z2"))
-        mu = LevyMeasure.from_density(fn, ((0.0, 30.0), (0.0, 0.0)), (256, 1))
-        s = LevySampler(mu)
+        s = LevySampler(on_z1_axis("exp(-z)", 0.0, 30.0, 256))
         n = 100_000
         z1, _ = s.draw(np.random.default_rng(3), n)
         z1 = np.sort(z1)
@@ -324,7 +322,7 @@ class TestSampler:
 class TestOverlap:
     def test_overlap_tv_identity(self):
         # (mu ^ nu)(R) = (mass_mu + mass_nu - |mu - nu|(R)) / 2
-        fn = compile_density_expr("exp(-z*z/2)/sqrt(2*pi)", ("z",))
+        fn = compile_density_expr("exp(-z*z/2)/sqrt(2*pi)")
         from affine_ergo.measures import DensityPiece
 
         mu = Marginal1D(pieces=(DensityPiece(-6.0, 6.0, fn, 256),))
@@ -334,7 +332,7 @@ class TestOverlap:
 
     def test_step_inside_a_piece_raises(self):
         # the density steps at 0.3, which is not an edge of its piece
-        fn = compile_density_expr("where(z < 0.3, 1.0, 0.0)", ("z",))
+        fn = compile_density_expr("where(z < 0.3, 1.0, 0.0)")
         mu = Marginal1D(pieces=(DensityPiece(0.0, 1.0, fn, 64),))
         with pytest.raises(QuadratureError):
             overlap_stats(mu, mu.shift(0.01))
@@ -356,7 +354,7 @@ class TestOverlap:
     def test_atom_vs_density_no_overlap(self):
         from affine_ergo.measures import DensityPiece
 
-        fn = compile_density_expr("1 + 0*z", ("z",))
+        fn = compile_density_expr("1 + 0*z")
         mu = Marginal1D(pieces=(DensityPiece(0.0, 1.0, fn, 64),))
         nu = Marginal1D(atoms=((0.5, 1.0),))
         ov, _, _, _ = overlap_stats(mu, nu)
@@ -369,18 +367,10 @@ class TestJsonRoundTrip:
         again = LevyMeasure.from_json(mu.to_json())
         assert again.atoms == mu.atoms
 
-    def test_density(self):
-        fn = compile_density_expr("exp(-z1-z2*z2)", ("z1", "z2"))
-        mu = LevyMeasure.from_density(fn, ((0.0, 4.0), (-2.0, 2.0)), (32, 32))
-        again = LevyMeasure.from_json(mu.to_json())
-        v1 = levy_integral(mu, lambda z1, z2: z1, tol=1e-5)
-        v2 = levy_integral(again, lambda z1, z2: z1, tol=1e-5)
-        assert v1 == pytest.approx(v2, rel=1e-12)
-
     def test_product(self):
         from affine_ergo.measures import DensityPiece
 
-        fn = compile_density_expr("exp(-z*z/2)/sqrt(2*pi)", ("z",))
+        fn = compile_density_expr("exp(-z*z/2)/sqrt(2*pi)")
         mu = LevyMeasure.product(
             Marginal1D(atoms=((0.0, 0.5), (0.5, 0.5))),
             Marginal1D(pieces=(DensityPiece(-5.0, 5.0, fn, 64),)),

@@ -48,7 +48,7 @@ def bundled(name):
 
 
 def normal_z2_measure(z1_atom=0.0, weight=1.0):
-    fn = compile_density_expr("exp(-z*z/2)/sqrt(2*pi)", ("z",))
+    fn = compile_density_expr("exp(-z*z/2)/sqrt(2*pi)")
     return LevyMeasure.product(
         Marginal1D(atoms=((z1_atom, weight),)),
         Marginal1D(pieces=(DensityPiece(-6.0, 6.0, fn, 128),)),
@@ -264,7 +264,7 @@ class TestConditionC:
         assert small_rho_vals[-1] == pytest.approx(math.sqrt(2 / math.pi), rel=2e-2)
 
     def test_uniform_density_ratio_two(self):
-        fn = compile_density_expr("1 + 0*z", ("z",))
+        fn = compile_density_expr("1 + 0*z")
         marg = Marginal1D(pieces=(DensityPiece(0.0, 1.0, fn, 4096),))
         assert shift_tv_ratio(marg, 1e-3) == pytest.approx(2.0, rel=1e-2)
 
@@ -309,7 +309,7 @@ class TestConditionC:
 
 class TestConditionD:
     def test_unbounded_sigma0(self):
-        fn = compile_density_expr("1/(z*z)", ("z",))
+        fn = compile_density_expr("1/(z*z)")
         n = LevyMeasure.product(
             Marginal1D(atoms=((0.0, 1.0),)),
             Marginal1D(pieces=(DensityPiece(-1.0, 0.0, fn, 256), DensityPiece(0.0, 1.0, fn, 256))),

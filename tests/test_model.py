@@ -1,12 +1,13 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from affine_ergo.cli import main
 from affine_ergo.errors import DomainError, ModelFormatError, UnsupportedMeasure
-from affine_ergo.measures import LevyMeasure
+from affine_ergo.measures import _JSON_KEYS, LevyMeasure
 from affine_ergo.model import ModelParams, load_model, save_model, validate
 
 
@@ -97,10 +98,15 @@ class TestIO:
         with pytest.raises(ModelFormatError):
             LevyMeasure.from_json(d)
 
-    @pytest.mark.parametrize("kind", ["poisson", ["atomic"]])
+    @pytest.mark.parametrize("kind", ["poisson", ["atomic"], "density"])
     def test_unknown_kind_raises(self, kind):
-        with pytest.raises(UnsupportedMeasure):
+        with pytest.raises(UnsupportedMeasure, match="'product'"):
             LevyMeasure.from_json({"kind": kind, "atoms": []})
+
+    def test_readme_names_the_measure_kinds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\nMeasure kinds:\n\n", 1)[1].split("\n\n", 1)[0]
+        assert sorted(re.findall(r"^- `(\w+)`", section, flags=re.M)) == sorted(_JSON_KEYS)
 
     # edits of the bundled jump_cbi_ou model (atomic m, product n with a z2 density)
     BAD_KEYS = {
@@ -133,10 +139,24 @@ class TestIO:
         "atom_of_two": lambda d: d["m"]["atoms"].append([0.5, 0.2]),
         "a1_string": lambda d: d.update(a1="abc"),
         "a2_null": lambda d: d.update(a2=None),
+        "a1_numeric_string": lambda d: d.update(a1="2.0"),
+        "a1_bool": lambda d: d.update(a1=True),
+        "a1_nan_string": lambda d: d.update(a1="nan"),
+        "a1_nan": lambda d: d.update(a1=math.nan),  # written as a bare NaN literal
+        "nodes_float": lambda d: d["n"]["z2"]["density"].update(nodes=2.7),
+        "atom_weight_string": lambda d: d["m"]["atoms"][0].__setitem__(2, "0.8"),
         "domain_of_one": lambda d: d["n"]["z2"]["density"].update(domain=[1.0]),
         "expr_syntax": lambda d: d["n"]["z2"]["density"].update(expr="exp("),
         "expr_open": lambda d: d["n"]["z2"]["density"].update(expr="open(z)"),
     }
+
+    def test_integer_values_load(self):
+        d = self.bundled_json("jump_cbi_ou")
+        d.update(a1=2)
+        d["m"]["atoms"][0][0] = 1
+        p = ModelParams.from_json(d)
+        assert (p.a1, p.m.atoms[0][0]) == (2.0, 1.0)
+        assert isinstance(p.a1, float) and isinstance(p.m.atoms[0][0], float)
 
     @pytest.mark.parametrize("case", ["no_sigma", "atom_for_atoms", *sorted(BAD_VALUES), "not_json"])
     def test_cli_reports_bad_key(self, case, tmp_path, capsys):

@@ -273,7 +273,7 @@ class TestNonConvergence:
     def test_divergent_immigration_rule_raises(self):
         # n has z1-density 1/z1^2 on (0, 1]: int (1 - e^{-z1}) n(dz) = inf, so
         # no frozen n rule converges and char_fn must not return a value
-        fn = compile_density_expr("1/(z*z)", ("z",))
+        fn = compile_density_expr("1/(z*z)")
         n = LevyMeasure.product(
             Marginal1D(pieces=(DensityPiece(0.0, 1.0, fn, 64),)),
             Marginal1D(atoms=((0.0, 1.0),)),
