@@ -222,13 +222,15 @@ def cmd_charfn(run: Run, t, u1, u2i, x1, x2):
 @click.option("--tmax", default=10.0, show_default=True)
 @click.option("--n", default=41, show_default=True)
 def cmd_vbar(run: Run, tmin, tmax, n):
-    """Tabulate the coupling decay function on a log time grid."""
+    """Tabulate the coupling decay function on a log time grid; vbar.json
+    records its windows, tail ratio and line integrals."""
     params = run.require_model()
     table = build_vbar_table(params, tmin, tmax, n)
     rows = [("t", "vbar")] + [(f"{t:.12g}", f"{v:.12g}") for t, v in zip(table.times, table.values)]
     out = run.write_csv("vbar.csv", rows)
     click.echo(f"vbar({tmax}) = {params.vbar(tmax):.6g}")
-    return [out], False
+    out2 = run.write_json("vbar.json", params.vbar.diagnostics())
+    return [out, out2], False
 
 
 @subcommand("stationary")

@@ -11,11 +11,14 @@ A measure is represented in one of three forms:
 A density piece is integrated by GAUSS_ORDER-point Gauss-Legendre nodes on
 each of ``nodes << level`` equal panels, and a product by the tensor rule
 of its marginals' cells.  One node-doubling loop (`_converge`) serves every
-integral: it doubles the panel count until two successive levels agree and
-raises QuadratureError at NODE_CAP, never returning an unconverged grid;
-1-D marginals are compared between the edges of their pieces.  With one
-node per panel the cells are the midpoint cells that LevySampler jitters
-within.  Tails beyond the declared pieces are the caller's responsibility.
+integral, on the rule its caller supplies at each level: a measure's cells,
+a 1-D marginal's own cells (`Marginal1D.integrate`, so they are compared
+between the edges of its pieces), or bare Gauss panels on an interval
+(`mechanisms._line_integral`).  It doubles the panel count until two
+successive levels agree and raises QuadratureError at NODE_CAP, never
+returning an unconverged grid.  With one node per panel the cells are the
+midpoint cells that LevySampler jitters within.  Tails beyond the declared
+pieces are the caller's responsibility.
 """
 
 from __future__ import annotations
@@ -178,14 +181,15 @@ class Marginal1D:
     def shift(self, a: float) -> "Marginal1D":
         atoms = tuple((pos + a, w) for pos, w in self.atoms)
         pieces = tuple(
-            DensityPiece(p.lo + a, p.hi + a, _shifted(p.fn, a), p.nodes) for p in self.pieces
+            replace(p, lo=p.lo + a, hi=p.hi + a, fn=lambda x, fn=p.fn: fn(np.asarray(x) - a)) for p in self.pieces
         )
         return Marginal1D(atoms=atoms, pieces=pieces)
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8) -> float:
-        """Integral of f, as the z2 side of the product with a unit atom at z1 = 0."""
-        on_axis = LevyMeasure.product(_const_marginal(0.0), self)
-        return float(levy_integral(on_axis, lambda z1, z2: f(z2), tol=tol))
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8):
+        """Integral of f (or of each integrand f stacks) on the nodes and
+        weights of `cells`, refined on the node-doubling loop `_converge`."""
+        rule = lambda level: None if self.n_cells(level) > NODE_CAP else self.cells(level)[::2]
+        return _converge(rule, f, tol, self.is_purely_atomic)[1]
 
     def mass(self) -> float:
         return self.integrate(np.ones_like)
@@ -196,17 +200,6 @@ class Marginal1D:
         if not los:
             return (0.0, 0.0)
         return (min(los), max(his))
-
-
-def _shifted(fn: Callable, a: float) -> Callable:
-    def g(x):
-        return fn(np.asarray(x) - a)
-
-    return g
-
-
-def _const_marginal(atom: float) -> Marginal1D:
-    return Marginal1D(atoms=((atom, 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +466,8 @@ def _graded(mu: LevyMeasure) -> LevyMeasure:
 
 def _scale_marginal(m: Marginal1D, c: float) -> Marginal1D:
     atoms = tuple((a, w * c) for a, w in m.atoms)
-    pieces = tuple(
-        DensityPiece(p.lo, p.hi, _scaled(p.fn, c), p.nodes) for p in m.pieces
-    )
+    pieces = tuple(replace(p, fn=lambda x, fn=p.fn: c * np.asarray(fn(x))) for p in m.pieces)
     return Marginal1D(atoms=atoms, pieces=pieces)
-
-
-def _scaled(fn: Callable, c: float) -> Callable:
-    def g(x):
-        return c * np.asarray(fn(x))
-
-    return g
 
 
 def _marginal_to_json(m: Marginal1D) -> dict:
@@ -531,7 +515,7 @@ def levy_integral(mu: LevyMeasure, f: Callable, region=None, tol: float = 1e-8):
     refined by node doubling (`_converge`) for densities."""
     if region is not None:
         mu = mu.restrict(region)
-    return _converge(mu, f, tol)[1]
+    return _on_measure(mu, f, tol)[1]
 
 
 def _try_integral(mu: LevyMeasure, f: Callable, region=None) -> float:
@@ -542,37 +526,44 @@ def _try_integral(mu: LevyMeasure, f: Callable, region=None) -> float:
         return math.inf
 
 
-def _converge(mu: LevyMeasure, f: Callable, tol: float, k: int = GAUSS_ORDER):
+def _converge(rule: Callable[[int], tuple | None], f: Callable, tol: float, exact: bool = False):
     """The node-doubling loop behind every integral and the jump sampler.
 
-    Returns the cells (z1, z2, dz1, dz2, w) of `mu.cells(level, k)` at the
-    first level whose integral of f differs from the previous level's by at
-    most tol * max(1, |value|), and that value.  f may return a stack of
-    integrands (shape (..., n)); each must then meet the test.  Atomic
-    measures are exact at level 0.  Raises QuadratureError once the next
-    level would exceed NODE_CAP nodes, or for a non-finite sum, which
-    would not converge on a grid that has stopped growing.
+    rule(level) is the caller's rule at that level: node arrays, which f
+    takes, then their weights; None past NODE_CAP nodes.  Returns the rule
+    of the first level whose integral of f differs from the previous
+    level's by at most tol * max(1, |value|), that value and the level.  f
+    may return a stack of integrands (shape (..., n)); each must then meet
+    the test.  An `exact` rule (atoms only) stops at level 0.  Raises
+    QuadratureError past NODE_CAP, or for a non-finite sum, which would not
+    converge on a grid that has stopped growing.
     """
-    exact = _is_atomic_only(mu)
     prev = None
     for level in itertools.count():
-        if mu.n_cells(level, k) > NODE_CAP:
+        cells = rule(level)
+        if cells is None:
             raise QuadratureError(f"no convergence to tol {tol:g} within {NODE_CAP} nodes")
-        cells = mu.cells(level, k)
-        z1, z2, w = cells[0], cells[1], cells[4]
-        if z1.size == 0:
-            return cells, 0.0
-        vals = np.asarray(f(z1, z2))
+        w = cells[-1]
+        if w.size == 0:
+            return cells, 0.0, level
+        vals = np.asarray(f(*cells[:-1]))
         if not np.all(np.isfinite(vals)):
             raise NonFiniteIntegrand("integrand evaluated to NaN/inf at a node")
         val = np.sum(w * vals, axis=-1)
         if exact or (
             prev is not None and np.all(np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
         ):
-            return cells, (val.item() if val.ndim == 0 else val)
+            return cells, (val.item() if val.ndim == 0 else val), level
         if not np.all(np.isfinite(val)):
             raise QuadratureError("quadrature sum is not finite")
         prev = val
+
+
+def _on_measure(mu: LevyMeasure, f: Callable, tol: float, k: int = GAUSS_ORDER):
+    """`_converge` on mu's cells (z1, z2, dz1, dz2, w), with k Gauss nodes
+    per panel; f takes (z1, z2)."""
+    rule = lambda level: None if mu.n_cells(level, k) > NODE_CAP else mu.cells(level, k)
+    return _converge(rule, lambda z1, z2, dz1, dz2: f(z1, z2), tol, _is_atomic_only(mu))
 
 
 def _is_atomic_only(mu: LevyMeasure) -> bool:
@@ -625,7 +616,7 @@ class LevySampler:
 
     def __init__(self, mu: LevyMeasure):
         moments = lambda z1, z2: np.stack([np.ones_like(z1), z1, z2])
-        z1, z2, d1, d2, w = _converge(_graded(mu), moments, _SAMPLER_TOL, k=1)[0]
+        z1, z2, d1, d2, w = _on_measure(_graded(mu), moments, _SAMPLER_TOL, k=1)[0]
         if float(np.sum(w)) <= 0.0:
             raise ZeroMass("cannot sample from a zero-mass measure")
         keep = w > 0
@@ -665,12 +656,11 @@ def overlap_stats(mu: Marginal1D, nu: Marginal1D) -> tuple[float, float, float, 
     overlap = tv = mass_mu = mass_nu = 0.0
     if mu.pieces or nu.pieces:
 
-        def stack(_, x):
+        def stack(x):
             p, q = mu.density_at(x), nu.density_at(x)
             return np.stack([np.minimum(p, q), np.abs(p - q), p, q])
 
-        on_axis = LevyMeasure.product(_const_marginal(0.0), on_cut(np.ones_like, mu, nu))
-        overlap, tv, mass_mu, mass_nu = map(float, _converge(on_axis, stack, _OVERLAP_TOL)[1])
+        overlap, tv, mass_mu, mass_nu = map(float, on_cut(np.ones_like, mu, nu).integrate(stack, _OVERLAP_TOL))
     mu_atoms = dict(_merge_atoms(mu.atoms))
     nu_atoms = dict(_merge_atoms(nu.atoms))
     matched_nu = set()

@@ -2,11 +2,12 @@
 
 Every integral runs on the package's one node-doubling loop
 (`measures._converge`) and meets its tolerance or raises QuadratureError:
-1/phi0 (condition (A), vbar) and the closed stationary integrand, and the
-masses, overlaps and shift total variations of (B)-(D).  Condition (A)
-reads the decay of the 1/phi0 integrals over doubling windows, and (C),
-(D) probe the shift ratios at finitely many shifts; verdicts may be
-"inconclusive" when the evidence is non-monotone.
+1/phi0 (condition (A), vbar) and the closed stationary integrand on bare
+Gauss panels (`_line_integral`), and the masses, overlaps and shift total
+variations of (B)-(D).  phi and psi sum a product measure's jumps per axis
+(`Mechanisms`).  Condition (A) reads the decay of the 1/phi0 integrals over
+doubling windows, and (C), (D) probe the shift ratios at finitely many
+shifts; verdicts may be "inconclusive" when the evidence is non-monotone.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DominationViolated, DomainError
+from .errors import DominationViolated, DomainError, NoConvergence
 from .measures import (
-    DensityPiece,
+    GAUSS_ORDER,
+    NODE_CAP,
     LevyMeasure,
     Marginal1D,
+    _axis_cells,
     _converge,
     _is_atomic_only,
+    _on_measure,
     _try_integral,
     levy_restrict_tail,
     on_cut,
@@ -71,10 +75,13 @@ def _n_kernel(u1, u2, z1, z2):
     return np.expm1(np.multiply.outer(u1, z1) + e2) - e2
 
 
-def _jump_integral(rule, kernel, u1, u2):
-    """Sum of w * kernel over a frozen rule, vectorised over u; 0 if empty."""
-    z1, z2, w = rule
-    return np.sum(w * kernel(u1, u2, z1, z2), axis=-1) if w.size else 0.0
+def _axis_sums(u, axis, compensated: bool):
+    """E = sum w expm1(u x) and, if compensated, K = sum w (expm1(u x) - u x)
+    over the cells (x, w) of one axis, vectorised over u."""
+    x, w = axis
+    e = np.multiply.outer(u, x)
+    em = np.expm1(e)
+    return np.sum(w * em, axis=-1), np.sum(w * (em - e), axis=-1) if compensated else None
 
 
 def _box(u1, u2) -> tuple[int, ...]:
@@ -99,21 +106,32 @@ class Mechanisms:
     at tol 1e-10 on the nonzero probes (-R1, 0), (i R2, 0), (0, i R3), or
     raises QuadratureError at NODE_CAP, and is kept once built; the |u| <= 1
     rules are built with the object (``ModelParams.mechanisms``).
-    phi0(x) = phi(-x, 0).
+    A product measure is summed per axis, on its marginals' cells (x_i, w_i)
+    at its rule's level: with E_i = sum w_i expm1(u_i x_i), K_i = sum w_i
+    (expm1(u_i x_i) - u_i x_i) and W_i = sum w_i, the tensor rule's sums are
+    E1 E2 + K1 W2 + W1 K2 (m) and E1 E2 + E1 W2 + W1 K2 (n).  phi0(x) =
+    phi(-x, 0).
     """
 
     def __init__(self, params: ModelParams):
-        self.p = params
+        p = params
+        # the coefficients of phi's and psi's terms, in the order they are added
+        self._phi_coeffs = (
+            -p.a1, p.b1, p.alpha_y, 2.0 * (math.sqrt(p.a11 * p.a21) + math.sqrt(p.a12 * p.a22)), p.a21 + p.a22
+        )
+        self._psi_coeffs = (p.a2, p.b0, 0.5 * p.sigma**2)
         self._jumps = {
             kind: (mu, kernel, _is_atomic_only(mu))
             for kind, mu, kernel in (("m", params.m, _m_kernel), ("n", params.n, _n_kernel))
         }
         self._rules: dict = {}
+        self._axes: dict = {}  # a product rule's key -> its marginals' cells and weight sums
         for kind in self._jumps:
             self.rule(kind, -1.0, 1j)
 
-    def rule(self, kind: str, u1, u2):
-        """The frozen rule (z1, z2, w) for m or n (kind "m"/"n") that serves u."""
+    def _key(self, kind: str, u1, u2):
+        """The key of the rule for m or n (kind "m"/"n") that serves u,
+        building that rule, and a product's per-axis cells, if it is new."""
         mu, kernel, exact = self._jumps[kind]
         key = (kind, None if exact else _box(u1, u2))
         if key not in self._rules:
@@ -121,31 +139,38 @@ class Mechanisms:
             pu1, pu2 = np.array([-r1, 1j * r2, 0.0]), np.array([0.0, 0.0, 1j * r3])
             live = (pu1 != 0) | (pu2 != 0)
             f = lambda z1, z2: kernel(pu1[live], pu2[live], z1, z2)
-            z1, z2, _, _, w = _converge(mu, f, _RULE_TOL)[0]
+            (z1, z2, _, _, w), _, level = _on_measure(mu, f, _RULE_TOL)
             self._rules[key] = (z1, z2, w)
-        return self._rules[key]
+            if mu.kind == "product":
+                axes = [m.cells(level)[::2] for m in (mu.m1, mu.m2)]
+                self._axes[key] = (axes, [float(np.sum(w_i)) for _, w_i in axes])
+        return key
+
+    def rule(self, kind: str, u1, u2):
+        """The frozen rule (z1, z2, w) for m or n (kind "m"/"n") that serves u."""
+        return self._rules[self._key(kind, u1, u2)]
+
+    def _jump_integral(self, kind: str, u1, u2):
+        """The m- or n-jump part of phi or psi at u; 0 for an empty measure."""
+        key = self._key(kind, u1, u2)
+        if key in self._axes:
+            (axis1, axis2), (W1, W2) = self._axes[key]
+            E1, K1 = _axis_sums(u1, axis1, kind == "m")
+            E2, K2 = _axis_sums(u2, axis2, True)
+            return E1 * E2 + (K1 if kind == "m" else E1) * W2 + W1 * K2
+        z1, z2, w = self._rules[key]
+        return np.sum(w * self._jumps[kind][1](u1, u2, z1, z2), axis=-1) if w.size else 0.0
 
     def phi(self, u1, u2):
         """Branching-side mechanism: drift, diffusion and compensated m-jumps."""
-        p = self.p
-        return (
-            -p.a1 * u1
-            - p.b1 * u2
-            + p.alpha_y * u1**2
-            + 2.0 * (math.sqrt(p.a11 * p.a21) + math.sqrt(p.a12 * p.a22)) * u1 * u2
-            + (p.a21 + p.a22) * u2**2
-            + _jump_integral(self.rule("m", u1, u2), _m_kernel, u1, u2)
-        )
+        na1, b1, alpha_y, c12, c22 = self._phi_coeffs
+        jumps = self._jump_integral("m", u1, u2)
+        return na1 * u1 - b1 * u2 + alpha_y * u1**2 + c12 * u1 * u2 + c22 * u2**2 + jumps
 
     def psi(self, u1, u2):
         """Immigration-side mechanism: drift, OU diffusion and n-jumps."""
-        p = self.p
-        return (
-            p.a2 * u1
-            - p.b0 * u2
-            + 0.5 * p.sigma**2 * u2**2
-            + _jump_integral(self.rule("n", u1, u2), _n_kernel, u1, u2)
-        )
+        a2, b0, half_sigma2 = self._psi_coeffs
+        return a2 * u1 - b0 * u2 + half_sigma2 * u2**2 + self._jump_integral("n", u1, u2)
 
 
 def phi(u: UPoint, params: ModelParams) -> complex:
@@ -165,16 +190,67 @@ def phi0(x: float, params: ModelParams) -> float:
     return float(np.real(params.mechanisms.phi(-x, 0.0)))
 
 
-def _line_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """int_lo^hi f on the node-doubling loop, to _LINE_TOL; 0 if lo == hi."""
-    line = Marginal1D(pieces=(DensityPiece(lo, hi, np.ones_like, 1),))
-    return line.integrate(f, tol=_LINE_TOL)
+def _line_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, int]:
+    """int_lo^hi f on 1 << level bare Gauss panels, doubled on the
+    node-doubling loop to _LINE_TOL, and that level."""
+    rule = lambda level: None if GAUSS_ORDER << level > NODE_CAP else _axis_cells(lo, hi, 1, level)[:2]
+    _, val, level = _converge(rule, f, _LINE_TOL)
+    return float(val), level
 
 
-def _inv_phi0_integral(mech: Mechanisms, a: float, b: float) -> float:
-    """int_a^b dz / phi0(z) for 0 < a <= b, integrated in s = log z."""
+def _inv_phi0_integral(mech: Mechanisms, a: float, b: float) -> tuple[float, int]:
+    """int_a^b dz / phi0(z) for 0 < a <= b, integrated in s = log z, and
+    the doubling level it took (`_line_integral`)."""
     f = lambda s: np.exp(s) / np.real(mech.phi(-np.exp(s), 0.0))
     return _line_integral(f, math.log(a), math.log(b))
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4), to
+    xtol 1e-300 and rtol 1e-12 within 100 iterations: scipy's BSD-3 brentq.c
+    line for line, so the same root after the same evaluations.  f(a) and f(b)
+    must differ in sign; NoConvergence where scipy raises."""
+    xtol, rtol = 1e-300, 1e-12
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoConvergence(f"no sign change of f on [{a:g}, {b:g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NoConvergence(f"Brent's method did not converge in 100 iterations on [{a:g}, {b:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +296,7 @@ def check_A(params: ModelParams) -> ConditionReport:
             note="phi0 <= 0 at probes beyond every candidate theta",
         )
     edges = [theta] + [_A_Z_MAX * 2**i for i in range(_A_DOUBLINGS + 1)]
-    increments = [_inv_phi0_integral(mech, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    increments = [_inv_phi0_integral(mech, lo, hi)[0] for lo, hi in zip(edges, edges[1:])]
     ratios = [increments[i + 1] / increments[i] for i in range(len(increments) - 1) if increments[i] > 0]
     evidence = tuple((float(_A_Z_MAX * 2**i), float(v)) for i, v in enumerate(increments))
     tail = ratios[-3:]
@@ -333,16 +409,31 @@ def check_Cprime(params: ModelParams, eps: float) -> ConditionReport:
     return check_C(params, eps, second_moment=True)
 
 
+def _sigma_k(rho0: Marginal1D, g: Callable[[np.ndarray], np.ndarray], k: float) -> Marginal1D:
+    """min(k g, rho0) on rho0's pieces, cut where k g crosses rho0: one
+    root-find (`_brentq`) per sign change of k g - rho0 on a 257-point probe
+    grid of each piece, so no piece holds the kink of the min."""
+    kg = lambda x: k * np.asarray(g(x))
+    cuts = []
+    for p in rho0.pieces:
+        gap = lambda x, piece=Marginal1D(pieces=(p,)): kg(x) - piece.density_at(x)
+        x = np.linspace(p.lo, p.hi, 257)
+        sign = np.sign(gap(x))
+        root = lambda i: _brentq(lambda z: float(gap(np.array([z]))[0]), x[i], x[i + 1])
+        cuts += [*x[sign == 0], *map(root, np.flatnonzero(sign[:-1] * sign[1:] < 0))]
+    return on_cut(lambda x: np.minimum(kg(x), rho0.density_at(x)), rho0.split_at(cuts))
+
+
 def check_D(
     params: ModelParams,
     rho0: Marginal1D,
     g: Callable[[np.ndarray], np.ndarray],
     k_list: Sequence[float] = (1, 4, 16, 64, 256),
 ) -> ConditionReport:
-    """Builds sigma_k = min(k g, rho0) dz2, reports masses, shift-TV ratios
-    and first moments, and growth evidence for sigma_0(R) = inf.  rho0's
-    piece edges are where it may jump, so sigma_k is continuous between
-    them when g is."""
+    """Builds sigma_k = min(k g, rho0) dz2 (`_sigma_k`), reports masses,
+    shift-TV ratios and first moments, and growth evidence for
+    sigma_0(R) = inf.  rho0's piece edges are where it may jump, so sigma_k
+    is continuous between them when g is."""
     if any(k < 1 for k in k_list):
         raise DomainError("k_list entries must be >= 1")
     # domination probe: rho0 must sit below the z2-marginal density of n
@@ -360,7 +451,7 @@ def check_D(
     masses = []
     extras_rows = []
     for k in sorted(k_list):
-        sk = on_cut(lambda x, k=float(k): np.minimum(k * np.asarray(g(x)), rho0.density_at(x)), rho0)
+        sk = _sigma_k(rho0, g, float(k))
         mass = sk.mass()
         masses.append(mass)
         evidence.append((float(k), mass))

@@ -15,8 +15,8 @@ vbar is obtained by inverting t = int_v^inf dz / phi0(z) rather than by
 integrating the ODE backwards from a cap: the initial condition sits at
 0+ with value +inf, and the integral inversion is the stable route.  That
 integral, and the closed stationary transform's int psi(z, 0)/phi(z, 0),
-run on the package's one node-doubling loop (`measures._converge`): each
-converges or raises QuadratureError.
+run on bare Gauss panels doubled on the package's one node-doubling loop
+(`measures._converge`): each converges or raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     SingularIntegrand,
 )
 from .measures import levy_integral
-from .mechanisms import UPoint, _inv_phi0_integral, _line_integral
+from .mechanisms import UPoint, _brentq, _inv_phi0_integral, _line_integral
 from .model import ModelParams
 
 _CLAMP_TOL = 1e-9
@@ -155,11 +155,12 @@ class Vbar:
         self._mech = mech = params.mechanisms
         if np.any(np.real(mech.phi(-np.geomspace(1e-8, 1e8, 65), 0.0)) <= 0):
             raise ConditionAViolated("phi0 must be positive on (0, inf) for vbar")
+        self._integrals = self._deepest = 0
         inc = []
         while len(inc) < 2 or inc[-1] >= min(_TAIL_TOL, inc[-2]):
             if len(inc) == _MAX_WINDOWS:
                 raise ConditionAViolated("tail integral of 1/phi0 does not converge")
-            inc.append(_inv_phi0_integral(mech, 2.0 ** len(inc), 2.0 ** (len(inc) + 1)))
+            inc.append(self._integral(2.0 ** len(inc), 2.0 ** (len(inc) + 1)))
         self._top = len(inc)
         self._r = inc[-1] / inc[-2]
         self._rest = self._r / (1.0 - self._r) * inc[-1]  # T(2^top)
@@ -168,6 +169,19 @@ class Vbar:
         for w in reversed(inc):
             T.append(T[-1] + w)
         self._T = dict(enumerate(T[::-1]))
+
+    def _integral(self, a: float, b: float) -> float:
+        """int_a^b dz / phi0(z), counted in `diagnostics`."""
+        val, level = _inv_phi0_integral(self._mech, a, b)
+        self._integrals, self._deepest = self._integrals + 1, max(self._deepest, level)
+        return val
+
+    def diagnostics(self) -> dict:
+        """The windows tabulated at construction, the tail ratio r, and the
+        line integrals run so far with the deepest doubling level they reached
+        (1 << level Gauss panels)."""
+        return {"windows": self._top, "tail_ratio": self._r,
+                "line_integrals": self._integrals, "deepest_level": self._deepest}
 
     def _tail(self, j: int) -> float:
         """T(2^j): geometric above the table, extended window by window
@@ -184,7 +198,7 @@ class Vbar:
         if v <= 0:
             raise DomainError("v must be > 0")
         j = math.frexp(v)[1] - 1  # 2^j <= v < 2^(j+1)
-        return self._tail(j + 1) + _inv_phi0_integral(self._mech, v, 2.0 ** (j + 1))
+        return self._tail(j + 1) + self._integral(v, 2.0 ** (j + 1))
 
     def _edge(self, j: int) -> float:
         """time_from(2^j), the function _brentq sees, read from the table
@@ -213,54 +227,6 @@ class Vbar:
                 raise NoConvergence(f"vbar({t:g}): phi0 overflows below 2^{j + 2}")
         # time_from(2^(j+1)) < t <= time_from(2^j): one root-find in [2^j, 2^(j+1)]
         return _brentq(lambda w: self.time_from(w) - t, 2.0**j, 2.0 ** (j + 1))
-
-
-def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
-    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4), to
-    xtol 1e-300 and rtol 1e-12 within 100 iterations: scipy's BSD-3 brentq.c
-    line for line, so the same root after the same evaluations.  f(a) and f(b)
-    must differ in sign; NoConvergence where scipy raises."""
-    xtol, rtol = 1e-300, 1e-12
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NoConvergence(f"no sign change of f on [{a:g}, {b:g}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise NoConvergence(f"Brent's method did not converge in 100 iterations on [{a:g}, {b:g}]")
 
 
 @dataclass(frozen=True)
@@ -318,8 +284,8 @@ def stationary_transform_closed(params: ModelParams, u1: float) -> float:
     """Laplace transform of the stationary law along the Y axis,
     exp{-int_0^{u1} psi(z, 0)/phi(z, 0) dz}.  The Gauss nodes never touch the
     removable singularity at 0."""
-    if u1 > 0:
-        raise DomainError("u1 must be <= 0")
+    if not -math.inf < u1 <= 0:
+        raise DomainError("u1 must be finite and <= 0")
     if params.a1 <= 0:
         raise DomainError("requires a1 > 0")
     if u1 == 0.0:
@@ -327,7 +293,7 @@ def stationary_transform_closed(params: ModelParams, u1: float) -> float:
     mech = params.mechanisms
     if np.any(np.abs(np.real(mech.phi(np.linspace(u1, 0.0, 129)[1:-1], 0.0))) < 1e-14):
         raise SingularIntegrand("phi(z, 0) vanishes inside the integration range")
-    val = _line_integral(lambda z: np.real(mech.psi(z, 0.0) / mech.phi(z, 0.0)), u1, 0.0)
+    val = _line_integral(lambda z: np.real(mech.psi(z, 0.0) / mech.phi(z, 0.0)), u1, 0.0)[0]
     return float(np.exp(val))
 
 

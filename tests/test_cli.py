@@ -12,6 +12,7 @@ import pytest
 
 import affine_ergo
 from affine_ergo.cli import cli, main
+from affine_ergo.measures import GAUSS_ORDER, NODE_CAP
 from affine_ergo.model import ModelParams, save_model
 
 
@@ -245,6 +246,16 @@ class TestEverySubcommand:
         assert man["subcommand"] == name
         assert man["outputs"]
         assert all((tmp_path / f).is_file() for f in man["outputs"])
+
+    def test_vbar_diagnostics(self, tmp_path):
+        assert run("--model", "jump_cbi_ou", "--out", str(tmp_path), "vbar", *SMALL_RUNS["vbar"]) == 0
+        diag = json.loads((tmp_path / "vbar.json").read_text())
+        assert json.loads((tmp_path / "manifest_vbar.json").read_text())["outputs"] == ["vbar.csv", "vbar.json"]
+        # phi0 grows like z^2, so each doubling window adds half the one before
+        assert diag["tail_ratio"] == pytest.approx(0.5, rel=1e-9)
+        # the tabulated windows, then at least one window part per point
+        assert diag["line_integrals"] >= diag["windows"] + 5 > 5
+        assert 1 <= diag["deepest_level"] and GAUSS_ORDER << diag["deepest_level"] <= NODE_CAP
 
     def test_stationary_truncates_infinite_activity(self, tmp_path):
         # gamma_imm's n has infinite activity: the moment estimate drops its jumps below 1e-3

@@ -20,6 +20,7 @@ from affine_ergo.measures import (
 )
 from affine_ergo.mechanisms import Mechanisms
 from affine_ergo.model import load_model
+from affine_ergo.riccati import build_vbar_table
 from affine_ergo.rng import M_JUMP, stream
 
 
@@ -431,3 +432,19 @@ class TestFrozenTables:
         keys = sorted(mech._rules, key=repr)
         assert keys == [("m", None), ("n", (0, -1, 0)), ("n", (0, 1, 2)), ("n", (3, -1, 2))]
         assert digest(*(a for k in keys for a in mech._rules[k])) == expected
+
+    @pytest.mark.parametrize("name,values,windows", [
+        ("cir_ou", "0118e74f626d99995c0014e714369b2d655b6e07d576349e75b406a0a7225e49",
+         "c22464f21a39add355082d00267c78769fb594dda96ee07097982e45af23abd8"),
+        ("jump_cbi_ou", "db53e606f68d1b954650495df9b3e1ac14e12b10716d637e9369cf14490edc24",
+         "703d5f0024c6b99f98e92e7a55e1c08042c55ccf562620ce06a248100d6b68bd"),
+        ("gamma_imm", "97682eec8b39dad6fa92c48ab297df17b314ffd33c8ce3e47b472a57928e2b7d",
+         "463a5e43c6a4253c8dde7c460a2c3afdfd1467a6f4274e0cee29b9dc886742bb"),
+    ])
+    def test_vbar_tables(self, name, values, windows):
+        # a 21-point vbar table and the window table T(2^j) behind it, as
+        # (j, T) rows; both as they were when each 1/phi0 integral ran on a
+        # product with a unit atom rather than on bare Gauss panels
+        p = bundled(name)
+        assert digest(build_vbar_table(p, n=21).values) == values
+        assert digest(np.array(sorted(p.vbar._T.items()), dtype=float)) == windows

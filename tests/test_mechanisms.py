@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from affine_ergo import measures
 from affine_ergo.analysis import prop42_constants
 from affine_ergo.errors import DomainError, DominationViolated, QuadratureError
 from affine_ergo.measures import (
@@ -26,6 +27,9 @@ from affine_ergo.mechanisms import (
     check_C,
     check_Cprime,
     check_D,
+    _m_kernel,
+    _n_kernel,
+    _sigma_k,
     phi,
     phi0,
     psi,
@@ -147,6 +151,52 @@ class TestMechanismsObject:
         p = bundled("gamma_imm")
         with pytest.raises(QuadratureError):
             psi(UPoint(-1e7, 0.0), p)
+
+
+def tensor_phi_psi(p, kind, u1, u2):
+    """phi (kind "m") or psi (kind "n") with the jump kernel summed over the
+    tensor rule."""
+    z1, z2, w = p.mechanisms.rule(kind, u1, u2)
+    if kind == "m":
+        c12 = 2.0 * (math.sqrt(p.a11 * p.a21) + math.sqrt(p.a12 * p.a22))
+        rest = -p.a1 * u1 - p.b1 * u2 + p.alpha_y * u1**2 + c12 * u1 * u2 + (p.a21 + p.a22) * u2**2
+        return rest + np.sum(w * _m_kernel(u1, u2, z1, z2), axis=-1)
+    rest = p.a2 * u1 - p.b0 * u2 + 0.5 * p.sigma**2 * u2**2
+    return rest + np.sum(w * _n_kernel(u1, u2, z1, z2), axis=-1)
+
+
+def two_density_product():
+    """(1 + z1) on [0.2, 0.9] times the normal density of z2 on [-1, 2]."""
+    return LevyMeasure.product(
+        Marginal1D(pieces=(DensityPiece(0.2, 0.9, compile_density_expr("1+z"), 8),)),
+        Marginal1D(pieces=(DensityPiece(-1.0, 2.0, compile_density_expr("exp(-z*z/2)"), 8),)),
+    )
+
+
+class TestPerAxisSums:
+    """phi and psi of a product measure, whose jump part is summed per axis,
+    against the kernel summed over the tensor rule of the same level."""
+
+    # three u arrays, each served by a rule of its own
+    U = (
+        (np.array([-0.3 + 0.5j, -1.0, 0.0]), np.array([0.5j, -1j, 0.2j])),
+        (np.array([-3.0, -0.5 + 2j, -1e-6]), np.array([3j, 0.0, -1e-6j])),
+        (np.array([-40.0 + 7j, 0.0, -2.0]), np.array([0.0, 17j, 1j])),
+    )
+
+    @pytest.mark.parametrize("params,kind", [
+        (bundled("jump_cbi_ou"), "n"),
+        (bundled("gamma_imm"), "n"),  # infinite activity; z2 is a unit atom at 0
+        (make_params(m=two_density_product()), "m"),
+        (make_params(n=two_density_product()), "n"),
+    ], ids=["jump_cbi_ou-n", "gamma_imm-n", "two-densities-m", "two-densities-n"])
+    def test_matches_tensor_rule(self, params, kind):
+        mech = params.mechanisms
+        for u1, u2 in self.U:
+            factored = (mech.phi if kind == "m" else mech.psi)(u1, u2)
+            tensor = tensor_phi_psi(params, kind, u1, u2)
+            assert np.all(np.abs(factored - tensor) <= 1e-13 * np.abs(tensor))
+        assert sum(key[0] == kind for key in mech._axes) == len(self.U) + 1  # and the object's own
 
 
 class TestPhi0:
@@ -324,6 +374,18 @@ class TestConditionD:
         assert masses[0] == pytest.approx(math.exp(-0.04) - math.exp(-1.0), rel=1e-8)
         assert all(b > a for a, b in zip(masses, masses[1:]))
         assert rep.extras["sigma0_mass_unbounded_evidence"]
+
+    def test_sigma_k_is_cut_at_its_kink(self, monkeypatch):
+        # sigma_64 = min(64 e^-z, z^-2) on [0.04, 1] kinks where the two cross;
+        # cut there, its shift overlaps converge within 65,536 nodes (they took
+        # 786,432 with the kink inside a piece)
+        rho0 = Marginal1D(pieces=(DensityPiece(0.04, 1.0, lambda z: 1.0 / z**2, 256),))
+        sk = _sigma_k(rho0, lambda z: np.exp(-np.abs(z)), 64.0)
+        edges = sorted({e for p in sk.pieces for e in (p.lo, p.hi)})
+        assert len(edges) == 3
+        assert 64.0 * math.exp(-edges[1]) == pytest.approx(edges[1] ** -2, rel=1e-10)
+        monkeypatch.setattr(measures, "NODE_CAP", 1 << 16)
+        assert math.isfinite(shift_tv_ratio(sk, 1e-2))
 
     def test_bounded_rho0_plateaus(self):
         p = make_params(n=normal_z2_measure(weight=10.0))

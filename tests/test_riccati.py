@@ -416,6 +416,11 @@ class TestStationary:
     def test_closed_at_zero(self):
         assert stationary_transform_closed(make_params(), 0.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("u1", [0.5, -math.inf, math.nan])
+    def test_closed_rejects_u1(self, u1):
+        with pytest.raises(DomainError):
+            stationary_transform_closed(make_params(), u1)
+
     def test_closed_derivative_is_delta1(self):
         p = make_params(n=LevyMeasure.atomic([(0.5, 0.0, 1.0)]))
         h = 1e-5
