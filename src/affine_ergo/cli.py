@@ -194,7 +194,7 @@ def cmd_solve_riccati(run: Run, t, u1, u2i, grid):
         v1, v2, ps = sol.V1(s), sol.V2(s), sol.psi_accum(s)
         rows.append(tuple(f"{v:.12g}" for v in (s, v1.real, v1.imag, v2.real, v2.imag, ps.real, ps.imag)))
     out = run.write_csv("riccati.csv", rows)
-    out2 = run.write_json("riccati.json", {"nfev": sol.nfev, "nsteps": sol.nsteps, "clamped": sol.clamped})
+    out2 = run.write_json("riccati.json", sol.diagnostics())
     click.echo(f"V1({t}) = {sol.V1(t)}")
     return [out, out2], False
 
@@ -208,10 +208,13 @@ def cmd_solve_riccati(run: Run, t, u1, u2i, grid):
 def cmd_charfn(run: Run, t, u1, u2i, x1, x2):
     """Exact transform value E_x exp(u1 Y_t + u2 Z_t)."""
     params = run.require_model()
-    val = char_fn(params, t, (x1, x2), UPoint(u1, 1j * u2i))
+    u, x = UPoint(u1, 1j * u2i), (x1, x2)
+    sol = solve_V(params, u, t) if t != 0.0 else None  # t = 0 needs no solve
+    val = sol.transform(x) if sol else char_fn(params, t, x, u)
     out = run.write_json(
         "charfn.json",
-        {"t": t, "u1": u1, "u2i": u2i, "x": [x1, x2], "re": val.real, "im": val.imag},
+        {"t": t, "u1": u1, "u2i": u2i, "x": [x1, x2], "re": val.real, "im": val.imag,
+         **(sol.diagnostics() if sol else {})},
     )
     click.echo(f"{val.real:.12g}{val.imag:+.12g}j")
     return [out], False
@@ -250,6 +253,7 @@ def cmd_stationary(run: Run, u1, dt, paths, horizon):
         "transform_im": tr.value.imag,
         "transform_horizon": tr.horizon,
         "transform_nfev": tr.nfev,
+        "transform_dense_nfev": tr.dense_nfev,
         "transform_clamped": tr.clamped,
         "delta1": delta1(params),
     }

@@ -7,25 +7,27 @@ sec. II.10).  The coefficients are those tabulated in SciPy's
 (c) 2001-2002 Enthought, Inc., 2003- SciPy Developers), which come from
 Hairer's Fortran code ``dop853.f``.
 
-`solve` performs the operations of SciPy's ``solve_ivp(method="DOP853",
-dense_output=True)`` in the same order: the initial step selection, the
-E5/E3 error norm, the step controller (safety 0.9, step factors 0.2 and 10,
-exponent -1/8), the dense-output stages and the segment lookup.  Its grid,
-values, dense output and RHS count therefore equal SciPy's bit for bit.  It
-covers what its one caller needs: a forward solve of a complex system with
-no maximum step, events or output grid.
+`solve` performs the operations of SciPy's ``solve_ivp(method="DOP853")``
+in the same order: the initial step selection, the E5/E3 error norm, the
+step controller (safety 0.9, step factors 0.2 and 10, exponent -1/8) and
+the segment lookup.  It computes a step's three dense-output stages and
+interpolant only when `Dense` is first read inside that step, so its grid,
+values and RHS count equal SciPy's with ``dense_output=False``, and its
+dense output equals SciPy's with ``dense_output=True``, bit for bit.  At
+a step's right end the interpolant is y_old + (y_new - y_old), which needs
+none of those stages.  It covers what its one caller needs: a forward solve
+of a complex system with no maximum step, events or output grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import StiffnessFailure
 
-_N_STAGES = 12  # K holds these, the RHS at the step's end and three dense-output stages
+_N_STAGES = 12  # a step's stages; the RHS at its end and three dense-output stages follow
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
@@ -138,36 +140,62 @@ _D = _sparse((4, 16), {
 })
 
 
-@dataclass(frozen=True)
 class Dense:
     """A piecewise dense solution: the accepted grid t (N,), the states y
-    (n, N) on it and each step's interpolant coefficients F (N - 1, 7, n)."""
+    (n, N) on it, and per step its RHS and stages K (N - 1, 16, n).  A
+    step's last three stages and its interpolant coefficients (7, n) are
+    computed the first time a t lands inside it; `nfev` counts the RHS
+    evaluations that reading this object has made."""
 
-    t: np.ndarray
-    y: np.ndarray
-    F: np.ndarray
+    def __init__(self, t: np.ndarray, y: np.ndarray, funs: list, K: np.ndarray, F: list | None = None):
+        self.t, self.y = t, y
+        self._funs, self._K = funs, K
+        self._F = [None] * len(funs) if F is None else F
+        self.nfev = 0
+
+    def _interpolant(self, i: int) -> np.ndarray:
+        F = self._F[i]
+        if F is None:
+            fun, K = self._funs[i], self._K[i]
+            t, y, y_new = self.t[i], self.y[:, i], self.y[:, i + 1]
+            h = self.t[i + 1] - t
+            _stages(fun, t, y, h, K, _N_STAGES + 1, 16)
+            self.nfev += 3
+            delta_y = y_new - y
+            F = self._F[i] = np.empty((7, y.size), dtype=y.dtype)
+            F[0] = delta_y
+            F[1] = h * K[0] - delta_y
+            F[2] = 2 * delta_y - h * (K[_N_STAGES] + K[0])
+            F[3:] = h * np.dot(_D, K)
+        return F
 
     def __call__(self, t: float) -> np.ndarray:
         # at a grid point the lower segment, as scipy's OdeSolution chooses
-        i = min(max(int(np.searchsorted(self.t, t, side="left")) - 1, 0), len(self.F) - 1)
+        i = min(max(int(np.searchsorted(self.t, t, side="left")) - 1, 0), len(self._funs) - 1)
         t_old = self.t[i]
         x = (t - t_old) / (self.t[i + 1] - t_old)
-        y = np.zeros_like(self.y[:, i])
-        for k, f in enumerate(reversed(self.F[i])):
+        y_old = self.y[:, i]
+        if x == 1:  # the polynomial below reduces to F[0] there
+            return y_old + (self.y[:, i + 1] - y_old)
+        y = np.zeros_like(y_old)
+        for k, f in enumerate(reversed(self._interpolant(i))):
             y += f
             if k % 2 == 0:
                 y *= x
             else:
                 y *= 1 - x
-        y += self.y[:, i]
+        y += y_old
         return y
 
     def extended(self, later: Dense) -> Dense:
-        """This solution followed by `later`, which starts where it ends."""
+        """This solution followed by `later`, which starts where it ends;
+        it keeps the interpolants either has built."""
         return Dense(
             np.concatenate([self.t, later.t[1:]]),
             np.concatenate([self.y, later.y[:, 1:]], axis=1),
-            np.concatenate([self.F, later.F]),
+            self._funs + later._funs,
+            np.concatenate([self._K, later._K]),
+            self._F + later._F,
         )
 
 
@@ -210,8 +238,9 @@ def solve(
 ) -> tuple[Dense, int]:
     """Integrate y' = fun(t, y) from (t0, y0) to t_bound > t0.
 
-    Returns the dense solution and the number of RHS evaluations.  Raises
-    StiffnessFailure when the step falls below 10 ulp of t."""
+    Returns the dense solution and the number of RHS evaluations the steps
+    took; reading the solution inside a step adds three (`Dense.nfev`).
+    Raises StiffnessFailure when the step falls below 10 ulp of t."""
     nfev = 0
 
     def f(t, y):
@@ -222,13 +251,13 @@ def solve(
     t, y, t_bound = float(t0), y0, float(t_bound)
     f_t = f(t, y)
     h_abs = _initial_step(f, t, y, t_bound, f_t, rtol, atol) if first_step is None else first_step
-    K_ext = np.empty((16, y.size), dtype=y.dtype)
-    K = K_ext[: _N_STAGES + 1]
-    ts, ys, Fs = [t], [y], []
+    ts, ys, Ks = [t], [y], []
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
+        K_ext = np.empty((16, y.size), dtype=y.dtype)
+        K = K_ext[: _N_STAGES + 1]
         while True:
             if h_abs < min_step:
                 raise StiffnessFailure(f"step size fell below 10 ulp of t={t}")
@@ -252,15 +281,8 @@ def solve(
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
             rejected = True
-        _stages(f, t, y, h, K_ext, _N_STAGES + 1, 16)
-        delta_y = y_new - y
-        F = np.empty((7, y.size), dtype=y.dtype)
-        F[0] = delta_y
-        F[1] = h * K_ext[0] - delta_y
-        F[2] = 2 * delta_y - h * (f_new + K_ext[0])
-        F[3:] = h * np.dot(_D, K_ext)
         t, y, f_t = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-        Fs.append(F)
-    return Dense(np.array(ts), np.vstack(ys).T, np.array(Fs)), nfev
+        Ks.append(K_ext)
+    return Dense(np.array(ts), np.vstack(ys).T, [fun] * len(Ks), np.array(Ks)), nfev

@@ -12,6 +12,7 @@ shifts; verdicts may be "inconclusive" when the evidence is non-monotone.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -48,12 +49,14 @@ _D_RHO = 1e-2  # condition (D): the shift of sigma_k's TV ratio
 
 @dataclass(frozen=True)
 class UPoint:
-    """A point of U = C_ x iR: Re(u1) <= 0 and Re(u2) = 0."""
+    """A point of U = C_ x iR: Re(u1) <= 0 and Re(u2) = 0, both finite."""
 
     u1: complex
     u2: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.u1) and cmath.isfinite(self.u2)):
+            raise DomainError("u1 and u2 must be finite")
         if self.u1.real > _RE_TOL:
             raise DomainError("Re(u1) must be <= 0")
         if abs(self.u2.real) > _RE_TOL:
@@ -77,8 +80,18 @@ def _n_kernel(u1, u2, z1, z2):
 
 def _axis_sums(u, axis, compensated: bool):
     """E = sum w expm1(u x) and, if compensated, K = sum w (expm1(u x) - u x)
-    over the cells (x, w) of one axis, vectorised over u."""
+    over the cells (x, w) of one axis, vectorised over u.  A scalar u = iy
+    on the imaginary axis is summed in real arithmetic, with expm1(iyx) =
+    -2 sin^2(yx/2) + i sin(yx) and K's imaginary part taken node by node as
+    sin(yx) - yx, as the complex form does; u = 0 gives exact zeros."""
     x, w = axis
+    if np.ndim(u) == 0 and u.real == 0:
+        if u == 0:
+            return 0j, 0j if compensated else None
+        z = u.imag * x
+        s = np.sin(0.5 * z)
+        re, sin_z = w @ (-2.0 * s * s), np.sin(z)
+        return complex(re, w @ sin_z), complex(re, w @ (sin_z - z)) if compensated else None
     e = np.multiply.outer(u, x)
     em = np.expm1(e)
     return np.sum(w * em, axis=-1), np.sum(w * (em - e), axis=-1) if compensated else None

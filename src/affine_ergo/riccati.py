@@ -55,7 +55,7 @@ class RiccatiSolution:
     b2: float
     _sol: dop853.Dense  # its last state is where a continuation starts
     clamped: bool
-    nfev: int  # RHS evaluations of the last segment solved
+    nfev: int  # RHS evaluations of the last segment's steps, as scipy's non-dense solve
     nsteps: int
 
     def _at(self, t: float) -> np.ndarray:
@@ -75,6 +75,20 @@ class RiccatiSolution:
 
     def psi_accum(self, t: float) -> complex:
         return complex(self._at(t)[1])
+
+    def transform(self, x: tuple[float, float]) -> complex:
+        """E_x[exp(u1 Y_T + u2 Z_T)] at the solved horizon T."""
+        x1, x2 = x
+        if x1 < 0:
+            raise DomainError("x1 must be >= 0")
+        T = self.T
+        return complex(np.exp(x1 * self.V1(T) + x2 * self.V2(T) + self.psi_accum(T)))
+
+    def diagnostics(self) -> dict:
+        """nfev and nsteps of the last segment solved, the RHS evaluations
+        its dense output has run so far (three per step read inside), and
+        whether V1 was clamped."""
+        return {"nfev": self.nfev, "dense_nfev": self._sol.nfev, "nsteps": self.nsteps, "clamped": self.clamped}
 
 
 def solve_V(
@@ -128,8 +142,7 @@ def char_fn(
         raise DomainError("x1 must be >= 0")
     if t == 0.0:
         return complex(np.exp(x1 * u.u1 + x2 * u.u2))
-    sol = solve_V(params, u, t)
-    return complex(np.exp(x1 * sol.V1(t) + x2 * sol.V2(t) + sol.psi_accum(t)))
+    return solve_V(params, u, t).transform(x)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +268,8 @@ def build_vbar_table(
 class StationaryTransform(NamedTuple):
     value: complex
     horizon: float
-    nfev: int  # RHS evaluations over all horizon segments
+    nfev: int  # RHS evaluations of the steps of all horizon segments
+    dense_nfev: int  # RHS evaluations of the dense output read at each horizon
     clamped: bool
 
 
@@ -268,13 +282,14 @@ def stationary_transform(params: ModelParams, u: UPoint) -> StationaryTransform:
     T = 1.0 / min(params.a1, params.b2)
     sol = None
     prev = None
-    nfev = 0
+    nfev = dense_nfev = 0
     for _ in range(40):
         sol = solve_V(params, u, T, start=sol)
         nfev += sol.nfev
         acc = sol.psi_accum(T)
+        dense_nfev += sol._sol.nfev
         if prev is not None and abs(acc - prev) < _PSI_TAIL_TOL:
-            return StationaryTransform(complex(np.exp(acc)), T, nfev, sol.clamped)
+            return StationaryTransform(complex(np.exp(acc)), T, nfev, dense_nfev, sol.clamped)
         prev = acc
         T *= 2.0
     raise NoConvergence("psi tail did not converge after 40 horizon doublings")

@@ -94,6 +94,23 @@ class TestCharfnGolden:
         assert payload["re"] == pytest.approx(golden, rel=1e-7)
         assert payload["im"] == pytest.approx(0.0, abs=1e-10)
 
+    def test_solver_diagnostics(self, tmp_path):
+        from affine_ergo.cli import _resolve_model
+        from affine_ergo.mechanisms import UPoint
+        from affine_ergo.riccati import solve_V
+
+        assert run("--model", "jump_cbi_ou", "--out", str(tmp_path), "charfn", "--u2i", "0.5") == 0
+        payload = json.loads((tmp_path / "charfn.json").read_text())
+        sol = solve_V(affine_ergo.load_model(_resolve_model("jump_cbi_ou")), UPoint(-1.0, 0.5j), 1.0)
+        # the value is read at the solve's horizon, where no dense stage runs
+        assert {k: payload[k] for k in ("nfev", "dense_nfev", "nsteps", "clamped")} == {
+            "nfev": sol.nfev, "dense_nfev": 0, "nsteps": sol.nsteps, "clamped": False}
+
+    @pytest.mark.parametrize("flags", [["--u1", "nan"], ["--u2i", "nan"], ["--u1", "-inf"], ["--u2i", "inf"]])
+    def test_non_finite_u_exits_1(self, tmp_path, capsys, flags):
+        assert run("--model", "cir_ou", "--out", str(tmp_path), "charfn", *flags) == 1
+        assert "u1 and u2 must be finite" in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_manifest_written(self, tmp_path):
@@ -149,6 +166,7 @@ class TestOutputs:
         assert rc == 0
         payload = json.loads((tmp_path / "stationary.json").read_text())
         assert 0 < payload["transform_nfev"] < 1500
+        assert payload["transform_dense_nfev"] == 0  # each horizon is a step's right end
         assert payload["transform_clamped"] is False
         assert payload["transform_re"] == pytest.approx(payload["transform_closed"], abs=1e-10)
 
@@ -183,6 +201,8 @@ class TestOutputs:
         diag = json.loads((tmp_path / "riccati.json").read_text())
         assert 0 < diag["nfev"] < 1500
         assert 0 < diag["nsteps"] <= diag["nfev"]
+        # three stages for each step the grid reads inside
+        assert 0 < diag["dense_nfev"] <= 3 * (diag["nsteps"] - 1) and diag["dense_nfev"] % 3 == 0
         assert diag["clamped"] is False
         man = json.loads((tmp_path / "manifest_solve-riccati.json").read_text())
         assert man["outputs"] == ["riccati.csv", "riccati.json"]

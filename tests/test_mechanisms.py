@@ -19,9 +19,11 @@ from affine_ergo.measures import (
     levy_restrict_tail,
     overlap_stats,
 )
+from affine_ergo import mechanisms
 from affine_ergo.mechanisms import (
     ConditionReport,
     UPoint,
+    _axis_sums,
     check_A,
     check_B,
     check_C,
@@ -66,6 +68,13 @@ class TestUPoint:
             UPoint(0.1, 0.0)
         with pytest.raises(DomainError):
             UPoint(-1.0, 0.5 + 1j)
+
+    @pytest.mark.parametrize("u1,u2", [(math.nan, 0.0), (-1.0, 1j * math.nan), (-math.inf, 0.0),
+                                       (-1.0, 1j * math.inf), (complex(-1.0, math.inf), 0.0)])
+    def test_non_finite_rejected(self, u1, u2):
+        # NaN fails both sign tests, so it is rejected on its own
+        with pytest.raises(DomainError, match="finite"):
+            UPoint(u1, u2)
 
     def test_conjugate(self):
         u = UPoint(-1.0 + 2j, 3j)
@@ -197,6 +206,64 @@ class TestPerAxisSums:
             tensor = tensor_phi_psi(params, kind, u1, u2)
             assert np.all(np.abs(factored - tensor) <= 1e-13 * np.abs(tensor))
         assert sum(key[0] == kind for key in mech._axes) == len(self.U) + 1  # and the object's own
+
+
+def expm1_axis_sums(u, axis):
+    """E and K of `_axis_sums` in the complex-expm1 form, for any u."""
+    x, w = axis
+    e = np.multiply.outer(u, x)
+    em = np.expm1(e)
+    return np.sum(w * em, axis=-1), np.sum(w * (em - e), axis=-1)
+
+
+class TestImaginaryAxisSums:
+    """A scalar u = iy is summed in real arithmetic; every other u in the
+    complex-expm1 form."""
+
+    @pytest.fixture(scope="class", params=["jump_cbi_ou", "two-densities"])
+    def axes(self, request):
+        params = bundled("jump_cbi_ou") if request.param == "jump_cbi_ou" else make_params(n=two_density_product())
+        mech = params.mechanisms
+        mech.psi(-1.0, 40j)  # the rule for |u2| up to 64 too
+        return [axis for key, (pair, _) in mech._axes.items() if key[0] == "n" for axis in pair]
+
+    @pytest.mark.parametrize("u", [1e-8j, -1e-8j, 0.7j, -3j, 40j, np.complex128(0.7j)])
+    def test_matches_expm1_form(self, axes, u):
+        for x, w in axes:
+            E, K = _axis_sums(u, (x, w), True)
+            E_ref, K_ref = expm1_axis_sums(u, (x, w))
+            # E's imaginary part sums sin(yx) over z2 nodes of both signs: on the
+            # symmetric jump_cbi_ou law at |y| = 1e-8 it is rounding in either
+            # form, so E is held to the scale of its terms
+            assert abs(E - E_ref) <= 1e-13 * np.sum(np.abs(w * np.expm1(u * x)))
+            # K subtracts yx node by node, as the reference does: no cancellation
+            # between sums, so K holds to 1e-13 of itself at every |y|
+            assert abs(K - K_ref) <= 1e-13 * abs(K_ref)
+            assert _axis_sums(u, (x, w), False) == (E, None)
+
+    @pytest.mark.parametrize("u", [0.0, 0j, -0j, np.complex128(0.0), np.float64(0.0)])
+    def test_zero_gives_exact_zeros(self, axes, u):
+        for axis in axes:
+            E, K = _axis_sums(u, axis, True)
+            assert E == 0 and K == 0
+
+    @pytest.mark.parametrize("u", [np.array([0.7j]), np.array([0.7j, -3j]), 1e-13 + 0.7j, -1e-13 - 3j])
+    def test_arrays_and_off_axis_keep_expm1_form(self, axes, u):
+        for axis in axes:
+            E, K = _axis_sums(u, axis, True)
+            E_ref, K_ref = expm1_axis_sums(u, axis)
+            assert np.array_equal(E, E_ref) and np.array_equal(K, K_ref)
+
+    def test_column_takes_z2_sums_once(self, monkeypatch):
+        # a psi column at one scalar u2 sums the 1,024 z2 nodes once, not per u1
+        mech = bundled("jump_cbi_ou").mechanisms
+        u1 = 1j * math.pi / 4 * np.arange(64)
+        column = mech.psi(u1, 0.7j)
+        shapes = []
+        real = mechanisms._axis_sums
+        monkeypatch.setattr(mechanisms, "_axis_sums", lambda u, axis, c: shapes.append(np.shape(u)) or real(u, axis, c))
+        assert np.array_equal(mech.psi(u1, 0.7j), column)
+        assert shapes == [(64,), ()]
 
 
 class TestPhi0:

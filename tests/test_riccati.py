@@ -161,33 +161,86 @@ U_POINTS = (UPoint(-0.5, 0.0), UPoint(-1.0, 0.5j), UPoint(-2.0, 0.0),
             UPoint(0.0, 0.8j), UPoint(0.4j, 0.6j), UPoint(-1.5, -0.7j))
 
 
+def solve_V_rhs(p, u):
+    """solve_V's right-hand side, for scipy's solver."""
+    mech = p.mechanisms
+
+    def rhs(t, y):
+        v1 = y[0] if y[0].real <= 0.0 else 1j * y[0].imag
+        u2 = np.exp(-p.b2 * t) * u.u2
+        return np.array([mech.phi(v1, u2), mech.psi(v1, u2)], dtype=complex)
+
+    return rhs
+
+
+def bits(y):
+    """The bit patterns of a complex array: equality that tells -0.0 from 0.0."""
+    return np.ascontiguousarray(y).view(np.uint64)
+
+
 class TestDop853:
     """The package's DOP853 against scipy's, which it reproduces operation
-    for operation: equality is exact, not within a tolerance."""
+    for operation: equality is exact, not within a tolerance.  Its steps do
+    the work of scipy's non-dense solve, and its dense output, built a step
+    at a time when first read, equals scipy's dense one."""
+
+    OPTS = dict(method="DOP853", rtol=riccati._ODE_TOL, atol=riccati._ODE_TOL * 1e-4)
 
     @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou", "gamma_imm"])
     def test_bit_identical_to_solve_ivp(self, name):
         p = bundled(name)
-        mech = p.mechanisms
         for u in U_POINTS:
-            def rhs(t, y):  # solve_V's right-hand side
-                v1 = y[0] if y[0].real <= 0.0 else 1j * y[0].imag
-                u2 = np.exp(-p.b2 * t) * u.u2
-                return np.array([mech.phi(v1, u2), mech.psi(v1, u2)], dtype=complex)
-
-            opts = dict(method="DOP853", rtol=riccati._ODE_TOL, atol=riccati._ODE_TOL * 1e-4, dense_output=True)
-            ref = solve_ivp(rhs, (0.0, 1.0), np.array([u.u1, 0.0], dtype=complex), first_step=1e-3, **opts)
+            rhs, y0 = solve_V_rhs(p, u), np.array([u.u1, 0.0], dtype=complex)
+            ref = solve_ivp(rhs, (0.0, 1.0), y0, first_step=1e-3, dense_output=True, **self.OPTS)
             # the continued segment picks its own first step
-            ref2 = solve_ivp(rhs, (1.0, 2.0), ref.y[:, -1], **opts)
+            ref2 = solve_ivp(rhs, (1.0, 2.0), ref.y[:, -1], dense_output=True, **self.OPTS)
+            lean = solve_ivp(rhs, (0.0, 1.0), y0, first_step=1e-3, **self.OPTS)
+            lean2 = solve_ivp(rhs, (1.0, 2.0), ref.y[:, -1], **self.OPTS)
             sol = solve_V(p, u, 1.0)
             assert np.array_equal(sol._sol.t, ref.t) and np.array_equal(sol._sol.y, ref.y)
-            assert (sol.nfev, sol.nsteps) == (ref.nfev, len(ref.t))
+            assert (sol.nfev, sol.nsteps) == (lean.nfev, len(ref.t))
             cont = solve_V(p, u, 2.0, start=sol)
             assert np.array_equal(cont._sol.t, np.concatenate([ref.t, ref2.t[1:]]))
             assert np.array_equal(cont._sol.y[:, len(ref.t) - 1:], ref2.y)
-            assert (cont.nfev, cont.nsteps) == (ref2.nfev, len(ref2.t))
+            assert (cont.nfev, cont.nsteps) == (lean2.nfev, len(ref2.t))
             for t in np.concatenate([np.linspace(0.0, 2.0, 37), ref.t, ref2.t]):
-                assert np.array_equal(cont._sol(t), ref.sol(t) if t <= 1.0 else ref2.sol(t)), (u, t)
+                expected = ref.sol(t) if t <= 1.0 else ref2.sol(t)
+                assert np.array_equal(bits(cont._sol(t)), bits(expected)), (u, t)
+
+    def test_stages_run_once_per_step_read(self):
+        calls = []
+        fun = lambda t, y: calls.append(t) or np.array([-y[0] + 1j * y[1], y[0] * y[1]])
+        dense, nfev = dop853.solve(fun, 0.0, np.array([1.0, 0.5j]), 1.0, rtol=1e-10, atol=1e-14)
+        assert len(calls) == nfev and dense.nfev == 0
+        t_mid = 0.5 * (dense.t[2] + dense.t[3])
+        first = dense(t_mid)
+        assert len(calls) == nfev + 3 and dense.nfev == 3
+        assert np.array_equal(bits(dense(t_mid)), bits(first))
+        assert len(calls) == nfev + 3 and dense.nfev == 3
+        # a step's right end needs none of its stages
+        dense(dense.t[5]), dense(dense.t[-1])
+        assert len(calls) == nfev + 3
+        # a continuation keeps the interpolants built before it
+        later, nfev2 = dop853.solve(fun, 1.0, dense.y[:, -1], 2.0, rtol=1e-10, atol=1e-14)
+        both = dense.extended(later)
+        assert np.array_equal(bits(both(t_mid)), bits(first))
+        assert len(calls) == nfev + nfev2 + 3 and both.nfev == 0
+        both(1.5)
+        assert len(calls) == nfev + nfev2 + 6 and both.nfev == 3
+
+    @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou"])
+    def test_char_fn_costs_the_non_dense_solve(self, name, monkeypatch):
+        # char_fn reads its solve at the last step's right end only
+        p = bundled(name)
+        mech = p.mechanisms
+        for u in U_POINTS:
+            calls = []
+            monkeypatch.setattr(mech, "psi", lambda u1, u2, psi=type(mech).psi: calls.append(1) or psi(mech, u1, u2))
+            char_fn(p, 1.0, (1.0, 0.5), u)
+            monkeypatch.undo()
+            lean = solve_ivp(solve_V_rhs(p, u), (0.0, 1.0), np.array([u.u1, 0.0], dtype=complex),
+                             first_step=1e-3, **self.OPTS)
+            assert len(calls) == lean.nfev, u
 
     def test_blow_up_raises(self):
         # y' = y^2, y(0) = 1 has y = 1 / (1 - t): the step underflows at t = 1
