@@ -117,7 +117,8 @@ class Run:
 @click.option("--seed", default=7, type=click.IntRange(0), show_default=True)
 @click.option("--threads", default=1, type=click.IntRange(1), envvar="AFFINE_ERGO_THREADS",
               show_envvar=True, show_default=True,
-              help="Threads drawing the simulator's normals ahead; outputs are unchanged.")
+              help="Simulator threads, the calling one included: it steps the paths and "
+                   "the others draw normals ahead. Outputs are unchanged.")
 @click.option("--out", default="out", show_default=True, help="Output directory.")
 @click.option("--strict", is_flag=True, help="Exit 2 on validation/condition failure.")
 @click.pass_context
@@ -184,7 +185,7 @@ def cmd_check_conditions(run: Run, eps, eta):
 @click.option("--t", default=1.0, show_default=True)
 @click.option("--u1", default=-1.0, show_default=True, help="Real u1 <= 0.")
 @click.option("--u2i", default=0.0, show_default=True, help="Imaginary part of u2.")
-@click.option("--grid", default=50, show_default=True)
+@click.option("--grid", default=50, type=click.IntRange(1), show_default=True)
 def cmd_solve_riccati(run: Run, t, u1, u2i, grid):
     """Integrate the transform ODE system and dump V on a time grid."""
     params = run.require_model()
@@ -221,12 +222,15 @@ def cmd_charfn(run: Run, t, u1, u2i, x1, x2):
 
 
 @subcommand("vbar")
-@click.option("--tmin", default=0.01, show_default=True)
-@click.option("--tmax", default=10.0, show_default=True)
-@click.option("--n", default=41, show_default=True)
+@click.option("--tmin", default=0.01, type=click.FloatRange(0, min_open=True), show_default=True)
+@click.option("--tmax", default=10.0, show_default=True, help="Finite, greater than --tmin.")
+@click.option("--n", default=41, type=click.IntRange(2), show_default=True)
 def cmd_vbar(run: Run, tmin, tmax, n):
     """Tabulate the coupling decay function on a log time grid; vbar.json
     records its windows, tail ratio and line integrals."""
+    if not tmin < tmax < math.inf:
+        raise click.BadParameter(f"{tmax} is not a finite number greater than --tmin {tmin}.",
+                                 ctx=click.get_current_context(), param_hint="'--tmax'")
     params = run.require_model()
     table = build_vbar_table(params, tmin, tmax, n)
     rows = [("t", "vbar")] + [(f"{t:.12g}", f"{v:.12g}") for t, v in zip(table.times, table.values)]

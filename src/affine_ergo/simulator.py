@@ -44,11 +44,14 @@ n-jumps (`_Compiled.difference`), on its own independent streams:
 D is absorbed at 0 once it drops below 1e-12*max(1, x1); after that dZ
 decays deterministically at rate b2.
 
-Paths run in fixed-size chunks (`rng.CHUNK_SIZE`), one chunk after another
-on the calling thread.  A stream's normals are drawn BLOCK steps at a time
-(`_Normals`); with cfg.threads > 1 a pool of worker threads draws each
-stream's next block while the current one is used, and does nothing else.
-The draws do not depend on the thread count, so neither do the outputs.
+Paths run in fixed-size chunks (`rng.CHUNK_SIZE`, 32,768 paths), one chunk
+after another on the calling thread, so every generator call and every
+ufunc of a step serves a whole chunk.  A stream's normals are drawn BLOCK
+steps at a time (`_Normals`).  cfg.threads counts the calling thread: it
+does the Euler arithmetic and the jumps, and with cfg.threads > 1 a pool of
+cfg.threads - 1 worker threads draws each stream's next block while the
+current one is used, and does nothing else.  The draws do not depend on the
+thread count, so neither do the outputs.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .errors import ConfigError, TimeNotRecorded, ZeroMass
 from .measures import LevyMeasure, LevySampler, levy_integral
 from .model import ModelParams
 
-BLOCK = 8  # steps per draw of a stream's normals: 8 x 8192 doubles = 512 KiB
+BLOCK = 4  # steps per draw of a stream's normals: 4 x 32768 doubles = 1 MiB a chunk
 
 
 @dataclass(frozen=True)
@@ -426,18 +429,20 @@ def _run_chunks(cfg: SimConfig, run_chunk) -> list[np.ndarray]:
     order, on the calling thread, and join each returned array along its
     last (path) axis.
 
-    With cfg.threads > 1, pool is a thread pool of cfg.threads workers that
-    only draws normals ahead (`_Normals`): numpy's normal sampler runs
-    without the interpreter lock and scales over threads, while the Euler
-    arithmetic, a few dozen numpy calls per step, does not.  Otherwise pool
-    is None.  Either way each chunk consumes the same streams in the same
-    order, so outputs do not depend on cfg.threads."""
+    cfg.threads counts the calling thread.  With cfg.threads > 1, pool is a
+    thread pool of cfg.threads - 1 workers that only draws normals ahead
+    (`_Normals`): numpy's normal sampler runs without the interpreter lock,
+    while the Euler arithmetic, a few dozen numpy calls per step, stays on
+    the calling thread, and a further thread would only compete with it for
+    the cores.  Otherwise pool is None.  Either way each chunk consumes the
+    same streams in the same order, so outputs do not depend on
+    cfg.threads."""
     jobs = [
         (i, min(rng.CHUNK_SIZE, cfg.n_paths - start))
         for i, start in enumerate(range(0, cfg.n_paths, rng.CHUNK_SIZE))
     ]
     if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.threads - 1) as pool:
             results = [run_chunk(i, n, pool) for i, n in jobs]
     else:
         results = [run_chunk(i, n, None) for i, n in jobs]

@@ -58,6 +58,22 @@ class TestExitCodes:
         assert run("--model", "cir_ou", "--out", str(tmp_path), "validate") == 64
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,name", [
+        (("solve-riccati", "--grid", "0"), "--grid"),
+        (("solve-riccati", "--grid", "-3"), "--grid"),
+        (("vbar", "--tmin", "0"), "--tmin"),
+        (("vbar", "--n", "0"), "--n"),
+        (("vbar", "--n", "1"), "--n"),
+        (("vbar", "--tmin", "5", "--tmax", "1"), "--tmax"),
+        (("vbar", "--tmax", "1", "--tmin", "1"), "--tmax"),
+        (("vbar", "--tmax", "inf"), "--tmax"),
+    ])
+    def test_bad_grid_flag(self, flags, name, tmp_path, capsys):
+        assert run("--model", "cir_ou", "--out", str(tmp_path), *flags) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{name}'" in err.splitlines()[0]
+        assert not any(tmp_path.iterdir())
+
     def test_threads_env_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AFFINE_ERGO_THREADS", "2")
         assert run("--model", "cir_ou", "--out", str(tmp_path), "validate") == 0

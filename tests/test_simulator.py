@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import affine_ergo
-from affine_ergo import rng
+from affine_ergo import rng, simulator
 from affine_ergo.errors import ConfigError, TimeNotRecorded
 from affine_ergo.measures import LevyMeasure
 from affine_ergo.model import ModelParams, load_model
@@ -61,6 +61,19 @@ def no_immigration_model():
     difference chain, with all four alpha entries > 0 and m atoms."""
     return make_params(a2=0.0, b0=0.0, alpha=((0.25, 0.1), (0.15, 0.2)),
                        m=LevyMeasure.atomic([(0.5, 0.2, 0.8), (1.0, -0.3, 0.4)]))
+
+
+def spans_chunks(n_paths):
+    """n_paths fill at least one chunk and end in a partial one."""
+    return n_paths > rng.CHUNK_SIZE and n_paths % rng.CHUNK_SIZE != 0
+
+
+def digest(*arrays):
+    """SHA-256 of the arrays' raw bytes, signed zeros included."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 GOLDEN_MODELS = {
@@ -138,9 +151,11 @@ class TestSinglePath:
 
 class TestDeterminism:
     def test_thread_count_invariance(self):
-        # 20,000 paths are three chunks, and 50 steps are not a multiple of BLOCK
+        # two chunks, the last one partial, and 50 steps are not a multiple of BLOCK
         p = jump_model()
-        base = dict(dt=0.01, T=0.5, n_paths=20_000, seed=6, record_times=(0.25, 0.5))
+        base = dict(dt=0.01, T=0.5, n_paths=rng.CHUNK_SIZE + 3_000, seed=6,
+                    record_times=(0.25, 0.5))
+        assert spans_chunks(base["n_paths"])
         assert round(base["T"] / base["dt"]) % BLOCK != 0
         e1 = simulate_paths(p, (1.0, 0.0), SimConfig(**base, threads=1))
         interval = sys.getswitchinterval()
@@ -163,7 +178,9 @@ class TestDeterminism:
 
     def test_coupled_thread_invariance(self):
         p = atom_in_box_model()
-        base = dict(dt=0.01, T=0.5, n_paths=20_000, seed=9, record_times=(0.5,), eps_trunc=0.5)
+        base = dict(dt=0.01, T=0.5, n_paths=rng.CHUNK_SIZE + 3_000, seed=9, record_times=(0.5,),
+                    eps_trunc=0.5)
+        assert spans_chunks(base["n_paths"])
         c1 = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=1))
         for threads in (2, 3, 8):
             cn = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), SimConfig(**base, threads=threads))
@@ -173,68 +190,69 @@ class TestDeterminism:
     # SHA-256 of the raw output bytes (signed zeros included).  A mismatch
     # means a seed's output changed: bump `__version__`, recompute GOLDEN and
     # set GOLDEN_VERSION to the new version.
-    GOLDEN_VERSION = "0.4.0"
+    GOLDEN_VERSION = "0.5.0"
     GOLDEN = {  # (Y, Z) of simulate_paths; all six arrays of simulate_coupled
         "cir_ou": (
-            "3412107f2f9911eeab49a8535ad6dccf8f27f0b58af470399723a9f12f0fcbf0",
-            "f1b3c551795113811a272ac598f96e9c19052a4cd98cda79119e0e6f7ba8073f",
+            "13819f8de60bcfc18a24c0076f5815c4471f9036efd8e88055332ba1ddbe0798",
+            "ca7822bc7e294028a4605da72ad7e7eedce386fa6d51735c591b0a9c528c5163",
         ),
         "jump_cbi_ou": (
-            "f0f7d9ece4c8788d5d2ac0ca64afa3e32ff24b763c6209cf401d6b21fd066b07",
-            "b9c367ceaa230294f3c62986d86c165226159048ff29ae0674f2347c32da081f",
+            "27ecf952a5f38830eb307b1bbe1a7617cc12ec3fabe0fdf1b447f5bdb93a1a6c",
+            "e06b02dccd919f5f0a92b05fc06c74bac5988ded4e3f06e17e86066863fb6680",
         ),
         "gamma_imm": (
-            "19f0a0a877b6ebb51df06ed01f3ab711ca00e2004f1f6b3bbc7cffe2070f484d",
-            "11e8c84135c33c0e6a70e731c6bbf711997fd77877f0c1452798d405c0107aab",
+            "2c5a807dda8c74c369a4ba2c4f86310b5e0cf77daad7c63b0becbe186cd0481a",
+            "cbae63632e3052c0554173b4a992a9b26823d20e37bab621ff3f3e8fda3da93c",
         ),
         "atom_in_box": (
-            "a1fa7b4bae4edf37a1cfe80893ed5eea8ab75c4c848af4084d5d3acc40759235",
-            "1bd495b0d2bc095a7d67cb28170f62f0c185c65dc8789354d05d2bf0e99cd6f4",
+            "8b4b762f4da1dbb565e8d24c419a1033e92166454b5f2a03b58fdfc49714e065",
+            "b671aee36b8068012a19e2b36c30335f2099d81cf622cf6524cd826fd014e34c",
         ),
         "full_alpha": (
-            "a6e8bb8428d8c6c79416857f3b07e4921036849e7581caeb561300760aaf49f6",
-            "77583e0b26427d74e21b5012bc255a7d3763f266f026339790d12192250159d9",
+            "7378e399f5b2df28ac7472347a01b5f971eea755de90d63e2c9bb50ad282f293",
+            "68b47ed6567ee991da9ab2551bb34c8c8a97615d0aa41a388e51363a0f15b60d",
         ),
         "sigma_zero": (
-            "20067cf3cf1a73d64a3534ff95401d8cbd7ae028f4c1dfa1f6958b7bd81b5c80",
-            "81380c98f52443e7df2923030716a181bc1a54225899b31a1bdba56280f153ac",
+            "5a29b431ef00fa5e9587eb39825467239f41db69faa37dc79c0674aa5c146662",
+            "dd13b97d67de5ec3900eb71566598b8915069e2688057e481e142e3f4cbbd22e",
         ),
         "no_immigration": (
-            "be3136560e2fc9a9fb4fa13051d244d97eaa94de745fc804cd7380b9f7220549",
-            "7c7dd435d7cf1233b114c11eb50a6ac9d6cc4be8d600a772699c32a9d5ddceb7",
+            "0c73ac4450d95ea528ee0cd32bcc854c037f3dae1c143f6ac37d7361c15209b2",
+            "01e17399cc458c48018b5d7515ffbe5455a7e04b566c7f55c2e80b11ff978c24",
         ),
     }
     # Y of simulate_paths; Yx, Yy, varsigma and threshold_absorbed of
     # simulate_coupled.  A draw change that touches Z alone (as 0.3.0's
-    # did) leaves these; 0.4.0 changed every draw, so they were recomputed.
+    # did) leaves these; 0.4.0 changed every draw and 0.5.0 every draw past
+    # the first 8,192 paths, so they were recomputed.
     GOLDEN_Y = {
         "cir_ou": (
-            "0b78c6ecc2da9cf7b4dc2cb2e6f9478f11800fbdb9720b47bd0a6fcb11001820",
-            "7cf88c452db7405a5e9c37984f3829721de9302b1d60aa13ae90aecedcd3fd35",
+            "d2fbadfce96dd4c52d06d59e31d1496f88b62d42c371c2ff735d581e7486ad97",
+            "4a825cfcd14f166986069b34bf3da5d2c0eba2ca270d2ee09f4d81878bd0e08b",
         ),
         "jump_cbi_ou": (
-            "7805867c8ac6001eff458da3d16a0035ac9cfe2072b6ca9b3df433873fcce91d",
-            "f7d03c1ba89dadc0a5f0a3101ce65e2f2c8ccd52662594487916121242504891",
+            "5411ea8078c5ad6406987a93367dc1c465b269622a2c6e1097cb5b03308da7cf",
+            "f529f92b3c2439af9462ba591775e4552af13d838fd620c43abfba9555911164",
         ),
         "gamma_imm": (
-            "538086214f221820740c79cacc8970b787d3f8973b423941e68a24ed0e30862f",
-            "b951fafc9207c38be1bfc59a645b2b7817258da755d4996980d336bd48e9f9c6",
+            "c4e8e43402e9caaf9319d43a07b5d64b7b8664fac3cec98a71d012ba8f270b87",
+            "e03786e196345a67841addbb4e405ee865ba8a9d9d1ea36575d167253a2b1da8",
         ),
         "atom_in_box": (
-            "ae76f02c0c95f46e5415bde4036846e12cd5812ce3e07a127e3cc74c0a273894",
-            "66d1cdf19ba89778b361fbc0b9c74eda16a8e1469696f9b0725549eb3c18c54f",
+            "37c3fd62e55b64239741d3357e0bba85b8eb37e782463dcb0159f6834164004c",
+            "a1406dec4cd65a784c6800c05ab280a895c0c1f6905f1007f5195459c34096ba",
         ),
         "full_alpha": (
-            "49d02f84010cbb2011b04fce72a166cfce99fa5b5bfba3628370dbc057dc0dad",
-            "2d263706997832d6c2782e33cd9ce2b9a474e2193558792e2e01f4eb44dbafdf",
+            "17b36387f9c80373d0121e3c57084279a7cefe975b289fee538630e7838e8a6a",
+            "1d862530b76618cfde0adeed1cf49418922bab37f76d4f4ac46e34d0798d351f",
         ),
         "sigma_zero": (  # sigma does not enter Y, so these are cir_ou's
-            "0b78c6ecc2da9cf7b4dc2cb2e6f9478f11800fbdb9720b47bd0a6fcb11001820",
-            "7cf88c452db7405a5e9c37984f3829721de9302b1d60aa13ae90aecedcd3fd35",
+            "d2fbadfce96dd4c52d06d59e31d1496f88b62d42c371c2ff735d581e7486ad97",
+            "4a825cfcd14f166986069b34bf3da5d2c0eba2ca270d2ee09f4d81878bd0e08b",
         ),
         "no_immigration": (
-            "1426d0ead3e8463d9be01948b8e68a5bba15d119e457208905f112ee4c01784a",
-            "65d73821008e15358eef9c2993a4e9521a1f2de8b360bb419008ab8ea2684378",
+            "f1a2b4b6c5ed74c142c02b05948ec1fe653e45008d64c213d87b169cc8a33c1d",
+            "62d2c7f1759a9d28f9ceaee73f80376fce232f3b94887c61138b640fd26ffa97",
         ),
     }
 
@@ -247,23 +265,49 @@ class TestDeterminism:
                                           ("full_alpha", 0.0), ("sigma_zero", 0.0),
                                           ("no_immigration", 0.0)])
     def test_golden_digests(self, name, eps, threads):
-        # 9,000 paths are two chunks; atom_in_box has an m atom inside the eps box
+        # two chunks, the last one partial; atom_in_box has an m atom inside the eps box
         p = GOLDEN_MODELS[name]() if name in GOLDEN_MODELS else bundled(name)
-        cfg = SimConfig(dt=0.01, T=0.5, n_paths=9_000, seed=23, record_times=(0.25, 0.5),
-                        eps_trunc=eps, threads=threads)
-
-        def digest(*arrays):
-            h = hashlib.sha256()
-            for a in arrays:
-                h.update(np.ascontiguousarray(a).tobytes())
-            return h.hexdigest()
-
+        cfg = SimConfig(dt=0.01, T=0.5, n_paths=rng.CHUNK_SIZE + 3_000, seed=23,
+                        record_times=(0.25, 0.5), eps_trunc=eps, threads=threads)
+        assert spans_chunks(cfg.n_paths)
         e = simulate_paths(p, (2.0, 1.0), cfg)
         c = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), cfg)
         got_y = (digest(e.Y), digest(c.Yx, c.Yy, c.varsigma, c.threshold_absorbed))
         assert got_y == self.GOLDEN_Y[name], "the draws of Y or of the coalescence times changed"
         got = (digest(e.Y, e.Z), digest(c.Yx, c.Zx, c.Yy, c.Zy, c.varsigma, c.threshold_absorbed))
         assert got == self.GOLDEN[name], "draws changed: bump `__version__` and update the digests"
+
+    # Runs of at most 8,192 paths were one chunk under 0.4.0 as they are
+    # now, so their draws are 0.4.0's: this digest was computed at 0.4.0.
+    SMALL_RUNS_040 = "33b9d0b17ec688c933911836261a08b594c80367b61b35e47de91a6cddae0b72"
+
+    def test_small_runs_unchanged_since_040(self):
+        arrays = []
+        for name, eps in (("cir_ou", 0.0), ("jump_cbi_ou", 0.6), ("gamma_imm", 1e-2)):
+            p = bundled(name)
+            for n in (5_000, 8_192):
+                cfg = SimConfig(dt=0.01, T=0.5, n_paths=n, seed=24, record_times=(0.25, 0.5),
+                                eps_trunc=eps, threads=2)
+                e = simulate_paths(p, (2.0, 1.0), cfg)
+                c = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), cfg)
+                arrays += [e.Y, e.Z, c.Yx, c.Zx, c.Yy, c.Zy, c.varsigma, c.threshold_absorbed]
+        assert digest(*arrays) == self.SMALL_RUNS_040
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_pool_counts_calling_thread(self, threads, monkeypatch):
+        # the calling thread steps the paths; threads - 1 workers draw normals ahead
+        opened = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Recording)
+        cfg = SimConfig(dt=0.1, T=0.5, n_paths=100, seed=25, threads=threads)
+        simulate_paths(make_params(), (1.0, 0.0), cfg)
+        simulate_coupled(make_params(), (2.0, 0.0), (1.0, 0.0), cfg)
+        assert opened == ([threads - 1] * 2 if threads > 1 else [])
 
 
 class TestRecordOU:
@@ -440,8 +484,9 @@ class TestCoupled:
     def test_base_copy_matches_simulate_paths(self, name, eps):
         # the lower-start copy consumes exactly the noise of a single run from its start
         p = bundled(name)
-        cfg = SimConfig(dt=0.01, T=0.5, n_paths=9_000, seed=22, record_times=(0.25, 0.5),
-                        eps_trunc=eps)
+        cfg = SimConfig(dt=0.01, T=0.5, n_paths=rng.CHUNK_SIZE + 3_000, seed=22,
+                        record_times=(0.25, 0.5), eps_trunc=eps)
+        assert spans_chunks(cfg.n_paths)
         ce = simulate_coupled(p, (2.0, 1.0), (1.0, 0.0), cfg)
         ens = simulate_paths(p, (1.0, 0.0), cfg)
         assert np.array_equal(ce.Yy, ens.Y)
