@@ -313,6 +313,16 @@ class LevyMeasure:
             return LevyMeasure.product(m1, m2)
         return LevyMeasure.union(m.restrict(region) for m in self.members)
 
+    def split_at(self, z1_points: Sequence[float], z2_points: Sequence[float]) -> "LevyMeasure":
+        """The same measure with every density piece cut at these z1 and z2
+        points (`Marginal1D.split_at`), so an integrand with a kink there
+        is smooth on each panel; atoms are left as they are."""
+        if self.kind == "product":
+            return LevyMeasure.product(self.m1.split_at(z1_points), self.m2.split_at(z2_points))
+        if self.kind == "union":
+            return LevyMeasure.union(m.split_at(z1_points, z2_points) for m in self.members)
+        return self
+
     def truncate_small(self, eps: float) -> "LevyMeasure":
         """Exact removal of the sup-norm ball {max(z1,|z2|) < eps}."""
         if eps <= 0:

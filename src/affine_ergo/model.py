@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFiniteIntegrand
 from .measures import LevyMeasure, _try_integral, check_keys, number, reading
 
 
@@ -165,21 +165,33 @@ def _jsonable(v):
     return v
 
 
+def _check_integral(mu: LevyMeasure, f, region=None) -> float:
+    """`_try_integral`, and inf also when a density or f is NaN/inf at a node."""
+    try:
+        return _try_integral(mu, f, region)
+    except NonFiniteIntegrand:
+        return math.inf
+
+
 def validate(params: ModelParams) -> ValidationReport:
     """Numeric report on the standing integrability and sign assumptions.
 
-    Report-only: a failing check never raises; callers decide.
+    Report-only: a failing check never raises; callers decide.  An integral
+    that diverges, or whose density or integrand is NaN/inf at a node, is
+    reported as inf.  The two integrability integrands switch branch at
+    z1 = 1 and |z2| = 1, so they are integrated on pieces cut there.
     """
-    m_int = _try_integral(
-        params.m, lambda z1, z2: np.minimum(z1, z1**2) + np.abs(z2) ** 2
+    m_int = _check_integral(
+        params.m.split_at((1.0,), (-1.0, 1.0)), lambda z1, z2: np.minimum(z1, z1**2) + np.abs(z2) ** 2
     )
-    n_int = _try_integral(
-        params.n, lambda z1, z2: np.minimum(1.0, z1) + np.minimum(np.abs(z2), np.abs(z2) ** 2)
+    n_int = _check_integral(
+        params.n.split_at((1.0,), (-1.0, 1.0)),
+        lambda z1, z2: np.minimum(1.0, z1) + np.minimum(np.abs(z2), np.abs(z2) ** 2),
     )
-    n_log = _try_integral(
+    n_log = _check_integral(
         params.n, lambda z1, z2: np.log(z1), region=((1.0, np.inf), (-np.inf, np.inf))
     )
-    n_z1_tail = _try_integral(
+    n_z1_tail = _check_integral(
         params.n, lambda z1, z2: z1, region=((1.0, np.inf), (-np.inf, np.inf))
     )
     checks = (
@@ -201,7 +213,7 @@ def validate(params: ModelParams) -> ValidationReport:
         ValidationCheck(
             "n_z1_tail_moment",
             n_z1_tail,
-            "int_{z1>1} z1 n(dz) < inf",
+            "int_{z1>=1} z1 n(dz) < inf",
             math.isfinite(n_z1_tail),
         ),
         ValidationCheck("a2_nonneg", params.a2, "a2 >= 0", params.a2 >= 0),

@@ -57,6 +57,7 @@ thread count, so neither do the outputs.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -266,12 +267,16 @@ class _Normals:
     the values of b*k successive draws of n in their order, so blocking
     changes no draw.  Without a pool a block is drawn when it is first read.
     With one, the next block is drawn on a worker thread while the current
-    one is read; one block per stream is in flight at a time."""
+    one is read; one block per stream is in flight at a time.  The blocks
+    are drawn into two buffers in turn: the one in flight is never the one
+    being read, and a step's rows are used before the next step's `next`."""
 
     def __init__(self, g: np.random.Generator, k: int, n: int, n_steps: int, pool=None):
-        self._g, self._shape, self._pool = g, (k, n), pool
+        self._g, self._pool = g, pool
         self._left = n_steps
-        self._block = np.empty((0, k, n))
+        self._bufs = np.empty((2, min(BLOCK, n_steps), k, n))
+        self._turn = 0  # the buffer the next block is drawn into
+        self._block = self._bufs[1, :0]
         self._i = 0
         self._pending = self._request()
 
@@ -279,10 +284,11 @@ class _Normals:
         """A callable returning the next block, which a pool starts drawing now."""
         b = min(BLOCK, self._left)
         self._left -= b
-        shape = (b, *self._shape)
+        draw = functools.partial(self._g.standard_normal, out=self._bufs[self._turn, :b])
+        self._turn ^= 1
         if self._pool is None or b == 0:
-            return lambda: self._g.standard_normal(shape)
-        return self._pool.submit(self._g.standard_normal, shape).result
+            return draw
+        return self._pool.submit(draw).result
 
     def next(self) -> np.ndarray:
         """The (k, n) normals of the next step."""

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import affine_ergo
@@ -90,6 +91,24 @@ def test_charfn_divergent_model_exits_1(tmp_path):
     path = tmp_path / "divergent.json"
     path.write_text(json.dumps(d))
     assert run("--model", str(path), "--out", str(tmp_path), "charfn") == 1
+
+
+@pytest.mark.parametrize("strict,code", [((), 0), (("--strict",), 2)])
+def test_validate_overflowing_density_reports_failure(strict, code, tmp_path):
+    # z1-density exp(z) on [0, 800] in n overflows: the n checks fail, nothing raises
+    d = ModelParams(a1=2.0, a2=0.5, b0=0.2, b1=0.3, b2=0.5, sigma=0.5,
+                    alpha=((0.25, 0.0), (0.0, 0.0))).to_json()
+    d["n"] = {"kind": "product",
+              "z1": {"density": {"expr": "exp(z)", "domain": [0.0, 800.0], "nodes": 8}},
+              "z2": {"atoms": [[0.0, 1.0]]}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert run("--model", str(path), "--out", str(out), *strict, "validate") == code
+    checks = {c["name"]: c for c in json.loads((out / "validate.json").read_text())["checks"]}
+    assert checks["n_integrability"]["value"] is None and not checks["n_integrability"]["pass"]
+    assert json.loads((out / "manifest_validate.json").read_text())["outputs"] == ["validate.json"]
 
 
 class TestCharfnGolden:

@@ -247,6 +247,55 @@ class TestEdges:
         assert r.mass() == pytest.approx(mass, rel=1e-14)
 
 
+class TestSplitAt:
+    """LevyMeasure.split_at cuts density pieces and keeps the measure."""
+
+    # polynomial densities, which the Gauss panels integrate exactly, each
+    # with an atom on a cut point and a piece that straddles the cuts
+    M1 = Marginal1D(atoms=((1.0, 0.7), (2.0, 0.3)), pieces=(DensityPiece(0.0, 3.0, compile_density_expr("1 + z"), 4),))
+    M2 = Marginal1D(
+        atoms=((-1.0, 0.4), (0.0, 0.2), (1.0, 0.5)),
+        pieces=(DensityPiece(-2.0, 2.0, compile_density_expr("1 + z*z"), 4),),
+    )
+    PRODUCT = LevyMeasure.product(M1, M2)
+    UNION = LevyMeasure.union([
+        PRODUCT,
+        atomic((1.0, -1.0, 0.25), (0.5, 1.0, 0.5)),
+        LevyMeasure.product(Marginal1D(atoms=((1.0, 2.0),)), Marginal1D(pieces=(DensityPiece(-1.5, 0.5, np.ones_like, 2),))),
+    ])
+    MOMENTS = staticmethod(lambda z1, z2: np.stack([np.ones_like(z1), z1, z2**2]))
+
+    @staticmethod
+    def atom_cells(mu):
+        z1, z2, d1, d2, w = mu.cells(0)
+        return sorted(zip(z1[(d1 == 0) & (d2 == 0)], z2[(d1 == 0) & (d2 == 0)], w[(d1 == 0) & (d2 == 0)]))
+
+    @pytest.mark.parametrize("name", ["PRODUCT", "UNION"])
+    def test_measure_unchanged(self, name):
+        mu = getattr(self, name)
+        cut = mu.split_at((1.0,), (-1.0, 1.0))
+        assert cut.kind == mu.kind
+        assert levy_integral(cut, self.MOMENTS) == pytest.approx(levy_integral(mu, self.MOMENTS), rel=1e-13)
+        assert self.atom_cells(cut) == self.atom_cells(mu)
+
+    def test_product_moments_closed_form(self):
+        # m1: mass 0.7 + 0.3 + 7.5, first moment 0.7 + 0.6 + 13.5; m2: mass
+        # 1.1 + 4 + 16/3, second moment 0.9 + 16/3 + 64/5
+        cut = self.PRODUCT.split_at((1.0,), (-1.0, 1.0))
+        mass1, mom1, mass2, mom2 = 8.5, 14.8, 1.1 + 4 + 16 / 3, 0.9 + 16 / 3 + 64 / 5
+        assert levy_integral(cut, self.MOMENTS) == pytest.approx([mass1 * mass2, mom1 * mass2, mass1 * mom2], rel=1e-13)
+
+    def test_pieces_lie_on_one_side_of_each_cut(self):
+        cut = self.PRODUCT.split_at((1.0,), (-1.0, 1.0))
+        assert [(p.lo, p.hi, p.nodes) for p in cut.m1.pieces] == [(0.0, 1.0, 4), (1.0, 3.0, 4)]
+        assert [(p.lo, p.hi) for p in cut.m2.pieces] == [(-2.0, -1.0), (-1.0, 1.0), (1.0, 2.0)]
+        assert (cut.m1.atoms, cut.m2.atoms) == (self.M1.atoms, self.M2.atoms)
+
+    def test_atomic_measure_is_itself(self):
+        mu = atomic((1.0, -1.0, 0.25))
+        assert mu.split_at((1.0,), (-1.0, 1.0)) is mu
+
+
 class TestSampler:
     def test_atom_frequencies(self):
         mu = atomic((1.0, 0.0, 1.0), (2.0, 0.0, 3.0))

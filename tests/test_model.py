@@ -3,8 +3,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from affine_ergo import measures
 from affine_ergo.cli import main
 from affine_ergo.errors import DomainError, ModelFormatError, UnsupportedMeasure
 from affine_ergo.measures import _JSON_KEYS, LevyMeasure
@@ -35,6 +37,12 @@ class TestParams:
         assert not make_params(b2=0.0).subcritical_strict
 
 
+def bundled(name):
+    import importlib.resources
+
+    return load_model(str(importlib.resources.files("affine_ergo") / "models" / f"{name}.json"))
+
+
 def by_name(rep):
     return {c.name: c for c in rep.checks}
 
@@ -56,6 +64,57 @@ class TestValidate:
         rep = validate(make_params(n=n))
         assert by_name(rep)["n_log_moment"].value == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_density_fails_without_raising(self):
+        # exp(z) overflows on [0, 800]: every n integral fails, with value inf
+        n = LevyMeasure.from_json({
+            "kind": "product",
+            "z1": {"density": {"expr": "exp(z)", "domain": [0.0, 800.0], "nodes": 8}},
+            "z2": {"atoms": [[0.0, 1.0]]},
+        })
+        with np.errstate(over="ignore"):
+            rep = validate(make_params(n=n))
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed == {"n_integrability", "n_log_moment", "n_z1_tail_moment"}
+        assert all(by_name(rep)[name].value == math.inf for name in failed)
+        assert {c["name"]: c["value"] for c in rep.to_json()["checks"]}["n_integrability"] is None
+
+    @pytest.mark.parametrize("name", ["jump_cbi_ou", "gamma_imm"])
+    def test_n_integrability_against_quad(self, name):
+        # scipy quad on each side of the kinks at z1 = 1 and |z2| = 1
+        from scipy.integrate import quad
+
+        if name == "jump_cbi_ou":
+            # z1 atoms (0, 0.5), (0.5, 0.5) times a standard normal z2 on [-5, 5]
+            g = lambda z: math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+            edges = ((-5.0, -1.0), (-1.0, 1.0), (1.0, 5.0))
+            mass = sum(quad(g, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in edges)
+            tail = sum(quad(lambda z: min(abs(z), z * z) * g(z), a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in edges)
+            ref = 0.5 * tail + 0.5 * (0.5 * mass + tail)
+        else:
+            # exp(-z)/z on [0, 30] times a unit z2 atom at 0
+            f = lambda z: min(1.0, z) * math.exp(-z) / z
+            ref = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in ((0.0, 1.0), (1.0, 30.0)))
+        assert by_name(validate(bundled(name)))["n_integrability"].value == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_grids_stay_small_on_bundled_models(self, monkeypatch):
+        # the integrands' kinks lie on panel edges, so no tensor rule is refined far
+        sizes = []
+
+        def recording(rule, *args):
+            def sized(level):
+                cells = rule(level)
+                if cells is not None:
+                    sizes.append(cells[-1].size)
+                return cells
+
+            return converge(sized, *args)
+
+        converge = measures._converge
+        monkeypatch.setattr(measures, "_converge", recording)
+        for name in ("cir_ou", "jump_cbi_ou", "gamma_imm"):
+            assert validate(bundled(name)).all_pass
+        assert 0 < max(sizes) <= 8192
+
     def test_repeated_calls_identical(self):
         p = make_params(m=LevyMeasure.atomic([(1.0, 0.5, 2.0)]))
         r1 = validate(p)
@@ -75,12 +134,8 @@ class TestIO:
         assert q.to_json() == p.to_json()
 
     def test_bundled_models_load_and_pass(self):
-        import importlib.resources
-
         for name in ("cir_ou", "jump_cbi_ou", "gamma_imm"):
-            path = importlib.resources.files("affine_ergo") / "models" / f"{name}.json"
-            p = load_model(str(path))
-            assert validate(p).all_pass, name
+            assert validate(bundled(name)).all_pass, name
 
     def test_readme_example_loads(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
