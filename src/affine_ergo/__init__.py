@@ -14,10 +14,6 @@ from .mechanisms import (
     check_B,
     check_C,
     check_Cprime,
-    check_D,
-    phi,
-    phi0,
-    psi,
 )
 from .model import ModelParams, load_model, save_model, validate
 from .riccati import (
@@ -36,7 +32,6 @@ from .analysis import (
     ergodicity_curve,
     lemma31_check,
     lemma31_constants,
-    prop33_bound,
     prop42_bound,
     stationary_moments,
     strong_feller_probe,
@@ -58,7 +53,6 @@ __all__ = [
     "check_B",
     "check_C",
     "check_Cprime",
-    "check_D",
     "coalescence_curve",
     "delta1",
     "ergodicity_curve",
@@ -67,11 +61,7 @@ __all__ = [
     "levy_integral",
     "levy_restrict_tail",
     "load_model",
-    "phi",
-    "phi0",
-    "prop33_bound",
     "prop42_bound",
-    "psi",
     "save_model",
     "simulate_coupled",
     "simulate_paths",

@@ -40,7 +40,6 @@ class EmpiricalDistribution:
 
     Y: np.ndarray
     Z: np.ndarray
-    weights: np.ndarray
 
     @staticmethod
     def from_samples(Y: np.ndarray, Z: np.ndarray) -> "EmpiricalDistribution":
@@ -48,8 +47,7 @@ class EmpiricalDistribution:
         Z = np.asarray(Z, dtype=float)
         if Y.size == 0 or Y.shape != Z.shape:
             raise EmptyDistribution("need matching nonempty sample arrays")
-        w = np.full(Y.size, 1.0 / Y.size)
-        return EmpiricalDistribution(Y=Y, Z=Z, weights=w)
+        return EmpiricalDistribution(Y=Y, Z=Z)
 
     @property
     def n(self) -> int:
@@ -59,8 +57,8 @@ class EmpiricalDistribution:
         # outliers are clipped into the edge bins, so masses always sum to 1
         y = np.clip(self.Y, edges_y[0], np.nextafter(edges_y[-1], -np.inf))
         z = np.clip(self.Z, edges_z[0], np.nextafter(edges_z[-1], -np.inf))
-        h, _, _ = np.histogram2d(y, z, bins=(edges_y, edges_z), weights=self.weights)
-        return h
+        h, _, _ = np.histogram2d(y, z, bins=(edges_y, edges_z))
+        return h / self.n
 
 
 def _common_edges(P: EmpiricalDistribution, Q: EmpiricalDistribution, bins):
@@ -84,7 +82,7 @@ def tv_hat(P: EmpiricalDistribution, Q: EmpiricalDistribution, bins=(50, 50)) ->
     ey, ez = _common_edges(P, Q, bins)
     hp = P.histogram(ey, ez)
     hq = Q.histogram(ey, ez)
-    # the summed weights of a histogram can pass 1 by a few ulp
+    # each cell's mass count/n is rounded, so the half-sum can pass 1 by a few ulp
     return min(1.0, 0.5 * float(np.abs(hp - hq).sum()))
 
 
@@ -209,30 +207,6 @@ def lemma31_check(
             "threshold_absorbed_frac": float(ce.threshold_absorbed.mean()),
         },
     )
-
-
-def kappa_coeff(params: ModelParams) -> float:
-    """kappa = 1 v 1/(e*b2)."""
-    return max(1.0, 1.0 / (math.e * params.b2))
-
-
-def prop33_bound(
-    params: ModelParams,
-    x: tuple[float, float],
-    y: tuple[float, float],
-    t: float,
-    C_hat: float,
-) -> float:
-    """TV bound of order 1/sqrt(t): C_hat (1 + (vbar_{t/(k^2+1)} + 1)|dx1|
-    + sqrt(|dx1|) + |dx2|) / sqrt(t).  C_hat is user-supplied or fitted;
-    the underlying constant is existential."""
-    if t <= 0:
-        raise DomainError("t must be > 0")
-    k = kappa_coeff(params)
-    d1 = abs(x[0] - y[0])
-    d2 = abs(x[1] - y[1])
-    vb = params.vbar(t / (k * k + 1.0)) if d1 > 0 else 0.0
-    return C_hat * (1.0 + (vb + 1.0) * d1 + math.sqrt(d1) + d2) / math.sqrt(t)
 
 
 def prop42_constants(params: ModelParams, eps: float, Lambda: float | None = None) -> dict:

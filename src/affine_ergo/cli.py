@@ -398,6 +398,10 @@ def cmd_verify_bounds(run: Run, x1, x2, y1, y2, t, dt, paths, eps_trunc):
 @click.option("--lambda-k", default=None, type=float)
 def cmd_strong_feller(run: Run, x1, x2, t, radius, dt, paths, eps_trunc, sigma_k_mass, lambda_k):
     """TV continuity in the initial state over shrinking radii."""
+    if (sigma_k_mass is None) != (lambda_k is None):
+        given, missing = ("--lambda-k", "--sigma-k-mass") if sigma_k_mass is None else ("--sigma-k-mass", "--lambda-k")
+        raise click.MissingParameter(f"It is required with '{given}'.", ctx=click.get_current_context(),
+                                     param_hint=f"'{missing}'", param_type="option")
     params = run.require_model()
     rows = analysis.strong_feller_probe(
         params, (x1, x2), t, radius, run.sim(dt, t, paths, eps_trunc),

@@ -46,10 +46,6 @@ class ConditionCViolated(AffineError):
     """Shift total-variation ratio for n_eps is unbounded on the probe grid."""
 
 
-class DominationViolated(AffineError):
-    """rho0 exceeds the z2-marginal density of n at a probe point."""
-
-
 class SingularIntegrand(AffineError):
     """The closed-form stationary integrand has a pole inside the range."""
 

@@ -1,13 +1,16 @@
-"""Affine mechanisms and numeric checkers for the jump-activity conditions.
+"""Affine mechanisms and numeric checkers for the jump-activity conditions
+(A), (B), (C) and (C').
 
-Every integral runs on the package's one node-doubling loop
-(`measures._converge`) and meets its tolerance or raises QuadratureError:
-1/phi0 (condition (A), vbar) and the closed stationary integrand on bare
-Gauss panels (`_line_integral`), and the masses, overlaps and shift total
-variations of (B)-(D).  phi and psi sum a product measure's jumps per axis
-(`Mechanisms`).  Condition (A) reads the decay of the 1/phi0 integrals over
-doubling windows, and (C), (D) probe the shift ratios at finitely many
-shifts; verdicts may be "inconclusive" when the evidence is non-monotone.
+phi and psi are the methods of one `Mechanisms` per model
+(`params.mechanisms`), which sum a product measure's jumps per axis.  Every
+integral runs on the package's one node-doubling loop (`measures._converge`)
+and meets its tolerance or raises QuadratureError: 1/phi0 (condition (A),
+vbar) and the closed stationary integrand on bare Gauss panels
+(`_line_integral`), and the masses, overlaps and shift total variations of
+(B), (C) and (C').  Condition (A) reads the decay of the 1/phi0 integrals
+over doubling windows, and (C), (C') probe the shift ratios at finitely
+many shifts; verdicts may be "inconclusive" when the evidence is
+non-monotone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DominationViolated, DomainError, NoConvergence
+from .errors import DomainError, NoConvergence
 from .measures import (
     GAUSS_ORDER,
     NODE_CAP,
@@ -31,7 +34,6 @@ from .measures import (
     _on_measure,
     _try_integral,
     levy_restrict_tail,
-    on_cut,
     overlap_stats,
 )
 from .model import ModelParams, _jsonable
@@ -44,7 +46,6 @@ _A_THETAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 _A_Z_MAX = 64.0
 _A_DOUBLINGS = 6
 _C_RHOS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)  # conditions (C), (C'): decreasing shifts rho
-_D_RHO = 1e-2  # condition (D): the shift of sigma_k's TV ratio
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,6 @@ class UPoint:
             raise DomainError("Re(u1) must be <= 0")
         if abs(self.u2.real) > _RE_TOL:
             raise DomainError("u2 must be purely imaginary")
-
-    def conj(self) -> "UPoint":
-        return UPoint(self.u1.conjugate(), self.u2.conjugate())
 
 
 def _m_kernel(u1, u2, z1, z2):
@@ -186,23 +184,6 @@ class Mechanisms:
         return a2 * u1 - b0 * u2 + half_sigma2 * u2**2 + self._jump_integral("n", u1, u2)
 
 
-def phi(u: UPoint, params: ModelParams) -> complex:
-    """Branching-side mechanism: drift, diffusion and compensated m-jumps."""
-    return complex(params.mechanisms.phi(u.u1, u.u2))
-
-
-def psi(u: UPoint, params: ModelParams) -> complex:
-    """Immigration-side mechanism: drift, OU diffusion and n-jumps."""
-    return complex(params.mechanisms.psi(u.u1, u.u2))
-
-
-def phi0(x: float, params: ModelParams) -> float:
-    """Branching mechanism on R+: phi((-x, 0))."""
-    if x < 0:
-        raise DomainError("phi0 requires x >= 0")
-    return float(np.real(params.mechanisms.phi(-x, 0.0)))
-
-
 def _line_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, int]:
     """int_lo^hi f on 1 << level bare Gauss panels, doubled on the
     node-doubling loop to _LINE_TOL, and that level."""
@@ -273,7 +254,7 @@ def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    condition: str  # "A" | "B" | "C" | "Cprime" | "D"
+    condition: str  # "A" | "B" | "C" | "Cprime"
     verdict: str  # "holds" | "fails" | "inconclusive"
     evidence: tuple[tuple[float, float], ...] = ()
     inputs: dict = field(default_factory=dict, compare=False)
@@ -420,71 +401,3 @@ def check_C(params: ModelParams, eps: float, second_moment: bool = False) -> Con
 
 def check_Cprime(params: ModelParams, eps: float) -> ConditionReport:
     return check_C(params, eps, second_moment=True)
-
-
-def _sigma_k(rho0: Marginal1D, g: Callable[[np.ndarray], np.ndarray], k: float) -> Marginal1D:
-    """min(k g, rho0) on rho0's pieces, cut where k g crosses rho0: one
-    root-find (`_brentq`) per sign change of k g - rho0 on a 257-point probe
-    grid of each piece, so no piece holds the kink of the min."""
-    kg = lambda x: k * np.asarray(g(x))
-    cuts = []
-    for p in rho0.pieces:
-        gap = lambda x, piece=Marginal1D(pieces=(p,)): kg(x) - piece.density_at(x)
-        x = np.linspace(p.lo, p.hi, 257)
-        sign = np.sign(gap(x))
-        root = lambda i: _brentq(lambda z: float(gap(np.array([z]))[0]), x[i], x[i + 1])
-        cuts += [*x[sign == 0], *map(root, np.flatnonzero(sign[:-1] * sign[1:] < 0))]
-    return on_cut(lambda x: np.minimum(kg(x), rho0.density_at(x)), rho0.split_at(cuts))
-
-
-def check_D(
-    params: ModelParams,
-    rho0: Marginal1D,
-    g: Callable[[np.ndarray], np.ndarray],
-    k_list: Sequence[float] = (1, 4, 16, 64, 256),
-) -> ConditionReport:
-    """Builds sigma_k = min(k g, rho0) dz2 (`_sigma_k`), reports masses,
-    shift-TV ratios and first moments, and growth evidence for
-    sigma_0(R) = inf.  rho0's piece edges are where it may jump, so sigma_k
-    is continuous between them when g is."""
-    if any(k < 1 for k in k_list):
-        raise DomainError("k_list entries must be >= 1")
-    # domination probe: rho0 must sit below the z2-marginal density of n
-    lo, hi = rho0.support_bounds()
-    probe = np.linspace(lo, hi, 257)
-    probe = probe[(probe != 0.0)]
-    n_dens = params.n.z2_marginal().density_at(probe)
-    r_vals = rho0.density_at(probe)
-    if np.any(r_vals > n_dens + 1e-9):
-        worst = float(np.max(r_vals - n_dens))
-        raise DominationViolated(
-            f"rho0 exceeds the z2-marginal density of n by {worst:.3g} at a probe point"
-        )
-    evidence = []
-    masses = []
-    extras_rows = []
-    for k in sorted(k_list):
-        sk = _sigma_k(rho0, g, float(k))
-        mass = sk.mass()
-        masses.append(mass)
-        evidence.append((float(k), mass))
-        extras_rows.append(
-            {"k": float(k), "mass": mass, "Lambda_k": shift_tv_ratio(sk, _D_RHO), "abs_moment": sk.integrate(np.abs)}
-        )
-    increasing = all(masses[i + 1] >= masses[i] - 1e-12 for i in range(len(masses) - 1))
-    finite = all(math.isfinite(r["mass"]) and math.isfinite(r["Lambda_k"]) and math.isfinite(r["abs_moment"]) for r in extras_rows)
-    growth = [masses[i + 1] / masses[i] for i in range(len(masses) - 1) if masses[i] > 0]
-    unbounded = len(growth) >= 1 and growth[-1] >= 1.5
-    if finite and increasing and masses and masses[-1] > 0:
-        verdict = "holds"
-    elif not masses or masses[-1] == 0:
-        verdict = "fails"
-    else:
-        verdict = "inconclusive"
-    return ConditionReport(
-        "D",
-        verdict,
-        evidence=tuple(evidence),
-        inputs={"k_list": [float(k) for k in k_list], "domain": [lo, hi]},
-        extras={"rows": extras_rows, "sigma0_mass_unbounded_evidence": bool(unbounded)},
-    )

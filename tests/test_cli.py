@@ -75,10 +75,22 @@ class TestExitCodes:
         assert err.startswith("error:") and f"'{name}'" in err.splitlines()[0]
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("given,missing", [("--sigma-k-mass", "--lambda-k"), ("--lambda-k", "--sigma-k-mass")])
+    def test_lemma51_constants_come_together(self, given, missing, tmp_path, capsys):
+        # one of the two would leave the bound column empty with no violation flagged
+        assert run("--model", "cir_ou", "--out", str(tmp_path), "strong-feller", given, "2") == 64
+        assert capsys.readouterr().err.startswith(f"error: Missing option '{missing}'.")
+        assert not any(tmp_path.iterdir())
+
     def test_threads_env_recorded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AFFINE_ERGO_THREADS", "2")
         assert run("--model", "cir_ou", "--out", str(tmp_path), "validate") == 0
         assert json.loads((tmp_path / "manifest_validate.json").read_text())["threads"] == 2
+
+
+def test_all_names_resolve():
+    # a stale export would otherwise fail only at `from affine_ergo import *`
+    assert [n for n in affine_ergo.__all__ if not hasattr(affine_ergo, n)] == []
 
 
 def test_charfn_divergent_model_exits_1(tmp_path):

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from affine_ergo import measures
 from affine_ergo.analysis import prop42_constants
-from affine_ergo.errors import DomainError, DominationViolated, QuadratureError
+from affine_ergo.errors import DomainError, QuadratureError
 from affine_ergo.measures import (
     DensityPiece,
     LevyMeasure,
@@ -28,13 +27,8 @@ from affine_ergo.mechanisms import (
     check_B,
     check_C,
     check_Cprime,
-    check_D,
     _m_kernel,
     _n_kernel,
-    _sigma_k,
-    phi,
-    phi0,
-    psi,
     shift_tv_ratio,
 )
 from affine_ergo.model import ModelParams, load_model
@@ -76,36 +70,31 @@ class TestUPoint:
         with pytest.raises(DomainError, match="finite"):
             UPoint(u1, u2)
 
-    def test_conjugate(self):
-        u = UPoint(-1.0 + 2j, 3j)
-        c = u.conj()
-        assert c.u1 == (-1.0 - 2j) and c.u2 == -3j
-
 
 class TestPhiPsi:
     def test_phi_at_zero(self):
-        assert phi(UPoint(0.0, 0.0), make_params()) == 0.0
+        assert make_params().mechanisms.phi(0.0, 0.0) == 0.0
 
     def test_phi_drift_only(self):
         p = make_params(a1=2.0, b1=0.0, alpha=((0, 0), (0, 0)))
-        assert phi(UPoint(-1.0, 0.0), p) == pytest.approx(2.0, abs=1e-12)
+        assert p.mechanisms.phi(-1.0, 0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_phi_single_atom(self):
         p = make_params(a1=0.0, b1=0.0, alpha=((0, 0), (0, 0)),
                         m=LevyMeasure.atomic([(1.0, 0.0, 1.0)]))
         # e^{-1} - 1 - (-1) = e^{-1}
-        assert phi(UPoint(-1.0, 0.0), p) == pytest.approx(math.exp(-1), abs=1e-12)
+        assert p.mechanisms.phi(-1.0, 0.0) == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_psi_at_zero(self):
-        assert psi(UPoint(0.0, 0.0), make_params()) == 0.0
+        assert make_params().mechanisms.psi(0.0, 0.0) == 0.0
 
     def test_psi_drift_only(self):
         p = make_params(a2=1.0, sigma=0.0)
-        assert psi(UPoint(-3.0, 0.0), p) == pytest.approx(-3.0, abs=1e-12)
+        assert p.mechanisms.psi(-3.0, 0.0) == pytest.approx(-3.0, abs=1e-12)
 
     def test_psi_diffusion(self):
         p = make_params(a2=0.0, sigma=2.0, b0=0.0)
-        assert psi(UPoint(0.0, 1j), p) == pytest.approx(-2.0, abs=1e-12)
+        assert p.mechanisms.psi(0.0, 1j) == pytest.approx(-2.0, abs=1e-12)
 
     @given(
         re1=st.floats(-3, 0, allow_nan=False),
@@ -117,8 +106,9 @@ class TestPhiPsi:
         p = make_params(m=LevyMeasure.atomic([(0.5, 0.2, 0.8)]),
                         n=LevyMeasure.atomic([(1.0, -0.3, 0.4)]))
         u = UPoint(complex(re1, im1), complex(0.0, im2))
-        assert phi(u.conj(), p) == pytest.approx(np.conj(phi(u, p)), abs=1e-10)
-        assert psi(u.conj(), p) == pytest.approx(np.conj(psi(u, p)), abs=1e-10)
+        c = UPoint(u.u1.conjugate(), u.u2.conjugate())
+        for f in (p.mechanisms.phi, p.mechanisms.psi):
+            assert f(c.u1, c.u2) == pytest.approx(np.conj(f(u.u1, u.u2)), abs=1e-10)
 
 
 class TestMechanismsObject:
@@ -143,7 +133,7 @@ class TestMechanismsObject:
         for a, b, v in zip(u1, u2, vec):
             jumps = levy_integral(p.n, lambda z1, z2: np.exp(a * z1 + b * z2) - 1.0 - b * z2, tol=1e-12)
             ref = p.a2 * a - p.b0 * b + 0.5 * p.sigma**2 * b**2 + jumps
-            for val in (v, psi(UPoint(a, b), p)):
+            for val in (v, p.mechanisms.psi(a, b)):
                 assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("u1", [-0.5, -2.0, 0.4j, -50.0, -1000.0, 30j])
@@ -152,14 +142,14 @@ class TestMechanismsObject:
         # up to the E1(30) ~ 1e-14 tail
         p = bundled("gamma_imm")
         exact = p.a2 * u1 - np.log(1.0 - complex(u1))
-        assert abs(psi(UPoint(u1, 0.0), p) - exact) < 1e-12
+        assert abs(p.mechanisms.psi(u1, 0.0) - exact) < 1e-12
 
     def test_unresolvable_u_raises(self):
         # at u1 = -1e7 the n kernel varies on a scale of 1e-7, beyond what
         # NODE_CAP nodes on (0, 30] resolve: the rule must not be used unconverged
         p = bundled("gamma_imm")
         with pytest.raises(QuadratureError):
-            psi(UPoint(-1e7, 0.0), p)
+            p.mechanisms.psi(-1e7, 0.0)
 
 
 def tensor_phi_psi(p, kind, u1, u2):
@@ -268,21 +258,16 @@ class TestImaginaryAxisSums:
 
 class TestPhi0:
     def test_at_zero(self):
-        assert phi0(0.0, make_params()) == 0.0
+        assert make_params().mechanisms.phi(0.0, 0.0).real == 0.0
 
     def test_arithmetic(self):
         p = make_params(a1=2.0, alpha=((0.5, 0.5), (0.0, 0.0)))
-        assert phi0(1.0, p) == pytest.approx(3.0, abs=1e-12)
+        assert p.mechanisms.phi(-1.0, 0.0).real == pytest.approx(3.0, abs=1e-12)
 
     def test_atom(self):
         p = make_params(a1=0.0, alpha=((0, 0), (0, 0)),
                         m=LevyMeasure.atomic([(1.0, 0.0, 1.0)]))
-        assert phi0(1.0, p) == pytest.approx(math.exp(-1), abs=1e-12)
-
-    def test_matches_phi_when_m_on_axis(self):
-        p = make_params(m=LevyMeasure.atomic([(0.7, 0.0, 1.3)]))
-        for x in (0.5, 1.0, 3.0):
-            assert phi0(x, p) == pytest.approx(phi(UPoint(-x, 0.0), p).real, abs=1e-10)
+        assert p.mechanisms.phi(-1.0, 0.0).real == pytest.approx(math.exp(-1), abs=1e-12)
 
     @pytest.mark.parametrize("z", [1e-12, 1e-9, 1e-6, 1e-3, 1.0])
     def test_small_argument_no_cancellation(self, z):
@@ -291,25 +276,25 @@ class TestPhi0:
         exact = p.a1 * z + p.alpha_y * z**2 + sum(
             w * (math.expm1(-z * z1) + z * z1) for z1, _, w in p.m.atoms
         )
-        assert phi0(z, p) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert p.mechanisms.phi(-z, 0.0).real == pytest.approx(exact, rel=1e-13, abs=0.0)
         # n = (delta_0 + delta_0.5)/2 in z1 times the standard normal on [-5, 5] in z2
         exact = -p.a2 * z + 0.5 * math.expm1(-0.5 * z) * math.erf(5.0 / math.sqrt(2.0))
-        assert psi(UPoint(-z, 0), p).real == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert p.mechanisms.psi(-z, 0).real == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 class TestPMech:
     def test_at_zero(self):
         p = make_params()
-        assert psi(UPoint(0.0, 0), p).real == 0.0
-        assert phi(UPoint(0.0, 0), p).real == 0.0
+        assert p.mechanisms.psi(0.0, 0).real == 0.0
+        assert p.mechanisms.phi(0.0, 0).real == 0.0
 
     def test_drift(self):
         p = make_params(a2=1.0)
-        assert psi(UPoint(-2.0, 0), p).real == pytest.approx(-2.0, abs=1e-12)
+        assert p.mechanisms.psi(-2.0, 0).real == pytest.approx(-2.0, abs=1e-12)
 
     def test_tilde_arithmetic(self):
         p = make_params(a1=2.0, alpha=((1.0, 0.0), (0.0, 0.0)))
-        assert phi(UPoint(-1.0, 0), p).real == pytest.approx(3.0, abs=1e-12)
+        assert p.mechanisms.phi(-1.0, 0).real == pytest.approx(3.0, abs=1e-12)
 
 
 class TestConditionA:
@@ -331,7 +316,7 @@ class TestConditionA:
         # each evidence entry is (upper edge of its window, increment)
         edges = [rep.extras["theta"]] + [z for z, _ in rep.evidence]
         for lo, hi, (_, inc) in zip(edges, edges[1:], rep.evidence):
-            ref = quad(lambda z: 1.0 / phi0(z, p), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            ref = quad(lambda z: 1.0 / p.mechanisms.phi(-z, 0.0).real, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
             assert inc == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
@@ -422,60 +407,6 @@ class TestConditionC:
         for rho, val in rep.evidence:
             assert lam + 1e-12 >= val
             assert val * rho <= 2 * C_eps + 1e-9
-
-
-class TestConditionD:
-    def test_unbounded_sigma0(self):
-        fn = compile_density_expr("1/(z*z)")
-        n = LevyMeasure.product(
-            Marginal1D(atoms=((0.0, 1.0),)),
-            Marginal1D(pieces=(DensityPiece(-1.0, 0.0, fn, 256), DensityPiece(0.0, 1.0, fn, 256))),
-        )
-        p = make_params(n=n)
-        # rho0 jumps from 0 to 1/z^2 at 0.04, an edge of its one piece
-        rho0 = Marginal1D(pieces=(DensityPiece(0.04, 1.0, lambda z: 1.0 / z**2, 256),))
-        g = lambda z: np.exp(-np.abs(z))
-        rep = check_D(p, rho0, g, k_list=(1, 4, 16, 64))
-        masses = [row["mass"] for row in rep.extras["rows"]]
-        # sigma_1 = min(e^{-|z|}, rho0) = e^{-z} on (0.04, 1]
-        assert masses[0] == pytest.approx(math.exp(-0.04) - math.exp(-1.0), rel=1e-8)
-        assert all(b > a for a, b in zip(masses, masses[1:]))
-        assert rep.extras["sigma0_mass_unbounded_evidence"]
-
-    def test_sigma_k_is_cut_at_its_kink(self, monkeypatch):
-        # sigma_64 = min(64 e^-z, z^-2) on [0.04, 1] kinks where the two cross;
-        # cut there, its shift overlaps converge within 65,536 nodes (they took
-        # 786,432 with the kink inside a piece)
-        rho0 = Marginal1D(pieces=(DensityPiece(0.04, 1.0, lambda z: 1.0 / z**2, 256),))
-        sk = _sigma_k(rho0, lambda z: np.exp(-np.abs(z)), 64.0)
-        edges = sorted({e for p in sk.pieces for e in (p.lo, p.hi)})
-        assert len(edges) == 3
-        assert 64.0 * math.exp(-edges[1]) == pytest.approx(edges[1] ** -2, rel=1e-10)
-        monkeypatch.setattr(measures, "NODE_CAP", 1 << 16)
-        assert math.isfinite(shift_tv_ratio(sk, 1e-2))
-
-    def test_bounded_rho0_plateaus(self):
-        p = make_params(n=normal_z2_measure(weight=10.0))
-        rho0 = Marginal1D(pieces=(DensityPiece(-6.0, 6.0, lambda z: np.exp(-z * z / 2) / math.sqrt(2 * math.pi), 128),))
-        g = lambda z: np.exp(-np.abs(z))
-        rep = check_D(p, rho0, g, k_list=(1, 4, 16, 64))
-        masses = [row["mass"] for row in rep.extras["rows"]]
-        assert masses[-1] == pytest.approx(1.0, rel=1e-3)
-        assert not rep.extras["sigma0_mass_unbounded_evidence"]
-
-    def test_domination_violated(self):
-        p = make_params(n=normal_z2_measure())
-        rho0 = Marginal1D(pieces=(DensityPiece(-6.0, 6.0, lambda z: np.full_like(z, 10.0)),))
-        g = lambda z: np.exp(-np.abs(z))
-        with pytest.raises(DominationViolated):
-            check_D(p, rho0, g, k_list=(1, 2))
-
-    def test_k_zero_rejected(self):
-        p = make_params(n=normal_z2_measure())
-        rho0 = Marginal1D(pieces=(DensityPiece(-6.0, 6.0, lambda z: np.exp(-np.abs(z))),))
-        g = lambda z: np.exp(-np.abs(z))
-        with pytest.raises(DomainError):
-            check_D(p, rho0, g, k_list=(0, 1))
 
 
 class TestReportSerialization:

@@ -18,7 +18,7 @@ from affine_ergo.errors import (
     StiffnessFailure,
 )
 from affine_ergo.measures import DensityPiece, LevyMeasure, Marginal1D, compile_density_expr
-from affine_ergo.mechanisms import UPoint, phi0
+from affine_ergo.mechanisms import UPoint
 from affine_ergo.model import ModelParams, load_model
 from affine_ergo.riccati import (
     Vbar,
@@ -47,7 +47,7 @@ def bundled(name):
 
 def quad_time_from(p, v):
     """int_v^inf dz/phi0(z) by scipy quad: in s = log z below 1, in z above."""
-    f = lambda z: 1.0 / phi0(z, p)
+    f = lambda z: 1.0 / p.mechanisms.phi(-z, 0.0).real
     opts = dict(epsabs=0.0, epsrel=1e-12, limit=200)
     if v >= 1.0:
         return quad(f, v, np.inf, **opts)[0]
