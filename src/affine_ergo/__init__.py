@@ -4,7 +4,7 @@ verification of coupling, ergodicity and regularity estimates."""
 
 # Recorded in every run manifest.  Bump it whenever a seed's output changes
 # (0.2.0: superposed jump counts changed the simulator's draw order).
-__version__ = "0.5.0"
+__version__ = "0.5.1"
 
 from .errors import AffineError
 from .measures import LevyMeasure, Marginal1D, levy_integral, levy_restrict_tail

@@ -1,12 +1,11 @@
 """Levy measures on G = R+ x R: quadrature, restriction, truncation, sampling.
 
-A measure is represented in one of three forms:
-
-* ``atomic``  -- a finite list of weighted atoms (z1, z2, w);
-* ``product`` -- a product of two one-dimensional marginals, each a mix of
-  atoms and density pieces (a density on z2 = 0 pairs with a unit z2 atom);
-* ``union``   -- an internal form used to represent exact set differences
-  (e.g. a product minus the small-jump box).
+A measure is a plain sum: a finite list of weighted atoms (z1, z2, w) plus
+a list of products of two one-dimensional marginals, each a mix of atoms
+and density pieces (a density on z2 = 0 pairs with a unit z2 atom).  A
+model file holds the atoms or one product; restriction and small-jump
+truncation may leave atoms and several products (a product minus the
+small-jump box is two products).
 
 A density piece is integrated by GAUSS_ORDER-point Gauss-Legendre nodes on
 each of ``nodes << level`` equal panels, and a product by the tensor rule
@@ -209,90 +208,78 @@ class Marginal1D:
 
 @dataclass(frozen=True)
 class LevyMeasure:
-    """A measure on G \\ {0} with G = R+ x R.
+    """A measure on G \\ {0} with G = R+ x R: weighted atoms (z1, z2, w)
+    plus a sum of products of a z1 and a z2 marginal.
 
-    Exactly one of the payload groups is populated, per `kind`.
+    Every method takes the atoms, then each product in order.  A model file
+    holds atoms or one product; a truncation may leave several products.
     """
 
-    kind: str  # "atomic" | "product" | "union"
-    atoms: tuple[tuple[float, float, float], ...] = ()  # (z1, z2, w)
-    m1: Marginal1D | None = None  # product: z1 marginal
-    m2: Marginal1D | None = None  # product: z2 marginal
-    members: tuple["LevyMeasure", ...] = ()
+    atoms: tuple[tuple[float, float, float], ...] = ()
+    products: tuple[tuple[Marginal1D, Marginal1D], ...] = ()
 
     def __post_init__(self):
-        if self.kind == "atomic":
-            for z1, z2, w in self.atoms:
-                if z1 < 0:
-                    raise DomainError("atom z1 must be >= 0")
-                if z1 == 0 and z2 == 0:
-                    raise DomainError("atoms must avoid the origin")
-                if w < 0:
-                    raise DomainError("atom weights must be >= 0")
-        elif self.kind == "product":
-            if self.m1.support_bounds()[0] < 0:
-                raise DomainError("z1 marginal must live on R+")
-        elif self.kind != "union":
-            raise UnsupportedMeasure(f"unknown measure kind {self.kind!r}")
+        for z1, z2, w in self.atoms:
+            if z1 < 0:
+                raise DomainError("atom z1 must be >= 0")
+            if z1 == 0 and z2 == 0:
+                raise DomainError("atoms must avoid the origin")
+            if w < 0:
+                raise DomainError("atom weights must be >= 0")
+        if any(m1.support_bounds()[0] < 0 for m1, _ in self.products):
+            raise DomainError("z1 marginal must live on R+")
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def atomic(atoms: Iterable[tuple[float, float, float]]) -> "LevyMeasure":
-        return LevyMeasure(kind="atomic", atoms=tuple(atoms))
+        return LevyMeasure(atoms=tuple(atoms))
 
     @staticmethod
     def zero() -> "LevyMeasure":
-        return LevyMeasure(kind="atomic", atoms=())
+        return LevyMeasure()
 
     @staticmethod
     def product(m1: Marginal1D, m2: Marginal1D) -> "LevyMeasure":
-        return LevyMeasure(kind="product", m1=m1, m2=m2)
+        return LevyMeasure(products=((m1, m2),))
 
     @staticmethod
-    def union(members: Iterable["LevyMeasure"]) -> "LevyMeasure":
-        members = tuple(m for m in members if not m.is_empty())
-        if not members:
-            return LevyMeasure.zero()
-        if len(members) == 1:
-            return members[0]
-        return LevyMeasure(kind="union", members=members)
+    def union(mus: Iterable["LevyMeasure"]) -> "LevyMeasure":
+        """The sum of the measures mus: their atoms, then their products."""
+        mus = tuple(mus)
+        return _sum((a for mu in mus for a in mu.atoms), (p for mu in mus for p in mu.products))
 
     def is_empty(self) -> bool:
-        if self.kind == "atomic":
-            return not self.atoms
-        if self.kind == "union":
-            return all(m.is_empty() for m in self.members)
-        return self.m1.n_cells(0) == 0 or self.m2.n_cells(0) == 0
+        return self.n_cells(0) == 0
+
+    @property
+    def is_atomic(self) -> bool:
+        """No density piece: every integral is exact on level 0's cells."""
+        return all(m1.is_purely_atomic and m2.is_purely_atomic for m1, m2 in self.products)
 
     # -- cells --------------------------------------------------------------
 
     def n_cells(self, level: int, k: int = GAUSS_ORDER) -> int:
-        if self.kind == "atomic":
-            return len(self.atoms)
-        if self.kind == "product":
-            return self.m1.n_cells(level, k) * self.m2.n_cells(level, k)
-        return sum(m.n_cells(level, k) for m in self.members)
+        return len(self.atoms) + sum(m1.n_cells(level, k) * m2.n_cells(level, k) for m1, m2 in self.products)
 
     def cells(self, level: int, k: int = GAUSS_ORDER):
         """Arrays (z1, z2, dz1, dz2, w) at this level: nodes, the widths of
-        their panels and weights, with k Gauss-Legendre nodes per panel."""
-        if self.kind == "atomic":
-            if not self.atoms:
-                z = np.zeros(0)
-                return z, z.copy(), z.copy(), z.copy(), z.copy()
+        their panels and weights, with k Gauss-Legendre nodes per panel; the
+        atoms first, then each product's tensor rule of its marginals."""
+        parts = []
+        if self.atoms:
             a = np.array(self.atoms, dtype=float)
             zero = np.zeros(len(self.atoms))
-            return a[:, 0], a[:, 1], zero, zero.copy(), a[:, 2]
-        if self.kind == "product":
-            x1, d1, w1 = self.m1.cells(level, k)
-            x2, d2, w2 = self.m2.cells(level, k)
+            parts.append((a[:, 0], a[:, 1], zero, zero.copy(), a[:, 2]))
+        for m1, m2 in self.products:
+            x1, d1, w1 = m1.cells(level, k)
+            x2, d2, w2 = m2.cells(level, k)
             Z1, Z2 = np.meshgrid(x1, x2, indexing="ij")
             D1, D2 = np.meshgrid(d1, d2, indexing="ij")
-            W = np.outer(w1, w2)
-            return Z1.ravel(), Z2.ravel(), D1.ravel(), D2.ravel(), W.ravel()
-        parts = [m.cells(level, k) for m in self.members]
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(5))
+            parts.append((Z1.ravel(), Z2.ravel(), D1.ravel(), D2.ravel(), np.outer(w1, w2).ravel()))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate([np.zeros(0), *(p[i] for p in parts)]) for i in range(5))
 
     # -- restriction / truncation ------------------------------------------
 
@@ -301,57 +288,47 @@ class LevyMeasure:
         (r1lo, r1hi), (r2lo, r2hi) = region
         if r1lo < 0 and not math.isinf(r1lo):
             raise DomainError("region exits G: z1 lower bound < 0")
-        if self.kind == "atomic":
-            return LevyMeasure.atomic(
-                (z1, z2, w)
-                for z1, z2, w in self.atoms
-                if r1lo <= z1 <= r1hi and r2lo <= z2 <= r2hi
-            )
-        if self.kind == "product":
-            m1 = self.m1.restrict(r1lo, r1hi)
-            m2 = self.m2.restrict(r2lo, r2hi)
-            return LevyMeasure.product(m1, m2)
-        return LevyMeasure.union(m.restrict(region) for m in self.members)
+        return _sum(
+            ((z1, z2, w) for z1, z2, w in self.atoms if r1lo <= z1 <= r1hi and r2lo <= z2 <= r2hi),
+            ((m1.restrict(r1lo, r1hi), m2.restrict(r2lo, r2hi)) for m1, m2 in self.products),
+        )
 
     def split_at(self, z1_points: Sequence[float], z2_points: Sequence[float]) -> "LevyMeasure":
         """The same measure with every density piece cut at these z1 and z2
         points (`Marginal1D.split_at`), so an integrand with a kink there
         is smooth on each panel; atoms are left as they are."""
-        if self.kind == "product":
-            return LevyMeasure.product(self.m1.split_at(z1_points), self.m2.split_at(z2_points))
-        if self.kind == "union":
-            return LevyMeasure.union(m.split_at(z1_points, z2_points) for m in self.members)
-        return self
+        products = tuple((m1.split_at(z1_points), m2.split_at(z2_points)) for m1, m2 in self.products)
+        return replace(self, products=products) if products else self
+
+    def split_small(self, eps: float) -> tuple["LevyMeasure", "LevyMeasure"]:
+        """The parts of mu outside and inside the sup-norm ball
+        {max(z1,|z2|) < eps}, exactly: each density piece is cut at the
+        ball's edges first, so it lies on one side of them."""
+        if eps <= 0:
+            return self, LevyMeasure.zero()
+        out, small = [], []
+        for m1, m2 in self.products:
+            m1, m2_cut = m1.split_at((eps,)), m2.split_at((-eps, eps))
+            m1_in = m1.where(lambda a, b: a < eps)
+            out.append((m1.where(lambda a, b: a >= eps), m2))
+            out.append((m1_in, m2_cut.where(lambda a, b: b <= -eps or a >= eps)))
+            small.append((m1_in, m2_cut.where(lambda a, b: b > -eps and a < eps)))
+        inside = [max(z1, abs(z2)) < eps for z1, z2, _ in self.atoms]
+        return (
+            _sum((a for a, i in zip(self.atoms, inside) if not i), out),
+            _sum((a for a, i in zip(self.atoms, inside) if i), small),
+        )
 
     def truncate_small(self, eps: float) -> "LevyMeasure":
         """Exact removal of the sup-norm ball {max(z1,|z2|) < eps}."""
-        if eps <= 0:
-            return self
-        if self.kind == "atomic":
-            return LevyMeasure.atomic(
-                (z1, z2, w) for z1, z2, w in self.atoms if max(z1, abs(z2)) >= eps
-            )
-        if self.kind == "product":
-            # split at the box's edges, every piece lies inside or outside it
-            m1 = self.m1.split_at((eps,))
-            m2_out = self.m2.split_at((-eps, eps)).where(lambda a, b: b <= -eps or a >= eps)
-            return LevyMeasure.union([
-                LevyMeasure.product(m1.where(lambda a, b: a >= eps), self.m2),
-                LevyMeasure.product(m1.where(lambda a, b: a < eps), m2_out),
-            ])
-        return LevyMeasure.union(m.truncate_small(eps) for m in self.members)
+        return self.split_small(eps)[0]
 
     # -- marginals ----------------------------------------------------------
 
     def z2_marginal(self) -> Marginal1D:
         """The z2-marginal n(R+ x dz2) as a 1-D measure."""
-        if self.kind == "atomic":
-            return Marginal1D(atoms=tuple(sorted(_merge_atoms((z2, w) for _, z2, w in self.atoms))))
-        if self.kind == "product":
-            if self.is_empty():
-                return Marginal1D()
-            return _scale_marginal(self.m2, self.m1.mass())
-        parts = [m.z2_marginal() for m in self.members]
+        parts = [Marginal1D(atoms=tuple(sorted(_merge_atoms((z2, w) for _, z2, w in self.atoms))))]
+        parts += [_scale_marginal(m2, m1.mass()) for m1, m2 in self.products if m1.n_cells(0) and m2.n_cells(0)]
         return Marginal1D(
             atoms=tuple(a for p in parts for a in p.atoms),
             pieces=tuple(q for p in parts for q in p.pieces),
@@ -366,15 +343,12 @@ class LevyMeasure:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.kind == "atomic":
+        if not self.products:
             return {"kind": "atomic", "atoms": [list(a) for a in self.atoms]}
-        if self.kind == "product":
-            return {
-                "kind": "product",
-                "z1": _marginal_to_json(self.m1),
-                "z2": _marginal_to_json(self.m2),
-            }
-        raise UnsupportedMeasure("union measures are internal-only")
+        if self.atoms or len(self.products) > 1:
+            raise UnsupportedMeasure("a sum of atoms and products, or of several products, is internal-only")
+        (m1, m2), = self.products
+        return {"kind": "product", "z1": _marginal_to_json(m1), "z2": _marginal_to_json(m2)}
 
     @staticmethod
     def from_json(d: dict) -> "LevyMeasure":
@@ -394,6 +368,11 @@ class LevyMeasure:
 
 
 _JSON_KEYS = {"atomic": ("atoms",), "product": ("z1", "z2")}
+
+
+def _sum(atoms: Iterable, products: Iterable) -> LevyMeasure:
+    """The measure of these atoms and products, less the products without cells."""
+    return LevyMeasure(tuple(atoms), tuple((m1, m2) for m1, m2 in products if m1.n_cells(0) and m2.n_cells(0)))
 
 
 def check_keys(d, name: str, required: Iterable[str], optional: Iterable[str] = ()) -> dict:
@@ -466,12 +445,8 @@ def _octaves(lo: float, hi: float) -> list[tuple[float, float]]:
 
 def _graded(mu: LevyMeasure) -> LevyMeasure:
     """mu with every z1 density piece split into its octaves (LevySampler)."""
-    if mu.kind == "product":
-        pieces = tuple(replace(p, lo=a, hi=b) for p in mu.m1.pieces for a, b in _octaves(p.lo, p.hi))
-        return LevyMeasure.product(replace(mu.m1, pieces=pieces), mu.m2)
-    if mu.kind == "union":
-        return LevyMeasure.union(_graded(m) for m in mu.members)
-    return mu
+    octaves = lambda m1: tuple(replace(p, lo=a, hi=b) for p in m1.pieces for a, b in _octaves(p.lo, p.hi))
+    return replace(mu, products=tuple((replace(m1, pieces=octaves(m1)), m2) for m1, m2 in mu.products))
 
 
 def _scale_marginal(m: Marginal1D, c: float) -> Marginal1D:
@@ -573,15 +548,7 @@ def _on_measure(mu: LevyMeasure, f: Callable, tol: float, k: int = GAUSS_ORDER):
     """`_converge` on mu's cells (z1, z2, dz1, dz2, w), with k Gauss nodes
     per panel; f takes (z1, z2)."""
     rule = lambda level: None if mu.n_cells(level, k) > NODE_CAP else mu.cells(level, k)
-    return _converge(rule, lambda z1, z2, dz1, dz2: f(z1, z2), tol, _is_atomic_only(mu))
-
-
-def _is_atomic_only(mu: LevyMeasure) -> bool:
-    if mu.kind == "product":
-        return mu.m1.is_purely_atomic and mu.m2.is_purely_atomic
-    if mu.kind == "union":
-        return all(_is_atomic_only(m) for m in mu.members)
-    return True
+    return _converge(rule, lambda z1, z2, dz1, dz2: f(z1, z2), tol, mu.is_atomic)
 
 
 def levy_restrict_tail(n: LevyMeasure, eps: float) -> Marginal1D:

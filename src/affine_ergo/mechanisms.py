@@ -2,7 +2,7 @@
 (A), (B), (C) and (C').
 
 phi and psi are the methods of one `Mechanisms` per model
-(`params.mechanisms`), which sum a product measure's jumps per axis.  Every
+(`params.mechanisms`), which sum a measure's products per axis.  Every
 integral runs on the package's one node-doubling loop (`measures._converge`)
 and meets its tolerance or raises QuadratureError: 1/phi0 (condition (A),
 vbar) and the closed stationary integrand on bare Gauss panels
@@ -30,7 +30,6 @@ from .measures import (
     Marginal1D,
     _axis_cells,
     _converge,
-    _is_atomic_only,
     _on_measure,
     _try_integral,
     levy_restrict_tail,
@@ -117,11 +116,11 @@ class Mechanisms:
     at tol 1e-10 on the nonzero probes (-R1, 0), (i R2, 0), (0, i R3), or
     raises QuadratureError at NODE_CAP, and is kept once built; the |u| <= 1
     rules are built with the object (``ModelParams.mechanisms``).
-    A product measure is summed per axis, on its marginals' cells (x_i, w_i)
-    at its rule's level: with E_i = sum w_i expm1(u_i x_i), K_i = sum w_i
-    (expm1(u_i x_i) - u_i x_i) and W_i = sum w_i, the tensor rule's sums are
-    E1 E2 + K1 W2 + W1 K2 (m) and E1 E2 + E1 W2 + W1 K2 (n).  phi0(x) =
-    phi(-x, 0).
+    A measure's atoms are summed on the 2-D kernel, and each of its
+    products per axis, on its marginals' cells (x_i, w_i) at the rule's
+    level: with E_i = sum w_i expm1(u_i x_i), K_i = sum w_i (expm1(u_i x_i)
+    - u_i x_i) and W_i = sum w_i, the tensor rule's sums are E1 E2 + K1 W2 +
+    W1 K2 (m) and E1 E2 + E1 W2 + W1 K2 (n).  phi0(x) = phi(-x, 0).
     """
 
     def __init__(self, params: ModelParams):
@@ -132,17 +131,18 @@ class Mechanisms:
         )
         self._psi_coeffs = (p.a2, p.b0, 0.5 * p.sigma**2)
         self._jumps = {
-            kind: (mu, kernel, _is_atomic_only(mu))
+            kind: (mu, kernel, mu.is_atomic)
             for kind, mu, kernel in (("m", params.m, _m_kernel), ("n", params.n, _n_kernel))
         }
         self._rules: dict = {}
-        self._axes: dict = {}  # a product rule's key -> its marginals' cells and weight sums
+        # a rule's key -> its atoms' (z1, z2, w), and each product's marginal cells and weight sums
+        self._axes: dict = {}
         for kind in self._jumps:
             self.rule(kind, -1.0, 1j)
 
     def _key(self, kind: str, u1, u2):
         """The key of the rule for m or n (kind "m"/"n") that serves u,
-        building that rule, and a product's per-axis cells, if it is new."""
+        building that rule, and its products' per-axis cells, if it is new."""
         mu, kernel, exact = self._jumps[kind]
         key = (kind, None if exact else _box(u1, u2))
         if key not in self._rules:
@@ -152,9 +152,9 @@ class Mechanisms:
             f = lambda z1, z2: kernel(pu1[live], pu2[live], z1, z2)
             (z1, z2, _, _, w), _, level = _on_measure(mu, f, _RULE_TOL)
             self._rules[key] = (z1, z2, w)
-            if mu.kind == "product":
-                axes = [m.cells(level)[::2] for m in (mu.m1, mu.m2)]
-                self._axes[key] = (axes, [float(np.sum(w_i)) for _, w_i in axes])
+            axes = [[m.cells(level)[::2] for m in pair] for pair in mu.products]
+            atoms = tuple(c[: len(mu.atoms)] for c in (z1, z2, w))
+            self._axes[key] = (atoms, [(pair, [float(np.sum(w_i)) for _, w_i in pair]) for pair in axes])
         return key
 
     def rule(self, kind: str, u1, u2):
@@ -163,14 +163,13 @@ class Mechanisms:
 
     def _jump_integral(self, kind: str, u1, u2):
         """The m- or n-jump part of phi or psi at u; 0 for an empty measure."""
-        key = self._key(kind, u1, u2)
-        if key in self._axes:
-            (axis1, axis2), (W1, W2) = self._axes[key]
+        (z1, z2, w), products = self._axes[self._key(kind, u1, u2)]
+        terms = [np.sum(w * self._jumps[kind][1](u1, u2, z1, z2), axis=-1)] if w.size else []
+        for (axis1, axis2), (W1, W2) in products:
             E1, K1 = _axis_sums(u1, axis1, kind == "m")
             E2, K2 = _axis_sums(u2, axis2, True)
-            return E1 * E2 + (K1 if kind == "m" else E1) * W2 + W1 * K2
-        z1, z2, w = self._rules[key]
-        return np.sum(w * self._jumps[kind][1](u1, u2, z1, z2), axis=-1) if w.size else 0.0
+            terms.append(E1 * E2 + (K1 if kind == "m" else E1) * W2 + W1 * K2)
+        return sum(terms[1:], terms[0]) if terms else 0.0
 
     def phi(self, u1, u2):
         """Branching-side mechanism: drift, diffusion and compensated m-jumps."""

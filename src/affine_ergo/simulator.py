@@ -112,7 +112,9 @@ class SimConfig:
 
 class _JumpSpec:
     """Frozen sampling table and compensator means of one (truncated)
-    measure; no jumps when the measure is empty."""
+    measure, and the z1 mean of the small jumps the truncation drops (the
+    exact complement of the sampled part); no jumps when the measure is
+    empty."""
 
     def __init__(self, mu: LevyMeasure, eps: float, label: str):
         self.sampler: LevySampler | None = None
@@ -123,7 +125,7 @@ class _JumpSpec:
             return
         if eps <= 0 and math.isinf(mu.total_mass()):
             raise ConfigError(f"measure {label} has infinite activity; eps_trunc > 0 required")
-        trunc = mu.truncate_small(eps) if eps > 0 else mu
+        trunc, drop = mu.split_small(eps)
         if not trunc.is_empty():
             try:
                 self.sampler = LevySampler(trunc)
@@ -132,10 +134,8 @@ class _JumpSpec:
                 self.mean_z2 = self.sampler.mean_z2
             except ZeroMass:
                 self.sampler = None
-        if eps > 0:
-            drop = mu.restrict(((0.0, eps), (-eps, eps)))
-            if not drop.is_empty():
-                self.drop_mean_z1 = float(np.real(levy_integral(drop, lambda z1, z2: z1)))
+        if not drop.is_empty():
+            self.drop_mean_z1 = float(np.real(levy_integral(drop, lambda z1, z2: z1)))
 
 
 class _Compiled:
@@ -250,7 +250,6 @@ class CoupledEnsemble(_RecordGrid):
     Zy: np.ndarray
     varsigma: np.ndarray  # (n_paths,), inf if never coalesced
     threshold_absorbed: np.ndarray  # coalescence declared with D > 0 strictly
-    swapped: bool
 
     @property
     def n_paths(self) -> int:
@@ -470,26 +469,21 @@ def simulate_coupled(
     y: tuple[float, float],
     cfg: SimConfig,
 ) -> CoupledEnsemble:
-    """Shared-noise coupled pair started from x and y (x1 >= y1, else the
-    pair is swapped internally and flagged)."""
-    swapped = False
-    if x[0] < y[0]:
-        x, y = y, x
-        swapped = True
-    if y[0] < 0:
+    """Shared-noise coupled pair started from x and y, in the caller's
+    order: the copy started from x is (Yx, Zx) whichever start is higher.
+    The copy from the lower start consumes the noise of `simulate_paths`
+    from that start."""
+    swap = x[0] < y[0]  # the chain takes the higher start first
+    if min(x[0], y[0]) < 0:
         raise ConfigError("starting Y-coordinates must be >= 0")
     comp = _Compiled(params, cfg)
     diff = comp.difference()
+    upper, lower = (y, x) if swap else (x, y)
     Yx, Zx, Yy, Zy, varsigma, thr = _run_chunks(
-        cfg, lambda i, n, pool: _simulate_chunk_coupled(comp, diff, cfg, i, n, pool, x, y)
+        cfg, lambda i, n, pool: _simulate_chunk_coupled(comp, diff, cfg, i, n, pool, upper, lower)
     )
+    if swap:
+        Yx, Zx, Yy, Zy = Yy, Zy, Yx, Zx
     return CoupledEnsemble(
-        record_times=comp.times,
-        Yx=Yx,
-        Zx=Zx,
-        Yy=Yy,
-        Zy=Zy,
-        varsigma=varsigma,
-        threshold_absorbed=thr,
-        swapped=swapped,
+        record_times=comp.times, Yx=Yx, Zx=Zx, Yy=Yy, Zy=Zy, varsigma=varsigma, threshold_absorbed=thr
     )

@@ -190,6 +190,15 @@ class TestOutputs:
             rows = list(csv.reader(fh))
         assert rows[0][:4] == ["path_id", "t", "Yx", "Zx"]
 
+    def test_couple_columns_follow_the_flags(self, tmp_path):
+        # x below y: the Yx/Zx columns hold the path started at x = (1, 0)
+        rc = run("--model", "cir_ou", "--seed", "3", "--out", str(tmp_path), "couple", "--paths", "10",
+                 "--dt", "0.05", "--t", "0.05", "--x1", "1", "--x2", "0", "--y1", "2", "--y2", "5")
+        assert rc == 0
+        with open(tmp_path / "coupled.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(float(r["Yx"]) < float(r["Yy"]) and float(r["Zx"]) < float(r["Zy"]) for r in rows)
+
     def test_vbar_csv(self, tmp_path):
         rc = run("--model", "jump_cbi_ou", "--out", str(tmp_path),
                  "vbar", "--tmin", "0.1", "--tmax", "2", "--n", "9")

@@ -172,9 +172,17 @@ def two_density_product():
     )
 
 
+def several_terms():
+    """Atoms, two_density_product() and its truncate_small(0.5), which is two
+    products: a measure of atoms and three products."""
+    product = two_density_product()
+    atoms = LevyMeasure.atomic([(0.5, 0.2, 0.8), (0.0, -0.3, 0.4)])
+    return LevyMeasure.union([atoms, product, product.truncate_small(0.5)])
+
+
 class TestPerAxisSums:
-    """phi and psi of a product measure, whose jump part is summed per axis,
-    against the kernel summed over the tensor rule of the same level."""
+    """phi and psi of a measure whose products are summed per axis, against
+    the kernel summed over the tensor rule of the same level."""
 
     # three u arrays, each served by a rule of its own
     U = (
@@ -188,7 +196,10 @@ class TestPerAxisSums:
         (bundled("gamma_imm"), "n"),  # infinite activity; z2 is a unit atom at 0
         (make_params(m=two_density_product()), "m"),
         (make_params(n=two_density_product()), "n"),
-    ], ids=["jump_cbi_ou-n", "gamma_imm-n", "two-densities-m", "two-densities-n"])
+        (make_params(m=several_terms(), n=several_terms()), "m"),
+        (make_params(m=several_terms(), n=several_terms()), "n"),
+    ], ids=["jump_cbi_ou-n", "gamma_imm-n", "two-densities-m", "two-densities-n", "several-terms-m",
+            "several-terms-n"])
     def test_matches_tensor_rule(self, params, kind):
         mech = params.mechanisms
         for u1, u2 in self.U:
@@ -215,7 +226,7 @@ class TestImaginaryAxisSums:
         params = bundled("jump_cbi_ou") if request.param == "jump_cbi_ou" else make_params(n=two_density_product())
         mech = params.mechanisms
         mech.psi(-1.0, 40j)  # the rule for |u2| up to 64 too
-        return [axis for key, (pair, _) in mech._axes.items() if key[0] == "n" for axis in pair]
+        return [axis for key, (_, products) in mech._axes.items() if key[0] == "n" for pair, _ in products for axis in pair]
 
     @pytest.mark.parametrize("u", [1e-8j, -1e-8j, 0.7j, -3j, 40j, np.complex128(0.7j)])
     def test_matches_expm1_form(self, axes, u):

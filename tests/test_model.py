@@ -133,6 +133,25 @@ class TestIO:
         q = load_model(path)
         assert q.to_json() == p.to_json()
 
+    @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou", "gamma_imm"])
+    def test_bundled_model_round_trip(self, tmp_path, name):
+        import importlib.resources
+
+        source = json.loads((importlib.resources.files("affine_ergo") / "models" / f"{name}.json").read_text())
+        path = tmp_path / "model.json"
+        save_model(bundled(name), path)
+        assert json.loads(path.read_text()) == source
+        assert load_model(path).to_json() == source
+
+    @pytest.mark.parametrize("mu", [
+        LevyMeasure.union([LevyMeasure.atomic([(1.0, 0.0, 1.0)]), bundled("jump_cbi_ou").n]),
+        LevyMeasure.union([bundled("gamma_imm").n, bundled("jump_cbi_ou").n]),
+        bundled("jump_cbi_ou").n.truncate_small(0.3),
+    ], ids=["atoms-and-product", "two-products", "truncated-product"])
+    def test_several_terms_are_not_written(self, mu):
+        with pytest.raises(UnsupportedMeasure):
+            mu.to_json()
+
     def test_bundled_models_load_and_pass(self):
         for name in ("cir_ou", "jump_cbi_ou", "gamma_imm"):
             assert validate(bundled(name)).all_pass, name

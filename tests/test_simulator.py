@@ -9,7 +9,7 @@ import pytest
 import affine_ergo
 from affine_ergo import rng, simulator
 from affine_ergo.errors import ConfigError, TimeNotRecorded
-from affine_ergo.measures import LevyMeasure
+from affine_ergo.measures import LevyMeasure, levy_integral
 from affine_ergo.model import ModelParams, load_model
 from affine_ergo.riccati import cbi_mean, char_fn
 from affine_ergo.mechanisms import UPoint
@@ -107,6 +107,21 @@ class TestConfig:
             simulate_paths(p, (1.0, 0.0), cfg)
 
 
+class TestTruncation:
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou", "gamma_imm"])
+    def test_sampled_and_dropped_parts_sum_to_the_measure(self, name, eps):
+        # the dropped small jumps, restored as drift, are the complement of
+        # the sampled ones: an atom on the box's edge (jump_cbi_ou's z1 = 0.5
+        # in m and n at eps 0.5, its m atom at z1 = 1 at eps 1) counts once
+        p = bundled(name)
+        z1 = lambda a, b: a
+        for label, mu in (("m", p.m), ("n", p.n)):
+            kept = levy_integral(mu.truncate_small(eps), z1)
+            dropped = _JumpSpec(mu, eps, label).drop_mean_z1
+            assert kept + dropped == pytest.approx(levy_integral(mu, z1), rel=1e-10, abs=0.0), label
+
+
 class TestSinglePath:
     def test_zero_start_no_immigration_absorbing(self):
         p = make_params(a2=0.0)
@@ -190,7 +205,7 @@ class TestDeterminism:
     # SHA-256 of the raw output bytes (signed zeros included).  A mismatch
     # means a seed's output changed: bump `__version__`, recompute GOLDEN and
     # set GOLDEN_VERSION to the new version.
-    GOLDEN_VERSION = "0.5.0"
+    GOLDEN_VERSION = "0.5.1"
     GOLDEN = {  # (Y, Z) of simulate_paths; all six arrays of simulate_coupled
         "cir_ou": (
             "13819f8de60bcfc18a24c0076f5815c4471f9036efd8e88055332ba1ddbe0798",
@@ -473,12 +488,15 @@ class TestCoupled:
             se = math.exp(p.a1 * t) * float(d.std(ddof=1) / math.sqrt(d.size))
         assert abs(scaled[0] - scaled[-1]) < 3 * se + 0.01
 
-    def test_swap_flag(self):
+    def test_copies_in_callers_order(self):
+        # x below y: (Yx, Zx) is the copy from x, the lower start, and so
+        # consumes the noise of a single run from x
         p = make_params()
         cfg = SimConfig(dt=0.01, T=0.5, n_paths=50, seed=14, record_times=(0.5,))
-        ce = simulate_coupled(p, (0.5, 0.0), (1.5, 0.0), cfg)
-        assert ce.swapped
-        assert np.all(ce.Yx >= ce.Yy)
+        ce = simulate_coupled(p, (0.5, 2.0), (1.5, 0.0), cfg)
+        assert np.all(ce.Yy >= ce.Yx)
+        ens = simulate_paths(p, (0.5, 2.0), cfg)
+        assert np.array_equal(ce.Yx, ens.Y) and np.array_equal(ce.Zx, ens.Z)
 
     @pytest.mark.parametrize("name,eps", [("cir_ou", 0.0), ("jump_cbi_ou", 0.05), ("gamma_imm", 1e-2)])
     def test_base_copy_matches_simulate_paths(self, name, eps):
