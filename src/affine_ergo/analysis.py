@@ -349,13 +349,13 @@ def coalescence_curve(
     se = np.empty(len(t_grid))
     bound = np.empty(len(t_grid))
     exact = np.empty(len(t_grid))
+    v = (params.vbar(t_grid) * gap).tolist() if gap > 0 else [0.0] * len(t_grid)
     for i, t in enumerate(t_grid):
         p = float(np.mean(~ce.coalesced_by(t)))
         emp[i] = p
         se[i] = _binomial_se(p, ce.n_paths)
-        v = params.vbar(t) * gap if gap > 0 else 0.0
-        bound[i] = min(1.0, v)
-        exact[i] = -math.expm1(-v)
+        bound[i] = min(1.0, v[i])
+        exact[i] = -math.expm1(-v[i])
     return BoundReport(
         label="non-coalescence probability vs vbar",
         t_grid=t_grid,

@@ -410,15 +410,17 @@ def reading(key: str):
         raise ModelFormatError(f"{key}: {exc}") from exc
 
 
-def _axis_cells(lo: float, hi: float, panels: int, level: int, k: int = GAUSS_ORDER):
+def _axis_cells(lo, hi, panels: int, level: int, k: int = GAUSS_ORDER):
     """Nodes, weights and panel width of the k-point Gauss-Legendre rule on
     each of the ``panels << level`` equal panels of [lo, hi] (k = 1: the
-    midpoint rule)."""
+    midpoint rule); a row of them per interval for arrays lo, hi."""
     n = panels << level
+    lo, hi = np.asarray(lo)[..., None, None], np.asarray(hi)[..., None, None]
     h = (hi - lo) / n
     t, wt = _gauss_legendre(k)
     x = lo + h * (np.arange(n)[:, None] + t)
-    return x.ravel(), np.tile(h * wt, n), h
+    shape = x.shape[:-2] + (-1,)
+    return x.reshape(shape), np.tile(h * wt, n).reshape(shape), h[..., 0, 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,7 +513,8 @@ def _try_integral(mu: LevyMeasure, f: Callable, region=None) -> float:
         return math.inf
 
 
-def _converge(rule: Callable[[int], tuple | None], f: Callable, tol: float, exact: bool = False):
+def _converge(rule: Callable[[int], tuple | None], f: Callable, tol: float, exact: bool = False,
+              rowwise: bool = False):
     """The node-doubling loop behind every integral and the jump sampler.
 
     rule(level) is the caller's rule at that level: node arrays, which f
@@ -519,11 +522,12 @@ def _converge(rule: Callable[[int], tuple | None], f: Callable, tol: float, exac
     of the first level whose integral of f differs from the previous
     level's by at most tol * max(1, |value|), that value and the level.  f
     may return a stack of integrands (shape (..., n)); each must then meet
-    the test.  An `exact` rule (atoms only) stops at level 0.  Raises
-    QuadratureError past NODE_CAP, or for a non-finite sum, which would not
-    converge on a grid that has stopped growing.
+    the test, and with `rowwise` keeps the value of the level where it first
+    met it, as if integrated alone.  An `exact` rule (atoms only) stops at
+    level 0.  Raises QuadratureError past NODE_CAP, or for a non-finite sum,
+    which would not converge on a grid that has stopped growing.
     """
-    prev = None
+    prev = met = None
     for level in itertools.count():
         cells = rule(level)
         if cells is None:
@@ -535,9 +539,10 @@ def _converge(rule: Callable[[int], tuple | None], f: Callable, tol: float, exac
         if not np.all(np.isfinite(vals)):
             raise NonFiniteIntegrand("integrand evaluated to NaN/inf at a node")
         val = np.sum(w * vals, axis=-1)
-        if exact or (
-            prev is not None and np.all(np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val)))
-        ):
+        if rowwise and met is not None:
+            val = np.where(met, prev, val)
+        met = prev is not None and np.abs(val - prev) <= tol * np.maximum(1.0, np.abs(val))
+        if exact or np.all(met):
             return cells, (val.item() if val.ndim == 0 else val), level
         if not np.all(np.isfinite(val)):
             raise QuadratureError("quadrature sum is not finite")

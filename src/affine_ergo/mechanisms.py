@@ -183,29 +183,29 @@ class Mechanisms:
         return a2 * u1 - b0 * u2 + half_sigma2 * u2**2 + self._jump_integral("n", u1, u2)
 
 
-def _line_integral(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> tuple[float, int]:
-    """int_lo^hi f on 1 << level bare Gauss panels, doubled on the
-    node-doubling loop to _LINE_TOL, and that level."""
+def _line_integral(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> tuple[np.ndarray, int]:
+    """int_lo^hi f for each pair of lo, hi (f takes a row of nodes per pair) on
+    1 << level bare Gauss panels, each doubled to _LINE_TOL as if alone; the last level."""
     rule = lambda level: None if GAUSS_ORDER << level > NODE_CAP else _axis_cells(lo, hi, 1, level)[:2]
-    _, val, level = _converge(rule, f, _LINE_TOL)
-    return float(val), level
+    _, val, level = _converge(rule, f, _LINE_TOL, rowwise=True)
+    return val, level
 
 
-def _inv_phi0_integral(mech: Mechanisms, a: float, b: float) -> tuple[float, int]:
-    """int_a^b dz / phi0(z) for 0 < a <= b, integrated in s = log z, and
-    the doubling level it took (`_line_integral`)."""
+def _inv_phi0_integral(mech: Mechanisms, a, b) -> tuple[np.ndarray, int]:
+    """int_a^b dz / phi0(z) per pair 0 < a <= b, in s = log z (`_line_integral`).  phi's
+    rule serves the batch's largest z: bit for bit for atomic m, within _RULE_TOL for a density."""
     f = lambda s: np.exp(s) / np.real(mech.phi(-np.exp(s), 0.0))
-    return _line_integral(f, math.log(a), math.log(b))
+    return _line_integral(f, [math.log(x) for x in a], [math.log(x) for x in b])
 
 
-def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
-    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4), to
-    xtol 1e-300 and rtol 1e-12 within 100 iterations: scipy's BSD-3 brentq.c
-    line for line, so the same root after the same evaluations.  f(a) and f(b)
-    must differ in sign; NoConvergence where scipy raises."""
+def _brentq(a: float, b: float):
+    """A generator that yields each x, is sent f(x) and returns a root in
+    [a, b] by Brent's method (Brent 1973, ch. 4) to xtol 1e-300 and rtol 1e-12
+    within 100 iterations: scipy's BSD-3 brentq.c line for line, so the same
+    root after the same evaluations.  NoConvergence where scipy raises."""
     xtol, rtol = 1e-300, 1e-12
     xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = (yield xpre), (yield xcur)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -242,8 +242,24 @@ def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
+        fcur = yield xcur
     raise NoConvergence(f"Brent's method did not converge in 100 iterations on [{a:g}, {b:g}]")
+
+
+def _brent_roots(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b) -> np.ndarray:
+    """A `_brentq` root of f_i in [a_i, b_i] per i, in lock step: f(x, i) once a round."""
+    searches = [_brentq(lo, hi) for lo, hi in zip(a, b)]
+    roots = np.empty(len(searches))
+    x = {i: next(s) for i, s in enumerate(searches)}  # the open searches' next x
+    while x:
+        live = list(x)
+        for i, fx in zip(live, f(np.array(list(x.values())), np.array(live)).tolist()):
+            try:
+                x[i] = searches[i].send(fx)
+            except StopIteration as stop:
+                roots[i] = stop.value
+                del x[i]
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +305,7 @@ def check_A(params: ModelParams) -> ConditionReport:
             note="phi0 <= 0 at probes beyond every candidate theta",
         )
     edges = [theta] + [_A_Z_MAX * 2**i for i in range(_A_DOUBLINGS + 1)]
-    increments = [_inv_phi0_integral(mech, lo, hi)[0] for lo, hi in zip(edges, edges[1:])]
+    increments = [float(_inv_phi0_integral(mech, [lo], [hi])[0][0]) for lo, hi in zip(edges, edges[1:])]
     ratios = [increments[i + 1] / increments[i] for i in range(len(increments) - 1) if increments[i] > 0]
     evidence = tuple((float(_A_Z_MAX * 2**i), float(v)) for i, v in enumerate(increments))
     tail = ratios[-3:]

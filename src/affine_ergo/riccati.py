@@ -36,7 +36,7 @@ from .errors import (
     SingularIntegrand,
 )
 from .measures import levy_integral
-from .mechanisms import UPoint, _brentq, _inv_phi0_integral, _line_integral
+from .mechanisms import UPoint, _brent_roots, _inv_phi0_integral, _line_integral
 from .model import ModelParams
 
 _CLAMP_TOL = 1e-9
@@ -44,6 +44,7 @@ _ODE_TOL = 1e-10  # DOP853 rtol; atol is 1e-4 times it
 _PSI_TAIL_TOL = 1e-10  # stationary transform: psi integral over the last doubling
 _TAIL_TOL = 1e-12  # vbar: the last doubling window adds less than this
 _MAX_WINDOWS = 200
+_BLOCK = 16  # vbar windows integrated per batch
 
 
 @dataclass
@@ -161,19 +162,24 @@ class Vbar:
     down as a call needs.  Beyond the table the windows are taken to shrink
     geometrically at the ratio r of the last two, which adds r / (1 - r)
     times the last window (exact for phi0 ~ z^p, r = 2^(1-p)).  Requires
-    phi0 > 0 on (0, inf) (subcritical branching).
+    phi0 > 0 on (0, inf) (subcritical branching).  Windows are
+    integrated _BLOCK to a batch, entering the table as a search reaches
+    them; the searches of an array of t run in lock step (`_brent_roots`).
     """
 
     def __init__(self, params: ModelParams):
         self._mech = mech = params.mechanisms
         if np.any(np.real(mech.phi(-np.geomspace(1e-8, 1e8, 65), 0.0)) <= 0):
             raise ConditionAViolated("phi0 must be positive on (0, inf) for vbar")
-        self._integrals = self._deepest = 0
-        inc = []
+        self._integrals = self._batches = self._deepest = 0
+        self._finite, self._pending = {}, []  # phi0(2^j) finite; windows below the table, next one last
+        inc, block = [], []  # the windows above 1, and those integrated ahead of the stopping rule
         while len(inc) < 2 or inc[-1] >= min(_TAIL_TOL, inc[-2]):
             if len(inc) == _MAX_WINDOWS:
                 raise ConditionAViolated("tail integral of 1/phi0 does not converge")
-            inc.append(self._integral(2.0 ** len(inc), 2.0 ** (len(inc) + 1)))
+            if len(inc) == len(block):
+                block += self._windows(np.arange(len(inc), min(len(inc) + _BLOCK, _MAX_WINDOWS)))
+            inc.append(block[len(inc)])
         self._top = len(inc)
         self._r = inc[-1] / inc[-2]
         self._rest = self._r / (1.0 - self._r) * inc[-1]  # T(2^top)
@@ -183,63 +189,78 @@ class Vbar:
             T.append(T[-1] + w)
         self._T = dict(enumerate(T[::-1]))
 
-    def _integral(self, a: float, b: float) -> float:
-        """int_a^b dz / phi0(z), counted in `diagnostics`."""
+    def _integral(self, a, b) -> np.ndarray:
+        """int_a^b dz / phi0(z) for each pair of a, b in one batch, counted in `diagnostics`."""
         val, level = _inv_phi0_integral(self._mech, a, b)
-        self._integrals, self._deepest = self._integrals + 1, max(self._deepest, level)
+        self._integrals, self._batches = self._integrals + val.size, self._batches + 1
+        self._deepest = max(self._deepest, level)
         return val
 
+    def _windows(self, j: np.ndarray) -> list[float]:
+        """int_{2^j}^{2^(j+1)} dz / phi0 for each j, in one batch."""
+        return self._integral(np.ldexp(1.0, j), np.ldexp(1.0, j + 1)).tolist()
+
     def diagnostics(self) -> dict:
-        """The windows tabulated at construction, the tail ratio r, and the
-        line integrals run so far with the deepest doubling level they reached
-        (1 << level Gauss panels)."""
-        return {"windows": self._top, "tail_ratio": self._r,
-                "line_integrals": self._integrals, "deepest_level": self._deepest}
+        """The windows tabulated at construction, the tail ratio r, the line
+        integrals run so far, the batches they ran in (one node-doubling loop
+        each), and the deepest doubling level (1 << level Gauss panels)."""
+        return {"windows": self._top, "tail_ratio": self._r, "line_integrals": self._integrals,
+                "batches": self._batches, "deepest_level": self._deepest}
 
     def _tail(self, j: int) -> float:
         """T(2^j): geometric above the table, extended window by window
         below its lowest entry."""
         if j >= self._top:
             return self._rest * self._r ** (j - self._top)
-        for k in range(min(self._T) - 1, j - 1, -1):
-            self._T[k] = self.time_from(2.0**k)
+        while j not in self._T:
+            low = min(self._T)
+            if not self._pending:  # down to 2^-1074, the least positive float
+                self._pending = self._windows(np.arange(max(low - _BLOCK, -1074), low))
+            self._T[low - 1] = self._T[low] + self._pending.pop()
         return self._T[j]
 
-    def time_from(self, v: float) -> float:
-        """t such that vbar_t = v: T at the top of v's window plus the part
-        of that window above v."""
-        if v <= 0:
+    def time_from(self, v):
+        """t such that vbar_t = v, for a float or an array of v: T at the top
+        of v's window plus the part of that window above v."""
+        v = np.asarray(v, dtype=float)
+        if np.any(v <= 0):
             raise DomainError("v must be > 0")
-        j = math.frexp(v)[1] - 1  # 2^j <= v < 2^(j+1)
-        return self._tail(j + 1) + self._integral(v, 2.0 ** (j + 1))
+        top = np.frexp(v.ravel())[1]  # 2^(top-1) <= v < 2^top
+        t = np.array([self._tail(j) for j in top.tolist()]) + self._integral(v.ravel(), np.ldexp(1.0, top))
+        return float(t[0]) if v.ndim == 0 else t.reshape(v.shape)
 
     def _edge(self, j: int) -> float:
-        """time_from(2^j), the function _brentq sees, read from the table
-        below its top.  Above it time_from adds the real window to the
-        geometric T(2^(j+1)) and differs from the geometric T(2^j)."""
+        """time_from(2^j), as the root-find sees it: the table below its top;
+        above, the real window plus the geometric T(2^(j+1)), not T(2^j)."""
         return self._tail(j) if j < self._top else self.time_from(2.0**j)
 
-    def _phi0_finite(self, v: float) -> bool:
-        """phi0(v) is finite, hence (phi0 increasing) finite on (0, v]."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return bool(np.isfinite(np.real(self._mech.phi(np.float64(-v), 0.0))))
+    def _phi0_finite(self, j: int) -> bool:
+        """phi0(2^j) is finite, hence (phi0 increasing) on (0, 2^j]; once per j."""
+        if j not in self._finite:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._finite[j] = bool(np.isfinite(np.real(self._mech.phi(np.float64(-(2.0**j)), 0.0))))
+        return self._finite[j]
 
-    def __call__(self, t: float) -> float:
-        if t <= 0:
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0):
             raise DomainError("vbar requires t > 0")
-        j = 0
-        while self._edge(j) < t:
-            j -= 1
-            if j < sys.float_info.min_exp:
-                raise NoConvergence(f"vbar({t:g}) lies below the smallest normal float")
-        while self._edge(j + 1) >= t:
-            j += 1
-            if j + 2 >= sys.float_info.max_exp:  # time_from(2^(j+1)) needs 2^(j+2)
-                raise NoConvergence(f"vbar({t:g}) lies above the largest float")
-            if not self._phi0_finite(2.0 ** (j + 2)):
-                raise NoConvergence(f"vbar({t:g}): phi0 overflows below 2^{j + 2}")
-        # time_from(2^(j+1)) < t <= time_from(2^j): one root-find in [2^j, 2^(j+1)]
-        return _brentq(lambda w: self.time_from(w) - t, 2.0**j, 2.0 ** (j + 1))
+        ts, a = t.ravel(), []
+        for s in ts.tolist():  # the j with time_from(2^(j+1)) < s <= time_from(2^j)
+            j = 0
+            while self._edge(j) < s:
+                j -= 1
+                if j < sys.float_info.min_exp:
+                    raise NoConvergence(f"vbar({s:g}) lies below the smallest normal float")
+            while self._edge(j + 1) >= s:
+                j += 1
+                if j + 2 >= sys.float_info.max_exp:  # time_from(2^(j+1)) needs 2^(j+2)
+                    raise NoConvergence(f"vbar({s:g}) lies above the largest float")
+                if not self._phi0_finite(j + 2):
+                    raise NoConvergence(f"vbar({s:g}): phi0 overflows below 2^{j + 2}")
+            a.append(2.0**j)
+        roots = _brent_roots(lambda w, i: self.time_from(w) - ts[i], a, [2.0 * x for x in a])
+        return float(roots[0]) if t.ndim == 0 else roots.reshape(t.shape)
 
 
 @dataclass(frozen=True)
@@ -252,12 +273,10 @@ class VBarTable:
             raise ConditionAViolated("vbar table must be strictly decreasing")
 
 
-def build_vbar_table(
-    params: ModelParams, t_min: float = 1e-2, t_max: float = 10.0, n: int = 41
-) -> VBarTable:
+def build_vbar_table(params: ModelParams, t_min: float = 1e-2, t_max: float = 10.0, n: int = 41) -> VBarTable:
+    """vbar on n log-spaced times from t_min to t_max, in one call."""
     times = np.geomspace(t_min, t_max, n)
-    values = np.array([params.vbar(t) for t in times])
-    return VBarTable(times=times, values=values)
+    return VBarTable(times=times, values=params.vbar(times))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +327,7 @@ def stationary_transform_closed(params: ModelParams, u1: float) -> float:
     mech = params.mechanisms
     if np.any(np.abs(np.real(mech.phi(np.linspace(u1, 0.0, 129)[1:-1], 0.0))) < 1e-14):
         raise SingularIntegrand("phi(z, 0) vanishes inside the integration range")
-    val = _line_integral(lambda z: np.real(mech.psi(z, 0.0) / mech.phi(z, 0.0)), u1, 0.0)[0]
+    val = _line_integral(lambda z: np.real(mech.psi(z, 0.0) / mech.phi(z, 0.0)), [u1], [0.0])[0][0]
     return float(np.exp(val))
 
 

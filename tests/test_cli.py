@@ -331,6 +331,8 @@ class TestEverySubcommand:
         assert diag["tail_ratio"] == pytest.approx(0.5, rel=1e-9)
         # the tabulated windows, then at least one window part per point
         assert diag["line_integrals"] >= diag["windows"] + 5 > 5
+        # each batch runs many of them on one node-doubling loop
+        assert 1 <= diag["batches"] < diag["line_integrals"]
         assert 1 <= diag["deepest_level"] and GAUSS_ORDER << diag["deepest_level"] <= NODE_CAP
 
     def test_stationary_truncates_infinite_activity(self, tmp_path):

@@ -293,6 +293,19 @@ class TestPhi0:
         assert p.mechanisms.psi(-z, 0).real == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
+class TestLineIntegral:
+    def test_batch_equals_lone_integrals(self):
+        # rows that converge at different levels keep their own level's value
+        f = lambda s: np.exp(s) * np.cos(3.0 * s)
+        lo, hi = [0.0, -1.0, 0.0, 2.0], [0.1, 1.0, 12.0, 2.5]
+        batch, level = mechanisms._line_integral(f, lo, hi)
+        lone = [mechanisms._line_integral(f, [a], [b]) for a, b in zip(lo, hi)]
+        assert batch.tolist() == [v[0] for v, _ in lone]
+        assert level == max(lv for _, lv in lone) > min(lv for _, lv in lone)
+        exact = lambda s: math.exp(s) * (math.cos(3.0 * s) + 3.0 * math.sin(3.0 * s)) / 10.0
+        assert batch == pytest.approx([exact(b) - exact(a) for a, b in zip(lo, hi)], rel=1e-12)
+
+
 class TestPMech:
     def test_at_zero(self):
         p = make_params()

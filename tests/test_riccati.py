@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from affine_ergo import dop853, riccati
+from affine_ergo import dop853, mechanisms, riccati
 from affine_ergo.errors import (
     AffineError,
     ConditionAViolated,
@@ -252,24 +252,47 @@ class TestDop853:
 class TestBrent:
     @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou", "gamma_imm"])
     def test_same_root_and_evaluations_as_scipy(self, name, monkeypatch):
-        brackets = []
-        monkeypatch.setattr(riccati, "_brentq", lambda f, a, b: brackets.append((f, a, b)) or 1.0)
+        # each point's lock-step search evaluates the x sequence scipy's
+        # brentq evaluates on the scalar time_from, and ends at its root
+        searches = []
+
+        def recording(a, b, brent=mechanisms._brentq):
+            xs = []
+            searches.append((a, b, xs))
+            search = brent(a, b)
+            x = next(search)
+            while True:
+                xs.append(x)
+                try:
+                    x = search.send((yield x))
+                except StopIteration as stop:
+                    return stop.value
+
+        monkeypatch.setattr(mechanisms, "_brentq", recording)
         vb = bundled(name).vbar
-        for t in np.geomspace(1e-3, 30.0, 61):
-            vb(t)
-        assert len(brackets) == 61
-        monkeypatch.undo()
-        for f, a, b in brackets:
+        ts = np.geomspace(1e-3, 30.0, 61)
+        roots = vb(ts)
+        assert len(searches) == 61
+        for t, root, (a, b, xs) in zip(ts, roots, searches):
             calls = []
-            counted = lambda w: calls.append(w) or f(w)
-            root = riccati._brentq(counted, a, b)
-            ours = len(calls)
-            ref, info = brentq(counted, a, b, xtol=1e-300, rtol=1e-12, full_output=True)
-            assert root == ref and ours == len(calls) - ours == info.function_calls
+            ref, info = brentq(lambda w: calls.append(w) or vb.time_from(w) - t, a, b,
+                               xtol=1e-300, rtol=1e-12, full_output=True)
+            assert root == ref and xs == calls and len(xs) == info.function_calls
 
     def test_same_sign_bracket_raises(self):
-        with pytest.raises(AffineError):
-            riccati._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(NoConvergence):
+            mechanisms._brent_roots(lambda x, i: x * x + 1.0, [-1.0], [1.0])
+
+    def test_roots_in_lock_step(self):
+        # searches that end after different numbers of rounds keep their own roots
+        c = np.array([0.25, 2.0, 0.0, 3.9])
+        a, b = [0.0, 0.0, -1.0, 1.0], [1.0, 2.0, 1.0, 2.0]
+        rounds = []
+        f = lambda x, i: rounds.append(i.tolist()) or x**3 - c[i]
+        roots = mechanisms._brent_roots(f, a, b)
+        for k in range(4):
+            assert roots[k] == brentq(lambda x: x**3 - c[k], a[k], b[k], xtol=1e-300, rtol=1e-12)
+        assert rounds[:2] == [[0, 1, 2, 3]] * 2 and len(rounds[-1]) < 4
 
 
 class TestCharFn:
@@ -396,7 +419,31 @@ class TestVbar:
         vb = Vbar(p)
         with pytest.raises(NoConvergence):
             vb(1e-300)
+        with pytest.raises(NoConvergence):
+            vb([1e-3, 1e-300])
         assert vb(1e-3) == pytest.approx(2.0 / math.expm1(2e-3), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["cir_ou", "jump_cbi_ou", "gamma_imm"])
+    def test_array_call_matches_scalar_calls(self, name):
+        # a shuffled sweep whose large t extend the window table downward,
+        # plus two t below T(2^top), whose roots lie above the table
+        batched, single = bundled(name).vbar, bundled(name).vbar
+        low, top = min(single._T), single._top
+        sweep = np.concatenate([np.geomspace(1e-6, 30.0, 61), [single._rest / 3, single._rest / 30]])
+        ts = np.random.default_rng(7).permutation(sweep)
+        values = batched(ts)
+        assert values.tolist() == [single(t) for t in ts.tolist()]
+        assert sorted(batched._T.items()) == sorted(single._T.items())
+        assert min(single._T) < low and np.sum(values > 2.0**top) == 2
+        assert isinstance(single(1.0), float) and batched(ts.reshape(7, 9)).shape == (7, 9)
+        vs = np.geomspace(1e-7, 1e14, 22)
+        assert batched.time_from(vs).tolist() == [single.time_from(v) for v in vs.tolist()]
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_nonpositive_t_in_an_array(self, bad):
+        vb = bundled("cir_ou").vbar
+        with pytest.raises(DomainError):
+            vb(np.array([1.0, bad, 2.0]))
 
     def test_grey_violation(self):
         p = make_params(alpha=((0, 0), (0, 0)))
